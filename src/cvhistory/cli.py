@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
+from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
+from .dyadic import norm2 as wave_norm2
 from .erasure import (
     FlipVariant,
     GridHybrid,
@@ -44,6 +46,7 @@ from .errors import (
 from .grid import GridWave
 from .processor import (
     Program,
+    _expect_int,
     init_from_program,
     load_program,
     parse_program,
@@ -99,18 +102,17 @@ class ScenarioConfig:
     data_basis: int = 0
 
 
-def _require_int(value, path: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def _require_tolerance(value, path: str) -> float:
+    tol = _require_number(value, path)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"{path}: must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _parse_amplitude(value, path: str) -> complex:
@@ -188,16 +190,16 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
         hi = _require_number(window[1], "grid.window[1]")
         if not lo < hi:
             raise ValidationError(f"grid.window: empty window [{lo}, {hi})")
-        n = _require_int(gopts.get("n", DEFAULT_GRID_N), "grid.n", minimum=2)
+        n = _expect_int(gopts.get("n", DEFAULT_GRID_N), "grid.n", minimum=2)
         if n & (n - 1):
             raise ValidationError(f"grid.n: must be a power of two, got {n}")
         cfg.grid_window = (lo, hi)
         cfg.grid_n = n
 
     if "seed" in raw:
-        cfg.seed = _require_int(raw["seed"], "seed", minimum=0)
+        cfg.seed = _expect_int(raw["seed"], "seed", minimum=0)
     if "max_level" in raw:
-        cfg.max_level = _require_int(raw["max_level"], "max_level", minimum=0)
+        cfg.max_level = _expect_int(raw["max_level"], "max_level", minimum=0)
     if "out_dir" in raw:
         if not isinstance(raw["out_dir"], str):
             raise ValidationError(f"out_dir: expected a string, got {raw['out_dir']!r}")
@@ -207,7 +209,7 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
         if "pairs" not in raw:
             raise ValidationError("pairs: required for erase-demo")
         cfg.pairs = _parse_pairs(raw["pairs"], "pairs")
-        cfg.cv_level = _require_int(raw.get("cv_level", 0), "cv_level", minimum=0)
+        cfg.cv_level = _expect_int(raw.get("cv_level", 0), "cv_level", minimum=0)
     if kind in ("erase-demo", "processor") and "variant" in raw:
         try:
             cfg.variant = FlipVariant(raw["variant"])
@@ -227,14 +229,14 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
         else:
             raise ValidationError("program: expected an object or a file path string")
     if kind == "processor":
-        cfg.data_basis = _require_int(raw.get("data_basis", 0), "data_basis", minimum=0)
+        cfg.data_basis = _expect_int(raw.get("data_basis", 0), "data_basis", minimum=0)
         if cfg.data_basis >= 1 << cfg.program.data:
             raise ValidationError(
                 f"data_basis: {cfg.data_basis} outside [0, {1 << cfg.program.data})"
             )
     if kind == "validate":
         if "tolerance" in raw:
-            cfg.tolerance = _require_number(raw["tolerance"], "tolerance")
+            cfg.tolerance = _require_tolerance(raw["tolerance"], "tolerance")
         if "tolerances" in raw:
             tols = raw["tolerances"]
             if not isinstance(tols, dict):
@@ -242,7 +244,7 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
             for name, tol in tols.items():
                 if name not in SUITE_NAMES:
                     raise ValidationError(f"tolerances.{name}: unknown suite")
-                cfg.tolerances[name] = _require_number(tol, f"tolerances.{name}")
+                cfg.tolerances[name] = _require_tolerance(tol, f"tolerances.{name}")
 
     # flags override the file
     if args.backend is not None:
@@ -251,17 +253,40 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
         else:
             cfg.backend = "grid"  # window/N fall back to defaults if absent
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _expect_int(args.seed, "--seed", minimum=0)
     if args.max_level is not None:
-        cfg.max_level = args.max_level
+        cfg.max_level = _expect_int(args.max_level, "--max-level", minimum=0)
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
+        cfg.tolerance = _require_tolerance(args.tolerance, "--tolerance")
 
     if kind == "validate" and cfg.seed is None:
         raise ValidationError("seed: required for validate (set in the scenario or via --seed)")
+    if kind == "erase-demo":
+        _check_erase_demo_bounds(cfg)
     return cfg
+
+
+def _check_erase_demo_bounds(cfg: ScenarioConfig) -> None:
+    """Reject cv_level values the run could not reach, before any table
+    is allocated."""
+    if cfg.backend == "grid" and cfg.cv_level != 0:
+        raise ValidationError(
+            f"cv_level: the grid backend starts at level 0, got {cfg.cv_level}"
+        )
+    final = cfg.cv_level + len(cfg.pairs)
+    if final > cfg.max_level:
+        raise ResourceLimitError(
+            f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs reaches level "
+            f"{final}, above max_level {cfg.max_level}"
+        )
+    # 2^cv_level > MAX_CELLS_DEFAULT, without building the power
+    if cfg.cv_level >= MAX_CELLS_DEFAULT.bit_length():
+        raise ResourceLimitError(
+            f"cv_level: the level-{cfg.cv_level} indicator needs 2^{cfg.cv_level} cells "
+            f"(limit {MAX_CELLS_DEFAULT})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,102 +294,70 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
 # ---------------------------------------------------------------------------
 
 
-def _product_register(pairs: Sequence[Tuple[complex, complex]]) -> RegisterState:
-    amps = np.array([1.0], dtype=np.complex128)
-    for a, b in pairs:  # factor i lands at bit i
-        amps = np.kron(np.array([a, b], dtype=np.complex128), amps)
-    return RegisterState(len(pairs), amps)
+# Each backend supplies the initial wave with its norm, the erasure of one
+# pair's qubit into the wave, and the CSV rows of a wave; cmd_erase_demo
+# owns the loop, the trace and the dumps.
 
 
-def _dump_dyadic(out_dir: str, name: str, w: DyadicWave) -> str:
-    write_wave_csv(os.path.join(out_dir, name), dyadic_csv_rows(w))
-    return name
+def _dyadic_start(cfg: ScenarioConfig) -> Tuple[DyadicWave, float]:
+    w = indicator_unit(cfg.cv_level)
+    return w, wave_norm2(w)
 
 
-def _dump_grid(out_dir: str, name: str, g: GridWave) -> str:
-    write_wave_csv(os.path.join(out_dir, name), grid_csv_rows(g))
-    return name
+def _dyadic_erase_pair(
+    cfg: ScenarioConfig, w: DyadicWave, level: int, a: complex, b: complex
+) -> Tuple[DyadicWave, int, float, float]:
+    h = lift(RegisterState(1, np.array([a, b], dtype=np.complex128)), w)
+    erased, (st,) = erase_sequence(h, [0], cfg.variant, max_level=cfg.max_level)
+    if cv_factor(erased) is None:
+        raise ContractError(
+            f"level {st.level}: state is entangled; erase-demo expects product input"
+        )
+    return erased.row_wave(0), st.level, st.norm2, st.ancilla_residual
+
+
+def _grid_start(cfg: ScenarioConfig) -> Tuple[GridWave, float]:
+    x_min, x_max = cfg.grid_window
+    h_step = (x_max - x_min) / cfg.grid_n
+    xs = x_min + h_step * np.arange(cfg.grid_n)
+    g = GridWave(x_min, h_step, np.where((xs >= 0.0) & (xs < 1.0), 1.0, 0.0))
+    return g, g.norm2()
+
+
+def _grid_erase_pair(
+    cfg: ScenarioConfig, g: GridWave, level: int, a: complex, b: complex
+) -> Tuple[GridWave, int, float, float]:
+    gh = GridHybrid(1, g.x_min, g.h, np.vstack([a * g.samples, b * g.samples]))
+    gh = grid_erase(gh, 0, cfg.variant)
+    resid = float(g.h * np.sum(gh.amps[1].real ** 2 + gh.amps[1].imag ** 2))
+    g = GridWave(g.x_min, g.h, gh.amps[0])
+    return g, level + 1, g.norm2(), resid
 
 
 def cmd_erase_demo(cfg: ScenarioConfig) -> int:
+    """Erase each pair's qubit in turn into the CV, reusing one ancilla."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.backend == "grid":
-        return _erase_demo_grid(cfg)
+        start, erase_pair, csv_rows = _grid_start, _grid_erase_pair, grid_csv_rows
+    else:
+        start, erase_pair, csv_rows = _dyadic_start, _dyadic_erase_pair, dyadic_csv_rows
+    wave, norm2 = start(cfg)
+    level, residual = cfg.cv_level, 0.0
     trace = []
-    initial = indicator_unit(cfg.cv_level)
-    ref = _dump_dyadic(cfg.out_dir, "step_00.csv", initial)
-    trace.append(
-        {
-            "step": 0,
-            "qubit": None,
-            "level": initial.level,
-            "norm2": initial.coeffs.size * initial.width,
-            "ancilla_residual": 0.0,
-            "wave": ref,
-        }
-    )
-    if cfg.pairs:
-        h = lift(_product_register(cfg.pairs), initial)
-        final, steps = erase_sequence(
-            h, list(range(len(cfg.pairs))), cfg.variant, max_level=cfg.max_level
-        )
-        for st in steps:
-            factored = cv_factor(st.state)
-            if factored is None:
-                raise ContractError(
-                    f"step {st.step}: state is entangled; erase-demo expects product input"
-                )
-            _, wave = factored
-            ref = _dump_dyadic(cfg.out_dir, f"step_{st.step:02d}.csv", wave)
-            trace.append(
-                {
-                    "step": st.step,
-                    "qubit": st.qubit,
-                    "level": st.level,
-                    "norm2": st.norm2,
-                    "ancilla_residual": st.ancilla_residual,
-                    "wave": ref,
-                }
-            )
-    write_json(os.path.join(cfg.out_dir, "trace.json"), trace)
-    print(f"erase-demo: {len(trace)} dumps -> {cfg.out_dir}")
-    return EXIT_OK
-
-
-def _erase_demo_grid(cfg: ScenarioConfig) -> int:
-    """Grid backend: one reused ancilla, erased once per pair."""
-    x_min, x_max = cfg.grid_window
-    n = cfg.grid_n
-    h_step = (x_max - x_min) / n
-    xs = x_min + h_step * np.arange(n)
-    wave = np.where((xs >= 0.0) & (xs < 1.0), 1.0, 0.0).astype(np.complex128)
-    trace = []
-    ref = _dump_grid(cfg.out_dir, "step_00.csv", GridWave(x_min, h_step, wave))
-    trace.append(
-        {
-            "step": 0,
-            "qubit": None,
-            "level": cfg.cv_level,
-            "norm2": GridWave(x_min, h_step, wave).norm2(),
-            "ancilla_residual": 0.0,
-            "wave": ref,
-        }
-    )
-    for i, (a, b) in enumerate(cfg.pairs, start=1):
-        gh = GridHybrid(1, x_min, h_step, np.vstack([a * wave, b * wave]))
-        gh = grid_erase(gh, 0, cfg.variant)
-        wave = gh.amps[0]
-        resid = float(h_step * np.sum(gh.amps[1].real ** 2 + gh.amps[1].imag ** 2))
-        g = GridWave(x_min, h_step, wave)
-        ref = _dump_grid(cfg.out_dir, f"step_{i:02d}.csv", g)
+    for step in range(len(cfg.pairs) + 1):
+        if step:
+            a, b = cfg.pairs[step - 1]
+            wave, level, norm2, residual = erase_pair(cfg, wave, level, a, b)
+        name = f"step_{step:02d}.csv"
+        write_wave_csv(os.path.join(cfg.out_dir, name), csv_rows(wave))
         trace.append(
             {
-                "step": i,
-                "qubit": 0,
-                "level": cfg.cv_level + i,
-                "norm2": g.norm2(),
-                "ancilla_residual": resid,
-                "wave": ref,
+                "step": step,
+                "qubit": 0 if step else None,
+                "level": level,
+                "norm2": norm2,
+                "ancilla_residual": residual,
+                "wave": name,
             }
         )
     write_json(os.path.join(cfg.out_dir, "trace.json"), trace)
@@ -423,7 +416,7 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     factored = cv_factor(ps.hybrid)
     if factored is not None:
         _, wave = factored
-        _dump_dyadic(cfg.out_dir, "final_wave.csv", wave)
+        write_wave_csv(os.path.join(cfg.out_dir, "final_wave.csv"), dyadic_csv_rows(wave))
         entangled = False
     else:
         # entangled final state: dump the CV marginal density (re = im = 0)

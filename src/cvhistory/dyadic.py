@@ -11,7 +11,7 @@ which is what makes the representation useful as an exact backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -185,31 +185,3 @@ def value_at(w: DyadicWave, x: float) -> complex:
     if 0 <= k < w.n_cells:
         return complex(w.coeffs[k])
     return 0.0 + 0.0j
-
-
-def samples(w: DyadicWave, pts_per_cell: int) -> List[Tuple[float, complex]]:
-    """Step-function samples over the stored cells, for plotting/dumps."""
-    if pts_per_cell < 1:
-        raise DomainError(f"pts_per_cell must be >= 1, got {pts_per_cell}")
-    out: List[Tuple[float, complex]] = []
-    step = w.width / pts_per_cell
-    for k in range(w.n_cells):
-        left = (w.offset + k) * w.width
-        for i in range(pts_per_cell):
-            out.append((left + i * step, complex(w.coeffs[k])))
-    return out
-
-
-def from_function(f: Callable[[float], complex], level: int, o_min: int, o_max: int) -> DyadicWave:
-    """Sample a pointwise function at cell midpoints over [o_min, o_max) x-units.
-
-    Convenience for building test fixtures; exact only for inputs already
-    constant on level-``level`` cells.
-    """
-    if o_min >= o_max:
-        raise DomainError(f"empty interval [{o_min}, {o_max})")
-    scale = 1 << level
-    w = 2.0 ** (-level)
-    idx = np.arange(o_min * scale, o_max * scale)
-    vals = np.array([f((i + 0.5) * w) for i in idx], dtype=np.complex128)
-    return DyadicWave(level, o_min * scale, vals)

@@ -28,20 +28,18 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dyadic
-from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
+from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, SQRT2, DyadicWave, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
-from .grid import GridWave, translate_shift, translate_spectral
+from .grid import SUPPORT_EPS, GridWave, translate_shift, translate_spectral
 from .qubits import (
     DensityMatrix,
     RegisterState,
+    _apply_permutation_kernel,
     _apply_single_qubit_kernel,
     _check_permutation,
     is_unitary,
     trace_out,
 )
-
-MAX_CELLS_DEFAULT = dyadic.MAX_CELLS_DEFAULT
-SQRT2 = dyadic.SQRT2
 
 # The two reset-flip conventions.  OUTSIDE_UNIT flips the qubit on every
 # cell not inside [0,1); INSIDE_ONE_TWO flips only on cells inside [1,2).
@@ -262,7 +260,6 @@ class EraseStep:
     level: int
     norm2: float
     ancilla_residual: float
-    state: Optional[HybridState]
 
 
 def erase_sequence(
@@ -271,12 +268,11 @@ def erase_sequence(
     variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
     max_level: int = MAX_LEVEL_DEFAULT,
     max_cells: int = MAX_CELLS_DEFAULT,
-    keep_states: bool = True,
 ) -> Tuple[HybridState, List[EraseStep]]:
     """Erase the listed qubits in order into the shared CV mode.
 
-    With keep_states=False the trace carries metrics only, which keeps
-    long high-level sequences from pinning every intermediate table.
+    The trace carries metrics only, so a long sequence does not pin
+    every intermediate table.
     """
     trace: List[EraseStep] = []
     state = h
@@ -289,7 +285,6 @@ def erase_sequence(
                 level=state.level,
                 norm2=state.norm2(),
                 ancilla_residual=residual_weight(state, q),
-                state=state if keep_states else None,
             )
         )
     return state, trace
@@ -376,9 +371,7 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
 def apply_basis_permutation(h: HybridState, perm: Sequence[int] | np.ndarray) -> HybridState:
     """Permute qubit basis rows: row i moves to perm[i]."""
     p = _check_permutation(perm, 1 << h.n_qubits)
-    out = np.empty_like(h.amps)
-    out[p] = h.amps
-    return HybridState(h.n_qubits, h.level, h.offset, out)
+    return HybridState(h.n_qubits, h.level, h.offset, _apply_permutation_kernel(h.amps, p))
 
 
 def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
@@ -395,8 +388,6 @@ def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
 # Grid-backend pipeline: same gate sequence on sampled waves, translation in
 # momentum-exponential form.  Used to cross-validate the exact backend.
 # ---------------------------------------------------------------------------
-
-SUPPORT_EPS = 1e-13
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .dyadic import DyadicWave, value_at
 from .errors import DomainError, ValidationError
 
 # Relative magnitude below which a sample is treated as numerically zero
@@ -61,14 +60,6 @@ class GridWave:
         return float(np.sum(s.real**2 + s.imag**2)) * self.h
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Pointwise and L2 discrepancy between two wave representations."""
-
-    max_abs_err: float
-    l2_err: float
-
-
 def sample_function(f: Callable[[float], complex], x_min: float, h: float, N: int) -> GridWave:
     """Tabulate f on the grid: samples[j] = f(x_min + j*h)."""
     if N < 2 or (N & (N - 1)) != 0:
@@ -103,15 +94,6 @@ def translate_spectral(g: GridWave, a: float) -> GridWave:
     k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.h)
     shifted = np.fft.ifft(np.fft.fft(g.samples) * np.exp(-1j * k * a))
     return GridWave(g.x_min, g.h, shifted)
-
-
-def project_grid(g: GridWave, a: float, b: float) -> GridWave:
-    """Zero samples outside [a, b); half-open to match the cell convention."""
-    if not a < b:
-        raise DomainError(f"projection interval [{a}, {b}) is empty")
-    xs = g.positions()
-    keep = (xs >= a) & (xs < b)
-    return GridWave(g.x_min, g.h, np.where(keep, g.samples, 0.0))
 
 
 def _support_bounds(g: GridWave):
@@ -162,17 +144,3 @@ def dilation_generator(g: GridWave) -> GridWave:
     gen = xp + xp.conj().T  # PX = (XP)^dagger since X real diagonal, P Hermitian
     u = scipy.linalg.expm(1j * (np.log(2.0) / 2.0) * gen)
     return GridWave(g.x_min, g.h, u @ g.samples)
-
-
-def compare_to_dyadic(g: GridWave, w: DyadicWave) -> ErrorReport:
-    """Pointwise comparison of grid samples against a dyadic wave."""
-    if g.h > w.width + 1e-15:
-        raise DomainError(
-            f"grid step {g.h} coarser than dyadic cell width {w.width}; comparison undefined"
-        )
-    ref = np.array([value_at(w, float(x)) for x in g.positions()], dtype=np.complex128)
-    diff = g.samples - ref
-    return ErrorReport(
-        max_abs_err=float(np.max(np.abs(diff))),
-        l2_err=float(np.sqrt(g.h * np.sum(diff.real**2 + diff.imag**2))),
-    )

@@ -458,7 +458,7 @@ def suite_erase_oracle_equivalence(rng, tol):
     for n in (3, 6, 9, 12):
         pairs = [_random_pair(rng) for _ in range(n)]
         h = lift(_product_register(pairs), indicator_unit(0))
-        final, trace = erase_sequence(h, list(range(n)), keep_states=False)
+        final, trace = erase_sequence(h, list(range(n)))
         for step in trace:
             worst = max(worst, step.ancilla_residual)
         expect = tensor_oracle(pairs)

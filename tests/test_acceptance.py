@@ -121,7 +121,7 @@ def test_criterion_05_iterated_erasure_matches_closed_form():
         pairs.append((complex(v[0]), complex(v[1])))
         amps = np.kron(v, amps)
     h = lift(RegisterState(n, amps), indicator_unit(0))
-    final, trace = erase_sequence(h, list(range(n)), keep_states=False)
+    final, trace = erase_sequence(h, list(range(n)))
     worst = max(step.ancilla_residual for step in trace)
     worst = max(worst, max_abs_diff(final.row_wave(0), tensor_oracle(pairs)))
     ok = worst <= 1e-12 and final.level == n

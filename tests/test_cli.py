@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvhistory.cli import main
+from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
 from cvhistory.validation import SUITE_NAMES
 
@@ -108,6 +109,63 @@ class TestScenarioSchema:
         )
         assert main(["validate", s]) == 2
 
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [
+            ({"pairs": [], "cv_level": 60}, []),
+            ({"pairs": [[1.0, 0.0]] * 5, "cv_level": 20}, []),
+            ({"pairs": [[1.0, 0.0]] * 4, "cv_level": 5}, ["--max-level", "8"]),
+            ({"pairs": [], "cv_level": 30, "max_level": 40}, []),
+        ],
+    )
+    def test_erase_demo_level_bounds_exit_3(self, tmp_path, capsys, scenario, flags):
+        s = write_scenario(tmp_path, "s.json", {**scenario, "out_dir": str(tmp_path / "o")})
+        assert main(["erase-demo", s, *flags]) == 3
+        assert "cv_level" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_erase_demo_rejects_cv_level(self, tmp_path, capsys):
+        s = write_scenario(
+            tmp_path,
+            "s.json",
+            {
+                "backend": "grid",
+                "grid": {"window": [-2.0, 2.0], "n": 64},
+                "pairs": [[1.0, 0.0]],
+                "cv_level": 3,
+                "out_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["erase-demo", s]) == 2
+        assert "cv_level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-level", "-1"),
+            ("--seed", "-5"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--tolerance", "-1e-9"),
+        ],
+    )
+    def test_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
+        s = write_scenario(tmp_path, "s.json", {"seed": 1, "out_dir": str(tmp_path / "o")})
+        assert main(["validate", s, f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": -1.0},
+            {"tolerances": {"hybrid_unitarity": float("inf")}},
+        ],
+    )
+    def test_bad_tolerance_exit_2(self, tmp_path, fields):
+        s = write_scenario(tmp_path, "s.json", {"seed": 1, "out_dir": str(tmp_path / "o"), **fields})
+        assert main(["validate", s]) == 2
+
 
 class TestEraseDemo:
     def test_deterministic_branch_csv(self, tmp_path):
@@ -166,6 +224,28 @@ class TestEraseDemo:
             {"pairs": [[[0.6, 0.0], [0.0, 0.8]]], "out_dir": str(out)},
         )
         assert main(["erase-demo", s]) == 0
+
+    def test_reused_ancilla_dumps_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        pairs = []
+        for _ in range(12):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = v / np.linalg.norm(v)
+            pairs.append((complex(v[0]), complex(v[1])))
+        out = tmp_path / "out"
+        raw_pairs = [[[a.real, a.imag], [b.real, b.imag]] for a, b in pairs]
+        s = write_scenario(tmp_path, "s.json", {"pairs": raw_pairs, "out_dir": str(out)})
+        assert main(["erase-demo", s]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        assert [t["qubit"] for t in trace[1:]] == [0] * len(pairs)
+        for j in range(1, len(pairs) + 1):
+            rows = [r.split(",") for r in (out / f"step_{j:02d}.csv").read_text().splitlines()[1:]]
+            got = {round(float(r[0]) * 2**j): complex(float(r[2]), float(r[3])) for r in rows}
+            expect = tensor_oracle(pairs[:j])
+            want = {expect.offset + k: complex(c) for k, c in enumerate(expect.coeffs)}
+            assert got.keys() == want.keys()
+            peak = max(abs(c) for c in want.values())
+            assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * peak
 
     def test_grid_backend_matches_dyadic_values(self, tmp_path):
         out_d = tmp_path / "d"

@@ -13,7 +13,6 @@ from cvhistory.dyadic import (
     norm2,
     project,
     refine,
-    samples,
     squeeze,
     translate_int,
     value_at,
@@ -215,22 +214,6 @@ class TestRefineCommutation:
 
 
 class TestSamplesAndValueAt:
-    def test_indicator_two_points(self):
-        assert samples(indicator_unit(0), 2) == [(0.0, 1 + 0j), (0.5, 1 + 0j)]
-
-    def test_squeezed_indicator_single_point(self):
-        pts = samples(squeeze(indicator_unit(0)), 1)
-        assert len(pts) == 1
-        assert pts[0][0] == 0.0 and pts[0][1].real == pytest.approx(SQRT2)
-
-    def test_no_padding_outside_support(self):
-        w = DyadicWave(0, 2, [0.0, 5.0, 0.0])
-        assert samples(w, 1) == [(3.0, 5 + 0j)]
-
-    def test_bad_pts_per_cell(self):
-        with pytest.raises(DomainError):
-            samples(indicator_unit(0), 0)
-
     def test_value_at_half_open(self):
         w = DyadicWave(1, 0, [1.0, 2.0])
         assert value_at(w, 0.0) == 1.0

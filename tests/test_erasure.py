@@ -363,11 +363,6 @@ class TestEraseSequence:
         assert max_abs_diff(final.row_wave(0), tensor_oracle(pairs)) <= 1e-12
         assert sum(residual_weight(final, q) for q in range(n)) == 0.0
 
-    def test_keep_states_flag(self):
-        reg = product_register([(1.0, 0.0)])
-        _, trace = erase_sequence(lift(reg, indicator_unit(0)), [0], keep_states=False)
-        assert trace[0].state is None
-
 
 class TestTensorOracle:
     def test_single_alpha(self):

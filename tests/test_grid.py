@@ -2,13 +2,11 @@
 import numpy as np
 import pytest
 
-from cvhistory.dyadic import DyadicWave, indicator_unit, squeeze
+from cvhistory.dyadic import DyadicWave, squeeze, value_at
 from cvhistory.errors import DomainError, ValidationError
 from cvhistory.grid import (
     GridWave,
-    compare_to_dyadic,
     dilation_generator,
-    project_grid,
     sample_function,
     squeeze_resample,
     translate_shift,
@@ -123,28 +121,6 @@ class TestTranslateSpectral:
             assert np.max(np.abs(back.samples - g.samples)) <= 1e-9
 
 
-class TestProjectGrid:
-    def test_fixes_own_range(self):
-        g = sample_function(indicator01, -2.0, 0.25, 16)
-        assert np.array_equal(project_grid(g, 0.0, 1.0).samples, g.samples)
-
-    def test_disjoint_interval_zeroes(self):
-        g = sample_function(lambda x: indicator01(x - 1.0), -2.0, 0.25, 16)
-        assert np.all(project_grid(g, 0.0, 1.0).samples == 0)
-
-    def test_idempotent_bit_identical(self):
-        rng = np.random.default_rng(5)
-        g = GridWave(-2.0, 0.25, rng.normal(size=16) + 1j * rng.normal(size=16))
-        once = project_grid(g, -1.0, 0.5)
-        twice = project_grid(once, -1.0, 0.5)
-        assert np.array_equal(once.samples, twice.samples)
-
-    def test_empty_interval_rejected(self):
-        g = sample_function(indicator01, -2.0, 0.25, 16)
-        with pytest.raises(DomainError):
-            project_grid(g, 1.0, 1.0)
-
-
 class TestSqueezeResample:
     def test_indicator(self):
         g = sample_function(indicator01, -2.0, 0.25, 16)
@@ -159,8 +135,9 @@ class TestSqueezeResample:
     def test_matches_dyadic_squeeze(self):
         w = DyadicWave(2, 0, [0.5, -1.0, 0.25j, 1.0, 0.5, 0.0, 1.0, -0.5j])
         g = sample_function(lambda x: complex(w.coeffs[int(x * 4) - w.offset]) if w.x_min <= x < w.x_max else 0.0, -4.0, 1 / 16, 128)
-        rep = compare_to_dyadic(squeeze_resample(g), squeeze(w))
-        assert rep.l2_err <= 1e-12 and rep.max_abs_err <= 1e-12
+        out = squeeze_resample(g)
+        ref = np.array([value_at(squeeze(w), float(x)) for x in out.positions()])
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12
 
     def test_support_escape_rejected(self):
         g = sample_function(lambda x: 1.0 if 3.0 <= x < 3.5 else 0.0, 2.0, 1 / 8, 16)
@@ -189,19 +166,3 @@ class TestDilationGenerator:
         g = sample_function(lambda x: 0.0, -4.0, 1 / 8, 64)
         assert np.max(np.abs(dilation_generator(g).samples)) <= 1e-12
 
-
-class TestCompareToDyadic:
-    def test_exact_indicator_match(self):
-        g = sample_function(indicator01, -2.0, 0.25, 16)
-        rep = compare_to_dyadic(g, indicator_unit(0))
-        assert rep.max_abs_err == 0.0 and rep.l2_err == 0.0
-
-    def test_shifted_input_metric(self):
-        g = sample_function(lambda x: 3.0 * indicator01(x - 1.0), -2.0, 0.25, 16)
-        rep = compare_to_dyadic(g, DyadicWave(0, 0, [3.0]))
-        assert rep.max_abs_err == 3.0
-
-    def test_coarse_grid_rejected(self):
-        g = sample_function(indicator01, -2.0, 0.5, 8)
-        with pytest.raises(DomainError):
-            compare_to_dyadic(g, indicator_unit(2))
