@@ -168,6 +168,9 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
     backend = raw.get("backend", "dyadic")
     if backend not in ("dyadic", "grid"):
         raise ValidationError(f"backend: expected 'dyadic' or 'grid', got {backend!r}")
+    # only erase-demo has a grid implementation; elsewhere it would be ignored
+    if kind != "erase-demo" and "grid" in (backend, args.backend):
+        raise ValidationError(f"backend: the grid backend runs only erase-demo, not {kind}")
     # grid options go with the grid backend, never with the dyadic one
     if backend == "dyadic" and "grid" in raw:
         raise ValidationError("grid: options are only valid with backend 'grid'")

@@ -51,7 +51,8 @@ class DyadicWave:
         else:
             lo, hi = int(nz[0]), int(nz[-1]) + 1
             offset = int(self.offset) + lo
-            arr = arr[lo:hi].copy()
+            if lo or hi < arr.size:
+                arr = arr[lo:hi].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "level", int(self.level))
         object.__setattr__(self, "offset", offset)

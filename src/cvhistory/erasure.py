@@ -83,11 +83,30 @@ class HybridState:
         else:
             lo, hi = int(nonzero_cols[0]), int(nonzero_cols[-1]) + 1
             offset = int(self.offset) + lo
-            arr = arr[:, lo:hi].copy()
+            if lo or hi < arr.shape[1]:
+                arr = arr[:, lo:hi].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "level", int(self.level))
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "amps", arr)
+
+    @classmethod
+    def _adopt(cls, n_qubits: int, level: int, offset: int, amps: np.ndarray) -> "HybridState":
+        """Wrap a table without copying or scanning it.
+
+        Only for a freshly allocated complex128 table of shape
+        (2^n_qubits, K >= 1) that no one else holds and that is already
+        canonical: finite, with nonzero first and last columns (or a single
+        zero column at offset 0).  The gate ops below build such tables by
+        relocating the values of a validated state.
+        """
+        amps.setflags(write=False)
+        h = object.__new__(cls)
+        object.__setattr__(h, "n_qubits", n_qubits)
+        object.__setattr__(h, "level", level)
+        object.__setattr__(h, "offset", offset)
+        object.__setattr__(h, "amps", amps)
+        return h
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HybridState):
@@ -138,6 +157,20 @@ def _bit1_rows(n_qubits: int, q: int) -> np.ndarray:
     return (np.arange(1 << n_qubits) >> q) & 1 == 1
 
 
+def _qubit_view(h: HybridState, q: int) -> np.ndarray:
+    """The table as (high rows, bit q, low rows, cells); [:, 1] selects the
+    rows whose qubit q is |1>."""
+    return h.amps.reshape(1 << (h.n_qubits - 1 - q), 2, 1 << q, h.n_cells)
+
+
+def _occupied_span(block: np.ndarray) -> Optional[Tuple[int, int]]:
+    """[first, last + 1) of the cells holding a nonzero value; None if none."""
+    cols = np.flatnonzero(np.any(block != 0, axis=(0, 1)))
+    if cols.size == 0:
+        return None
+    return int(cols[0]), int(cols[-1]) + 1
+
+
 def cond_translate(
     h: HybridState, q: int, t: int, max_cells: int = MAX_CELLS_DEFAULT
 ) -> HybridState:
@@ -154,14 +187,25 @@ def cond_translate(
         raise ResourceLimitError(
             f"conditional translation needs {k2} cells (limit {max_cells})"
         )
-    new_offset = h.offset + min(tc, 0)
-    out = np.zeros((h.amps.shape[0], k2), dtype=np.complex128)
-    moved = _bit1_rows(h.n_qubits, q)
-    lo_fixed = h.offset - new_offset
-    lo_moved = h.offset + tc - new_offset
-    out[~moved, lo_fixed : lo_fixed + h.n_cells] = h.amps[~moved]
-    out[moved, lo_moved : lo_moved + h.n_cells] = h.amps[moved]
-    return HybridState(h.n_qubits, h.level, new_offset, out)
+    # Place each row group's occupied cells (the moved rows shifted by tc)
+    # and allocate only their hull, so the output is canonical as built.
+    view = _qubit_view(h, q)
+    placed = []  # (bit, first output cell, occupied input columns)
+    for bit, shift in ((0, 0), (1, tc)):
+        span = _occupied_span(view[:, bit])
+        if span is not None:
+            placed.append((bit, span[0] + shift, span))
+    if not placed:
+        zero = np.zeros((h.amps.shape[0], 1), dtype=np.complex128)
+        return HybridState._adopt(h.n_qubits, h.level, 0, zero)
+    lo = min(start for _, start, _ in placed)
+    hi = max(start + b - a for _, start, (a, b) in placed)
+    out = np.zeros(view.shape[:3] + (hi - lo,), dtype=np.complex128)
+    for bit, start, (a, b) in placed:
+        out[:, bit, :, start - lo : start - lo + b - a] = view[:, bit, :, a:b]
+    return HybridState._adopt(
+        h.n_qubits, h.level, h.offset + lo, out.reshape(h.amps.shape[0], hi - lo)
+    )
 
 
 def _flip_columns(h: HybridState, variant: FlipVariant) -> np.ndarray:
@@ -182,17 +226,21 @@ def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
     flip = _flip_columns(h, variant)
-    view = h.amps.reshape(1 << (h.n_qubits - 1 - q), 2, 1 << q, h.n_cells)
-    swapped = view[:, ::-1]
-    out = np.where(flip, swapped, view)
-    return HybridState(h.n_qubits, h.level, h.offset, out.reshape(h.amps.shape))
+    view = _qubit_view(h, q)
+    out = np.where(flip, view[:, ::-1], view)
+    # a per-column row swap keeps every column's occupancy: still canonical
+    return HybridState._adopt(h.n_qubits, h.level, h.offset, out.reshape(h.amps.shape))
 
 
 def squeeze_all(h: HybridState, max_level: int = MAX_LEVEL_DEFAULT) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
     if h.level + 1 > max_level:
         raise ResourceLimitError(f"squeeze would exceed max level {max_level}")
-    return HybridState(h.n_qubits, h.level + 1, h.offset, h.amps * SQRT2)
+    out = h.amps * SQRT2
+    # scaling by sqrt(2) cannot zero a cell, but it can overflow one
+    if not np.all(np.isfinite(out.view(np.float64))):
+        raise ValidationError("squeeze overflowed: amplitudes must be finite (no NaN/Inf)")
+    return HybridState._adopt(h.n_qubits, h.level + 1, h.offset, out)
 
 
 def unfold(
@@ -247,7 +295,7 @@ def residual_weight(h: HybridState, q: int) -> float:
     """Probability weight on rows whose qubit q is |1>."""
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    rows = h.amps[_bit1_rows(h.n_qubits, q)]
+    rows = _qubit_view(h, q)[:, 1]
     return float(np.sum(rows.real**2 + rows.imag**2)) * h.width
 
 
@@ -371,7 +419,8 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
 def apply_basis_permutation(h: HybridState, perm: Sequence[int] | np.ndarray) -> HybridState:
     """Permute qubit basis rows: row i moves to perm[i]."""
     p = _check_permutation(perm, 1 << h.n_qubits)
-    return HybridState(h.n_qubits, h.level, h.offset, _apply_permutation_kernel(h.amps, p))
+    # moving whole rows keeps every column's occupancy: still canonical
+    return HybridState._adopt(h.n_qubits, h.level, h.offset, _apply_permutation_kernel(h.amps, p))
 
 
 def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:

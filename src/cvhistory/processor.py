@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import qubits
-from .dyadic import MAX_LEVEL_DEFAULT, indicator_unit
+from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, indicator_unit
 from .erasure import (
     FlipVariant,
     HybridState,
@@ -120,12 +120,23 @@ class ResourceReport:
     joint_cells: int
 
 
+def _check_joint_table(n_data: int, n_anc: int, cv_level: int, max_cells: int) -> None:
+    """Refuse a starting table of 2^(data + ancilla) rows by 2^cv_level
+    cells above the limit, before anything is allocated."""
+    n_total = n_data + n_anc
+    if (1 << n_total) * (1 << cv_level) > max_cells * 64:
+        raise ResourceLimitError(
+            f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by "
+            f"2^{cv_level} cells exceeds {max_cells * 64} cells"
+        )
+
+
 def init(
     n_data: int,
     n_anc: int,
     data_state: RegisterState,
     cv_level: int = 0,
-    max_cells: int = 1 << 22,
+    max_cells: int = MAX_CELLS_DEFAULT,
 ) -> ProcessorState:
     """Data register joined with zeroed ancillas and the unit-interval CV."""
     if data_state.n_qubits != n_data:
@@ -134,11 +145,8 @@ def init(
         )
     if n_anc < 0:
         raise ValidationError(f"ancilla count must be nonnegative, got {n_anc}")
+    _check_joint_table(n_data, n_anc, cv_level, max_cells)
     n_total = n_data + n_anc
-    if (1 << n_total) * (1 << cv_level) > max_cells * 64:
-        raise ResourceLimitError(
-            f"joint table of 2^{n_total} rows at level {cv_level} exceeds limits"
-        )
     anc_zero = np.zeros(1 << n_anc, dtype=np.complex128)
     anc_zero[0] = 1.0
     full = np.kron(anc_zero, data_state.amps)  # ancillas in the high bits
@@ -224,7 +232,7 @@ def run_step(
         h = _apply_table(ps.hybrid, step.op, n_total)
     else:
         raise ValidationError(f"unknown op type {type(step.op).__name__}")
-    for q in sorted(set(step.clean)):
+    for q in sorted(step.clean):
         h = erase(h, q, variant, max_level=max_level)
         leftover = residual_weight(h, q)
         if leftover > 1e-12:
@@ -382,6 +390,8 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
                 raise ValidationError(
                     f"{path}.clean[{j}]: qubit {q} is a data qubit and may not be erased"
                 )
+            if q in clean[:j]:
+                raise ValidationError(f"{path}.clean[{j}]: qubit {q} is listed twice")
         steps.append(ProgramStep(op, tuple(clean)))
     return Program(data, ancilla, cv_level, tuple(steps))
 
@@ -396,6 +406,8 @@ def load_program(path: str) -> Program:
 
 
 def init_from_program(program: Program, data_basis: int = 0) -> ProcessorState:
+    # the data register itself is allocated before init could check it
+    _check_joint_table(program.data, program.ancilla, program.cv_level, MAX_CELLS_DEFAULT)
     return init(
         program.data, program.ancilla, basis_state(program.data, data_basis), program.cv_level
     )

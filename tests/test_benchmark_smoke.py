@@ -1,20 +1,22 @@
-"""Smoke test of the traced benchmark: one traced erase-demo invocation
-must pass its workload oracle and record every span the workload expects,
-so a refactor that unbinds a traced layer fails here rather than only in
-a benchmark run."""
+"""Smoke test of the traced benchmark: one traced invocation of each
+workload below must pass its workload oracle and record every span the
+workload expects, so a refactor that unbinds a traced layer, or stops
+calling one, fails here rather than only in a benchmark run."""
 import importlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_traced_erase_demo(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["erase_demo_n11", "processor_entangled_c16"])
+def test_traced_workload(tmp_path, monkeypatch, name):
     monkeypatch.syspath_prepend(PERFBENCH)
-    workloads = importlib.import_module("workloads")
-    name = "erase_demo_n11"
+    workload = importlib.import_module("workloads").WORKLOADS[name]
     proc = subprocess.run(
         [sys.executable, os.path.join(PERFBENCH, "child.py"), name, "1234", str(tmp_path), "trace"],
         cwd=tmp_path,
@@ -25,7 +27,8 @@ def test_traced_erase_demo(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "result.json").read_text())["exit_code"] == 0
     scenario = json.loads((tmp_path / "scenario.json").read_text())
-    workloads.check_erase_demo(scenario, str(tmp_path / "out"), proc.stdout)
+    assert scenario["kind"] == workload.command
+    workload.check(scenario, str(tmp_path / "out"), proc.stdout)
     spans = json.loads((tmp_path / "spans.json").read_text())
     called = {spans["names"][int(span[0])] for span in spans["spans"]}
-    assert set(workloads.WORKLOADS[name].expected_spans) <= called
+    assert set(workload.expected_spans) <= called

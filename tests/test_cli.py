@@ -2,10 +2,13 @@
 and byte-for-byte determinism of repeated runs."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvhistory
 from cvhistory.cli import main
 from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
@@ -165,6 +168,22 @@ class TestScenarioSchema:
     def test_bad_tolerance_exit_2(self, tmp_path, fields):
         s = write_scenario(tmp_path, "s.json", {"seed": 1, "out_dir": str(tmp_path / "o"), **fields})
         assert main(["validate", s]) == 2
+
+
+    @pytest.mark.parametrize("kind", ["processor", "resource", "validate"])
+    def test_grid_backend_only_for_erase_demo(self, tmp_path, capsys, kind):
+        fields = {"seed": 1} if kind == "validate" else {"program": and_program(1)}
+        out = str(tmp_path / "o")
+        plain = write_scenario(tmp_path, "plain.json", {**fields, "out_dir": out})
+        grid = write_scenario(
+            tmp_path,
+            "grid.json",
+            {**fields, "backend": "grid", "grid": {"window": [-2.0, 2.0], "n": 64}, "out_dir": out},
+        )
+        for argv in ([kind, plain, "--backend", "grid"], [kind, grid]):
+            assert main(argv) == 2
+            assert "backend" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEraseDemo:
@@ -352,6 +371,32 @@ class TestProcessorCommand:
             {"program": and_program(30), "data_basis": 3, "out_dir": str(tmp_path / "o")},
         )
         assert main(["processor", s, "--max-level", "8"]) == 3
+
+
+    def test_oversized_register_exit_3(self, tmp_path):
+        # the 2^40-row register must be refused before it is allocated
+        prog = {"data": 40, "ancilla": 1, "cv_level": 0, "steps": []}
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvhistory.cli", "processor", s],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: data + ancilla + cv_level:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["processor", "resource"])
+    def test_duplicate_clean_exit_2(self, tmp_path, capsys, kind):
+        prog = and_program(1)
+        prog["steps"][0]["clean"] = [2, 2]
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        assert main([kind, s]) == 2
+        assert "steps[0].clean[1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestResourceCommand:

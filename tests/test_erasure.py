@@ -1,11 +1,13 @@
 """Hybrid states, conditional gates, the erasure pipeline, and its oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvhistory.dyadic import DyadicWave, indicator_unit, inner, max_abs_diff, translate_int
 from cvhistory.dyadic import norm2 as wave_norm2
 from cvhistory.dyadic import squeeze as wave_squeeze
-from cvhistory.errors import ContractError, DomainError, ResourceLimitError
+from cvhistory.errors import ContractError, DomainError, ResourceLimitError, ValidationError
 from cvhistory.erasure import (
     FlipVariant,
     GridHybrid,
@@ -146,6 +148,18 @@ class TestCondTranslate:
         with pytest.raises(ResourceLimitError):
             cond_translate(h, 0, 1000000, max_cells=1 << 20)
 
+    def test_refused_before_allocating(self):
+        # both rows occupied, so the hull would span the whole shift
+        h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                cond_translate(h, 0, 1 << 16, max_cells=1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the refused table would take 32 MiB
+
 
 class TestCondFlip:
     def test_flips_outside_unit(self):
@@ -210,6 +224,11 @@ class TestSqueezeAll:
         h = lift(basis_state(1, 0), indicator_unit(0))
         with pytest.raises(ResourceLimitError):
             squeeze_all(h, max_level=0)
+
+    def test_overflow_rejected(self):
+        h = HybridState(1, 0, 0, [[1.5e308], [0.0]])
+        with pytest.raises(ValidationError):
+            squeeze_all(h)
 
 
 class TestUnfold:
@@ -543,3 +562,88 @@ class TestGridPipeline:
         gh = GridHybrid(1, 2.0, 1 / 8, np.outer([1.0, 0.0], gw.samples))
         with pytest.raises(DomainError):
             grid_squeeze_all(gh)
+
+
+def sparse_hybrid(rng: np.random.Generator, unit: bool, zero_bit=None) -> tuple:
+    """Random hybrid with scattered zero cells, and a qubit q of it; with
+    unit=True its support lies inside [0,1).  zero_bit clears every row
+    whose qubit q has that value, so a whole fixed or moved group can be
+    empty."""
+    n = int(rng.integers(1, 4))
+    q = int(rng.integers(0, n))
+    level = int(rng.integers(1, 4))
+    if unit:
+        offset = int(rng.integers(0, 1 << level))
+        k = int(rng.integers(1, (1 << level) - offset + 1))
+    else:
+        offset, k = int(rng.integers(-6, 7)), int(rng.integers(1, 9))
+    a = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    if zero_bit is not None:
+        a[((np.arange(1 << n) >> q) & 1) == zero_bit] = 0.0
+    return HybridState(n, level, offset, a), q
+
+
+def translate_reference(h: HybridState, q: int, t: int) -> HybridState:
+    """Full-width conditional translation, trimmed by the validating
+    constructor."""
+    tc = t << h.level
+    new_offset = h.offset + min(tc, 0)
+    out = np.zeros((h.amps.shape[0], h.n_cells + abs(tc)), dtype=np.complex128)
+    moved = (np.arange(1 << h.n_qubits) >> q) & 1 == 1
+    lo_fixed, lo_moved = h.offset - new_offset, h.offset + tc - new_offset
+    out[~moved, lo_fixed : lo_fixed + h.n_cells] = h.amps[~moved]
+    out[moved, lo_moved : lo_moved + h.n_cells] = h.amps[moved]
+    return HybridState(h.n_qubits, h.level, new_offset, out)
+
+
+class TestAdoptedOutputs:
+    """Gate ops hand their freshly built tables to HybridState without a
+    copy or a re-scan; each such output must already be canonical, frozen
+    and independent of its input."""
+
+    @staticmethod
+    def assert_adopted(out: HybridState, src: HybridState) -> None:
+        again = HybridState(out.n_qubits, out.level, out.offset, np.array(out.amps))
+        assert again == out  # same offset, shape and values
+        assert not out.amps.flags.writeable
+        assert not np.shares_memory(out.amps, src.amps)
+
+    @pytest.mark.parametrize("zero_bit, seed", [(None, 70), (0, 71), (1, 72)])
+    def test_gate_outputs(self, zero_bit, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            h, q = sparse_hybrid(rng, unit=False, zero_bit=zero_bit)
+            for t in (-2, -1, 1, 3):
+                out = cond_translate(h, q, t)
+                self.assert_adopted(out, h)
+                assert out == translate_reference(h, q, t)
+            for variant in FlipVariant:
+                self.assert_adopted(cond_flip(h, q, variant), h)
+            self.assert_adopted(squeeze_all(h), h)
+            perm = rng.permutation(1 << h.n_qubits)
+            self.assert_adopted(apply_basis_permutation(h, perm), h)
+
+    @pytest.mark.parametrize("zero_bit, seed", [(None, 80), (0, 81), (1, 82)])
+    def test_erase_outputs(self, zero_bit, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            h, q = sparse_hybrid(rng, unit=True, zero_bit=zero_bit)
+            out = erase(h, q)
+            self.assert_adopted(out, h)
+            assert residual_weight(out, q) == 0.0
+
+    def test_zero_state(self):
+        h = HybridState(2, 1, 0, np.zeros((4, 1)))
+        for out in (cond_translate(h, 1, -1), cond_flip(h, 0), squeeze_all(h), erase(h, 1)):
+            self.assert_adopted(out, h)
+            assert out.offset == 0 and out.n_cells == 1
+
+    def test_residual_weight_matches_row_mask(self):
+        rng = np.random.default_rng(90)
+        for _ in range(30):
+            h, _ = sparse_hybrid(rng, unit=False)
+            for q in range(h.n_qubits):
+                rows = h.amps[(np.arange(1 << h.n_qubits) >> q) & 1 == 1]
+                expect = float(np.sum(rows.real**2 + rows.imag**2)) * h.width
+                assert residual_weight(h, q) == expect
