@@ -233,9 +233,10 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
             raise ValidationError("program: expected an object or a file path string")
     if kind == "processor":
         cfg.data_basis = _expect_int(raw.get("data_basis", 0), "data_basis", minimum=0)
-        if cfg.data_basis >= 1 << cfg.program.data:
+        # data_basis >= 2^data, without building the power
+        if cfg.data_basis.bit_length() > cfg.program.data:
             raise ValidationError(
-                f"data_basis: {cfg.data_basis} outside [0, {1 << cfg.program.data})"
+                f"data_basis: {cfg.data_basis} outside [0, 2^{cfg.program.data})"
             )
     if kind == "validate":
         if "tolerance" in raw:
@@ -417,24 +418,18 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     ]
     write_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), lines)
     factored = cv_factor(ps.hybrid)
-    if factored is not None:
-        _, wave = factored
-        write_wave_csv(os.path.join(cfg.out_dir, "final_wave.csv"), dyadic_csv_rows(wave))
-        entangled = False
-    else:
-        # entangled final state: dump the CV marginal density (re = im = 0)
+    entangled = factored is None
+    if entangled:
+        # the CV marginal density (re = im = 0)
         h = ps.hybrid
         density = np.sum(h.amps.real**2 + h.amps.imag**2, axis=0)
-        path = os.path.join(cfg.out_dir, "final_wave.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x_left,x_right,re,im,abs2\n")
-            for k, p in enumerate(density):
-                left = (h.offset + k) * h.width
-                right = (h.offset + k + 1) * h.width
-                fh.write(
-                    ",".join(format_float(v) for v in (left, right, 0.0, 0.0, p)) + "\n"
-                )
-        entangled = True
+        rows = (
+            ((h.offset + k) * h.width, (h.offset + k + 1) * h.width, 0.0, 0.0, p)
+            for k, p in enumerate(density)
+        )
+    else:
+        rows = dyadic_csv_rows(factored[1])
+    write_wave_csv(os.path.join(cfg.out_dir, "final_wave.csv"), rows)
     summary = {
         "steps": len(trace),
         "cv_level": ps.hybrid.level,

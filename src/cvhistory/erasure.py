@@ -171,6 +171,16 @@ def _occupied_span(block: np.ndarray) -> Optional[Tuple[int, int]]:
     return int(cols[0]), int(cols[-1]) + 1
 
 
+def _check_table(row_bits: int, cells: int, max_cells: int, what: str) -> None:
+    """Refuse a table of 2^row_bits rows by ``cells`` columns that holds
+    more than 64 * max_cells amplitudes.  This is the one size rule for
+    every table the processor grows; it runs before the table is allocated
+    and never builds 2^row_bits."""
+    limit = max_cells * 64
+    if row_bits >= limit.bit_length() or cells << row_bits > limit:
+        raise ResourceLimitError(f"{what} exceeds {limit} cells")
+
+
 def cond_translate(
     h: HybridState, q: int, t: int, max_cells: int = MAX_CELLS_DEFAULT
 ) -> HybridState:
@@ -200,6 +210,8 @@ def cond_translate(
         return HybridState._adopt(h.n_qubits, h.level, 0, zero)
     lo = min(start for _, start, _ in placed)
     hi = max(start + b - a for _, start, (a, b) in placed)
+    what = f"conditional translation: a table of 2^{h.n_qubits} rows by {hi - lo} cells"
+    _check_table(h.n_qubits, hi - lo, max_cells, what)
     out = np.zeros(view.shape[:3] + (hi - lo,), dtype=np.complex128)
     for bit, start, (a, b) in placed:
         out[:, bit, :, start - lo : start - lo + b - a] = view[:, bit, :, a:b]
@@ -369,9 +381,10 @@ def tensor_oracle(
 
 
 def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out the CV mode and the complement qubits."""
-    rho_full = (h.amps @ h.amps.conj().T) * h.width
-    return trace_out(rho_full, h.n_qubits, keep)
+    """Trace out the CV mode and the complement qubits.  Each cell weighs
+    width = 2^-level, a power of two, so scaling afterwards is exact."""
+    rho = trace_out(h.amps, h.n_qubits, keep)
+    return DensityMatrix(rho.dim, rho.entries * h.width)
 
 
 def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterState, DyadicWave]]:

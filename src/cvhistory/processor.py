@@ -21,6 +21,7 @@ from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, indicator_unit
 from .erasure import (
     FlipVariant,
     HybridState,
+    _check_table,
     apply_basis_permutation,
     apply_qubit_gate,
     apply_row_phases,
@@ -29,7 +30,7 @@ from .erasure import (
     lift,
     residual_weight,
 )
-from .errors import ContractError, ResourceLimitError, ValidationError
+from .errors import ContractError, ValidationError
 from .qubits import RegisterState, basis_state, purity
 from .revcomp import (
     SubtractMode,
@@ -122,13 +123,12 @@ class ResourceReport:
 
 def _check_joint_table(n_data: int, n_anc: int, cv_level: int, max_cells: int) -> None:
     """Refuse a starting table of 2^(data + ancilla) rows by 2^cv_level
-    cells above the limit, before anything is allocated."""
+    cells, or a 2^data x 2^data data density, above the table limit,
+    before anything is allocated."""
     n_total = n_data + n_anc
-    if (1 << n_total) * (1 << cv_level) > max_cells * 64:
-        raise ResourceLimitError(
-            f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by "
-            f"2^{cv_level} cells exceeds {max_cells * 64} cells"
-        )
+    joint = f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by 2^{cv_level} cells"
+    _check_table(n_total + cv_level, 1, max_cells, joint)
+    _check_table(2 * n_data, 1, max_cells, f"data: a 2^{n_data} x 2^{n_data} density matrix")
 
 
 def init(
@@ -267,10 +267,13 @@ def run_program(
 def resource_report(steps: Sequence[ProgramStep], cv_level: int = 0) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead."""
+    pool and pays one CV level per erasure instead.  A final CV wider than
+    the table limit is refused, as the processor would refuse it."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
     final_level = cv_level + total_cleans
+    what = f"cv_level: {cv_level} plus {total_cleans} cleans reaches a CV of 2^{final_level} cells"
+    _check_table(final_level, 1, MAX_CELLS_DEFAULT, what)
     return ResourceReport(
         plain_reversible_ancillas=total_cleans,
         cv_scheme_qubits=pool,

@@ -158,47 +158,30 @@ def apply_permutation(state: RegisterState, perm: Sequence[int] | np.ndarray) ->
     return RegisterState(state.n_qubits, _apply_permutation_kernel(state.amps, p))
 
 
-def reduced_density(state: RegisterState, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace onto the qubits in ``keep``.
+def trace_out(amps: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density of a pure amplitude array on the qubits in ``keep``.
 
-    The reduced basis index uses the kept qubits in ascending order, the
-    smallest kept qubit being its least significant bit.
+    The leading axis of ``amps`` is the 2^n basis index; the unkept qubits
+    and every trailing axis are traced out.  The reduced basis index uses
+    the kept qubits in ascending order, the smallest kept qubit being its
+    least significant bit.
     """
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
-        raise DomainError("keep set must not be empty")
-    n = state.n_qubits
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise DomainError(f"keep set {keep_sorted} out of range for {n} qubits")
-    psi = state.amps.reshape((2,) * n)
-    traced_axes = tuple(n - 1 - q for q in range(n) if q not in set(keep_sorted))
-    rho = np.tensordot(psi, psi.conj(), axes=(traced_axes, traced_axes))
-    d = 1 << len(keep_sorted)
-    return DensityMatrix(d, rho.reshape(d, d))
-
-
-def trace_out(entries: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace of a 2^n x 2^n density matrix onto the qubits in ``keep``."""
     keep_sorted = sorted(set(keep))
     if not keep_sorted:
         raise DomainError("keep set must not be empty")
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n_qubits:
         raise DomainError(f"keep set {keep_sorted} out of range for {n_qubits} qubits")
-    t = np.asarray(entries, dtype=np.complex128).reshape((2,) * (2 * n_qubits))
-    # Row axis of qubit q is n-1-q, column axis is 2n-1-q.  Tracing a qubit
-    # means giving those two axes the same einsum subscript.
-    subs = list(range(2 * n_qubits))
-    keep_set = set(keep_sorted)
-    for q in range(n_qubits):
-        if q not in keep_set:
-            subs[2 * n_qubits - 1 - q] = subs[n_qubits - 1 - q]
-    keep_desc = sorted(keep_sorted, reverse=True)
-    out_subs = [n_qubits - 1 - q for q in keep_desc] + [2 * n_qubits - 1 - q for q in keep_desc]
-    rho = np.einsum(t, subs, out_subs)
+    # axis n-1-q holds qubit q; the last axis gathers the trailing axes
+    psi = np.asarray(amps, dtype=np.complex128).reshape((2,) * n_qubits + (-1,))
+    kept = set(keep_sorted)
+    traced = tuple(n_qubits - 1 - q for q in range(n_qubits) if q not in kept) + (n_qubits,)
+    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     d = 1 << len(keep_sorted)
     return DensityMatrix(d, rho.reshape(d, d))
 
 
 def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
+    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state.
+    Taken as sum_ij rho_ij rho_ji, with no matrix product."""
+    e = rho.entries
+    return float(np.real(np.sum(e * e.T)))

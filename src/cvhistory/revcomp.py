@@ -112,6 +112,8 @@ def named_table(name: str) -> TruthTable:
     m = _CONST_RE.match(key)
     if m:
         n_in, m_out, value = (int(g) for g in m.groups())
+        if n_in + m_out > MAX_PAIR_BITS:
+            raise ValidationError(f"CONST({n_in},{m_out},{value}) outside supported sizes")
         if value >= 1 << m_out:
             raise ValidationError(f"CONST value {value} does not fit in {m_out} bits")
         return TruthTable(n_in, m_out, np.full(1 << n_in, value))

@@ -7,7 +7,7 @@ is avoided for emission because its float repr is version-dependent.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -102,33 +102,34 @@ def write_jsonl(path: str, objs: Iterable) -> None:
             fh.write("\n")
 
 
-WaveRow = Tuple[float, float, complex]
+# (x_left, x_right, re, im, abs2), one CSV line each
+WaveRow = Tuple[float, float, float, float, float]
 
 
-def dyadic_csv_rows(w: DyadicWave) -> List[WaveRow]:
+def _value_row(x_left: float, x_right: float, value: complex) -> WaveRow:
+    re, im = value.real, value.imag
+    return x_left, x_right, re, im, re * re + im * im
+
+
+def dyadic_csv_rows(w: DyadicWave) -> Iterator[WaveRow]:
     width = w.width
-    return [
-        ((w.offset + k) * width, (w.offset + k + 1) * width, complex(c))
+    return (
+        _value_row((w.offset + k) * width, (w.offset + k + 1) * width, complex(c))
         for k, c in enumerate(w.coeffs)
-    ]
+    )
 
 
-def grid_csv_rows(g: GridWave) -> List[WaveRow]:
-    return [
-        (g.x_min + j * g.h, g.x_min + (j + 1) * g.h, complex(v))
+def grid_csv_rows(g: GridWave) -> Iterator[WaveRow]:
+    return (
+        _value_row(g.x_min + j * g.h, g.x_min + (j + 1) * g.h, complex(v))
         for j, v in enumerate(g.samples)
-    ]
+    )
 
 
-def write_wave_csv(path: str, rows: Sequence[WaveRow]) -> None:
+def write_wave_csv(path: str, rows: Iterable[WaveRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(WAVE_CSV_HEADER)
         fh.write("\n")
-        for x_left, x_right, value in rows:
-            re, im = value.real, value.imag
-            fh.write(
-                ",".join(
-                    format_float(v) for v in (x_left, x_right, re, im, re * re + im * im)
-                )
-            )
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row))
             fh.write("\n")

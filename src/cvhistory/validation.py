@@ -179,7 +179,7 @@ def suite_qubit_full_density_projector(rng, tol):
     for _ in range(50):
         n = int(rng.integers(1, 5))
         state = RegisterState(n, _random_state(rng, n))
-        rho = qubits.reduced_density(state, set(range(n)))
+        rho = qubits.trace_out(state.amps, n, set(range(n)))
         proj = np.outer(state.amps, state.amps.conj())
         worst = max(worst, float(np.max(np.abs(rho.entries - proj))))
         worst = max(worst, abs(purity(rho) - 1.0))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,37 @@ class TestProcessorCommand:
         assert proc.stderr.startswith("error: data + ancilla + cv_level:")
         assert "Traceback" not in proc.stderr
 
+    def test_oversized_data_density_exit_3(self, tmp_path):
+        # the 2^17-row table fits, but the 2^16 x 2^16 data density would not
+        prog = {"data": 16, "ancilla": 1, "steps": [{"op": {"gate": "X", "targets": [0]}}]}
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvhistory.cli", "processor", s],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: data:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["processor", "resource"])
+    @pytest.mark.parametrize("n_in", [24, 40])
+    def test_oversized_const_table_exit_2(self, tmp_path, capsys, kind, n_in):
+        op = {"table": f"CONST({n_in},1,0)", "x_qubits": [0], "y_qubits": [1]}
+        prog = {"data": 2, "ancilla": 0, "steps": [{"op": op}]}
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        tracemalloc.start()
+        try:
+            assert main([kind, s]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "steps[0].op.table" in capsys.readouterr().err
+        assert peak < 8 << 20  # CONST(24,1,0) alone would take 128 MiB
+
     @pytest.mark.parametrize("kind", ["processor", "resource"])
     def test_duplicate_clean_exit_2(self, tmp_path, capsys, kind):
         prog = and_program(1)
@@ -425,6 +457,14 @@ class TestResourceCommand:
         rep = json.loads((out / "resource_report.json").read_text())
         assert rep["plain_reversible_ancillas"] == 0
         assert rep["cv_scheme_qubits"] == 0
+
+
+    def test_final_cv_above_table_limit_exit_3(self, tmp_path, capsys):
+        # 2^20000 cells: refused before the report is built or printed
+        prog = {"data": 1, "ancilla": 0, "cv_level": 20000, "steps": []}
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        assert main(["resource", s]) == 3
+        assert capsys.readouterr().err.startswith("error: cv_level:")
 
 
 class TestValidateCommand:

@@ -1,0 +1,146 @@
+"""Generated scenarios for processor, resource and erase-demo: every one
+either runs or exits with a documented code, and none raises.
+
+Each scenario starts valid.  Sizes are drawn either small enough to run
+in milliseconds (data + ancilla <= 6, cv_level <= 3, <= 3 steps) or far
+past a bound, so that no example allocates more than a few MiB.  Some
+scenarios then get one field replaced by a wrong type, a bad name or an
+out-of-range value.
+"""
+import copy
+import json
+import os
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cvhistory.cli import main
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "X", "CONST(1,1,9)", "ADDER(0)", "outside", "grid"]),
+    st.integers(-3, 9),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.fixed_dictionaries({"n_in": st.integers(-1, 2), "m_out": st.integers(0, 2)}),
+)
+# past the 2^28-cell table limit: data >= 15 for the data density, and
+# ancilla or cv_level >= 29 for the joint table
+far_level = st.one_of(st.integers(40, 80), st.integers(10**4, 10**12))
+far_data = st.one_of(st.integers(17, 80), st.integers(10**4, 10**12))
+
+
+@st.composite
+def valid_step(draw, n_total, n_data):
+    qubits = list(range(n_total))
+    anc = qubits[n_data:]
+    if n_total >= 3 and draw(st.booleans()):
+        x = draw(st.permutations(qubits))
+        name = draw(st.sampled_from(["AND", "OR", "XOR", "CONST(2,1,1)"]))
+        if draw(st.integers(0, 3)) == 0:
+            name = f"CONST({draw(far_level)},1,0)"
+        op = {"table": name, "mode": draw(st.sampled_from(["xor", "mod_sub"]))}
+        op.update(x_qubits=x[:2], y_qubits=x[2:3])
+    elif n_total >= 2 and draw(st.booleans()):
+        pair = draw(st.permutations(qubits))[:2]
+        op = {"gate": draw(st.sampled_from(["CNOT", "SWAP", "CZ"])), "targets": pair}
+    else:
+        gate = draw(st.sampled_from(["X", "Y", "Z", "H", "S", "T"]))
+        op = {"gate": gate, "targets": [draw(st.sampled_from(qubits))]}
+    clean = draw(st.lists(st.sampled_from(anc), unique=True)) if anc else []
+    return {"op": op, "clean": clean}
+
+
+@st.composite
+def programs(draw):
+    data = draw(st.integers(1, 3))
+    ancilla = draw(st.integers(0, 6 - data))
+    cv_level = draw(st.integers(0, 3))
+    steps = draw(st.lists(valid_step(data + ancilla, data), max_size=3))
+    which = draw(st.sampled_from(["small", "small", "data", "ancilla", "cv_level"]))
+    if which == "data":
+        data = draw(far_data)
+    elif which == "ancilla":
+        ancilla = draw(far_level)
+    elif which == "cv_level":
+        cv_level = draw(far_level)
+    return {"data": data, "ancilla": ancilla, "cv_level": cv_level, "steps": steps}
+
+
+def scenario(kind, required, **optional):
+    return st.fixed_dictionaries(dict(required, kind=st.just(kind)), optional=optional)
+
+
+pair_list = st.lists(
+    st.sampled_from([[0.6, 0.8], [1.0, 0.0], [0, 1], [[0.0, 0.6], [0.8, 0.0]], [0.6, 0.6]]),
+    max_size=3,
+)
+variant = st.sampled_from(["outside_unit", "inside_one_two"])
+grid_options = st.fixed_dictionaries(
+    {"window": st.just([-2.0, 2.0]), "n": st.sampled_from([64, 256])}
+)
+
+kinds = {
+    "processor": scenario(
+        "processor",
+        {"program": programs()},
+        data_basis=st.integers(0, 7),
+        variant=variant,
+        max_level=st.integers(0, 30),
+    ),
+    "resource": scenario("resource", {"program": programs()}, max_level=st.integers(0, 30)),
+    "erase-demo": st.one_of(
+        scenario(
+            "erase-demo",
+            {"pairs": pair_list, "cv_level": st.one_of(st.integers(0, 3), far_level)},
+            max_level=st.integers(0, 30),
+            variant=variant,
+        ),
+        scenario("erase-demo", {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options}),
+    ),
+}
+
+
+def _paths(obj, prefix=()):
+    """The key path of every field of a JSON value, inner nodes included."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(sorted(kinds)))
+    # a private copy: just() and sampled_from() hand out shared objects
+    obj = copy.deepcopy(draw(kinds[kind]))
+    if draw(st.booleans()):
+        paths = sorted(_paths(obj), key=repr)
+        path = draw(st.sampled_from(paths + [("bogus",)]))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(junk)
+    return kind, obj
+
+
+@given(scenarios())
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_exits_with_a_documented_code(tmp_path, kind_and_scenario):
+    kind, obj = kind_and_scenario
+    obj = dict(obj, out_dir=os.path.join(str(tmp_path), "out"))
+    path = os.path.join(str(tmp_path), "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    assert main([kind, path]) in (0, 1, 2, 3)

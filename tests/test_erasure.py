@@ -32,7 +32,7 @@ from cvhistory.erasure import (
     unfold,
 )
 from cvhistory.grid import sample_function
-from cvhistory.qubits import RegisterState, basis_state, purity, reduced_density
+from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 SQRT2 = np.sqrt(2.0)
@@ -159,6 +159,21 @@ class TestCondTranslate:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # the refused table would take 32 MiB
+
+    def test_table_refused_before_allocating(self):
+        # each row fits max_cells, but 256 rows by 2 * 2^10 cells exceed
+        # the 64 * max_cells table limit
+        amps = np.full((1 << 8, 1 << 10), 1.0 / (1 << 4), dtype=np.complex128)
+        h = HybridState(8, 10, 0, amps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="conditional translation"):
+                cond_translate(h, 0, 1, max_cells=1 << 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the refused table would take 8 MiB
+        assert cond_translate(h, 0, 1, max_cells=1 << 13).n_cells == 1 << 11
 
 
 class TestCondFlip:
@@ -430,8 +445,25 @@ class TestHybridReducedDensity:
         h = lift(reg, random_unit_wave(rng, 2))
         for keep in ({0}, {1}, {0, 1}):
             a = hybrid_reduced_density(h, keep).entries
-            b = reduced_density(reg, keep).entries
+            b = trace_out(reg.amps, 2, keep).entries
             assert np.allclose(a, b, atol=1e-13)
+
+    def test_no_joint_density(self):
+        # tracing an 11-qubit table onto 10 qubits holds the 16 MiB result
+        # and at most two copies of it made while wrapping and scaling it,
+        # never the 64 MiB 2^11 x 2^11 joint density
+        rng = np.random.default_rng(37)
+        amps = rng.normal(size=(1 << 11, 4)) + 1j * rng.normal(size=(1 << 11, 4))
+        h = HybridState(11, 2, 0, amps * (2.0 / np.linalg.norm(amps)))
+        tracemalloc.start()
+        try:
+            rho = hybrid_reduced_density(h, set(range(10)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rho.dim == 1 << 10
+        assert abs(complex(np.trace(rho.entries)) - 1.0) <= 1e-12
+        assert peak < 56 << 20
 
     def test_cnot_erase_decoheres_data(self):
         plus = np.kron([1.0, 0.0], [SQRT1_2, SQRT1_2])  # q0 = |+>, q1 = |0>

@@ -4,6 +4,7 @@ import pytest
 
 from cvhistory.errors import DomainError, ValidationError
 from cvhistory.qubits import (
+    DensityMatrix,
     H,
     RegisterState,
     X,
@@ -11,7 +12,6 @@ from cvhistory.qubits import (
     apply_single_qubit,
     basis_state,
     purity,
-    reduced_density,
     trace_out,
 )
 
@@ -117,29 +117,59 @@ class TestApplyPermutation:
             assert np.array_equal(roundtrip.amps, state.amps)
 
 
+def loop_partial_trace(amps: np.ndarray, n: int, keep) -> np.ndarray:
+    """Reference partial trace of the pure table amps (leading axis the 2^n
+    basis index, trailing axes traced), summed entry by entry."""
+    keep = sorted(keep)
+    traced = [q for q in range(n) if q not in keep]
+    table = amps.reshape(1 << n, -1)
+    d = 1 << len(keep)
+
+    def basis(kept_index: int, traced_index: int) -> int:
+        i = 0
+        for j, q in enumerate(keep):
+            i |= ((kept_index >> j) & 1) << q
+        for j, q in enumerate(traced):
+            i |= ((traced_index >> j) & 1) << q
+        return i
+
+    rho = np.zeros((d, d), dtype=np.complex128)
+    for r in range(d):
+        for c in range(d):
+            for t in range(1 << len(traced)):
+                for cell in range(table.shape[1]):
+                    rho[r, c] += table[basis(r, t), cell] * np.conj(table[basis(c, t), cell])
+    return rho
+
+
 class TestReducedDensity:
     def test_product_state(self):
-        rho = reduced_density(basis_state(2, 1), {0})
+        rho = trace_out(basis_state(2, 1).amps, 2, {0})
         assert np.allclose(rho.entries, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_bell_marginal(self):
         bell = RegisterState(2, [SQRT1_2, 0, 0, SQRT1_2])
-        rho = reduced_density(bell, {0})
+        rho = trace_out(bell.amps, 2, {0})
         assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
 
     def test_plus_marginal(self):
         state = RegisterState(2, [SQRT1_2, SQRT1_2, 0, 0])
-        rho = reduced_density(state, {0})
+        rho = trace_out(state.amps, 2, {0})
         assert np.allclose(rho.entries, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_empty_keep_rejected(self):
         with pytest.raises(DomainError):
-            reduced_density(basis_state(2, 0), set())
+            trace_out(basis_state(2, 0).amps, 2, set())
+
+    def test_out_of_range_keep_rejected(self):
+        for keep in ({-1}, {2}, {0, 5}):
+            with pytest.raises(DomainError):
+                trace_out(basis_state(2, 0).amps, 2, keep)
 
     def test_keep_all_is_projector(self):
         rng = np.random.default_rng(3)
         state = random_state(rng, 3)
-        rho = reduced_density(state, {0, 1, 2})
+        rho = trace_out(state.amps, 3, {0, 1, 2})
         rho.validate()
         assert abs(purity(rho) - 1.0) <= 1e-12
         assert np.allclose(rho.entries, np.outer(state.amps, state.amps.conj()), atol=1e-15)
@@ -149,28 +179,38 @@ class TestReducedDensity:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             keep = {int(q) for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False)}
-            reduced_density(random_state(rng, n), keep).validate()
+            trace_out(random_state(rng, n).amps, n, keep).validate()
 
-    def test_matches_trace_out_of_full_projector(self):
+    def test_matches_loop_partial_trace(self):
         rng = np.random.default_rng(13)
-        state = random_state(rng, 4)
-        full = np.outer(state.amps, state.amps.conj())
-        for keep in ({0}, {1, 3}, {0, 2}, {0, 1, 2, 3}):
-            a = reduced_density(state, keep).entries
-            b = trace_out(full, 4, keep).entries
-            assert np.allclose(a, b, atol=1e-13)
+        keeps = ({0}, {1, 3}, {0, 2}, {0, 1, 2, 3})
+        for cells in (1, 3, 5):
+            for _ in range(3):
+                # a random state (one cell) or a random hybrid table
+                amps = rng.normal(size=(16, cells)) + 1j * rng.normal(size=(16, cells))
+                amps /= np.linalg.norm(amps)
+                if cells == 1:
+                    amps = amps[:, 0]
+                for keep in keeps:
+                    got = trace_out(amps, 4, keep).entries
+                    assert np.allclose(got, loop_partial_trace(amps, 4, keep), atol=1e-14)
 
 
 class TestPurity:
     def test_pure(self):
-        assert purity(reduced_density(basis_state(1, 0), {0})) == pytest.approx(1.0)
+        assert purity(trace_out(basis_state(1, 0).amps, 1, {0})) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
         bell = RegisterState(2, [SQRT1_2, 0, 0, SQRT1_2])
-        assert purity(reduced_density(bell, {0})) == pytest.approx(0.5, abs=1e-12)
+        assert purity(trace_out(bell.amps, 2, {0})) == pytest.approx(0.5, abs=1e-12)
 
     def test_diag_quarter_three_quarter(self):
-        from cvhistory.qubits import DensityMatrix
-
         rho = DensityMatrix(2, np.diag([0.25, 0.75]))
         assert purity(rho) == pytest.approx(0.625, abs=1e-15)
+
+    def test_matches_trace_of_square_non_hermitian(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 5, 8):
+            e = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            expect = float(np.real(np.trace(e @ e)))
+            assert purity(DensityMatrix(d, e)) == pytest.approx(expect, rel=1e-12, abs=1e-12)
