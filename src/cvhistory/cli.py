@@ -451,7 +451,7 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
 
 def cmd_resource(cfg: ScenarioConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rep = resource_report(cfg.program.steps, cfg.program.cv_level)
+    rep = resource_report(cfg.program.steps, cfg.program.cv_level, cfg.max_level)
     obj = {
         "plain_reversible_ancillas": rep.plain_reversible_ancillas,
         "cv_scheme_qubits": rep.cv_scheme_qubits,

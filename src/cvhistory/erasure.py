@@ -384,7 +384,7 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     """Trace out the CV mode and the complement qubits.  Each cell weighs
     width = 2^-level, a power of two, so scaling afterwards is exact."""
     rho = trace_out(h.amps, h.n_qubits, keep)
-    return DensityMatrix(rho.dim, rho.entries * h.width)
+    return DensityMatrix._adopt(rho.dim, rho.entries * h.width)
 
 
 def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterState, DyadicWave]]:

@@ -30,7 +30,7 @@ from .erasure import (
     lift,
     residual_weight,
 )
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ResourceLimitError, ValidationError
 from .qubits import RegisterState, basis_state, purity
 from .revcomp import (
     SubtractMode,
@@ -190,7 +190,13 @@ def _apply_table(h: HybridState, op: TableOp, n_total: int) -> HybridState:
     return apply_basis_permutation(h, perm)
 
 
-def _metrics(ps: ProcessorState) -> StepMetrics:
+def _couples_data_to_ancillas(op: Union[GateOp, TableOp], n_data: int) -> bool:
+    qs = op.targets if isinstance(op, GateOp) else op.x_qubits + op.y_qubits
+    return any(q < n_data for q in qs) and any(q >= n_data for q in qs)
+
+
+def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
+    """Step metrics of ps; ``data_purity`` is recomputed when None."""
     h = ps.hybrid
     residual = 0.0
     if ps.anc_count:
@@ -198,11 +204,10 @@ def _metrics(ps: ProcessorState) -> StepMetrics:
         anc_set = (rows >> ps.data_count) != 0
         a = h.amps[anc_set]
         residual = float(np.sum(a.real**2 + a.imag**2)) * h.width
-    if ps.data_count:
-        data_rho = hybrid_reduced_density(h, set(ps.data_qubits()))
-        data_purity = purity(data_rho)
-    else:
+    if data_purity is None:
         data_purity = 1.0
+        if ps.data_count:
+            data_purity = purity(hybrid_reduced_density(h, set(ps.data_qubits())))
     return StepMetrics(
         ancilla_residual=residual,
         data_purity=data_purity,
@@ -246,7 +251,13 @@ def run_step(
         step_index=ps.step_index + 1,
         history=ps.history,
     )
-    metrics = _metrics(ps2)
+    # Tr rho_data^2 is unchanged by a unitary on the data alone or on the
+    # rest alone, and every erase acts on one ancilla and the CV; so only
+    # an op that couples data to ancillas can change it.
+    carried = None
+    if ps.history and not _couples_data_to_ancillas(step.op, ps.data_count):
+        carried = ps.history[-1].data_purity
+    metrics = _metrics(ps2, carried)
     ps2 = replace(ps2, history=ps.history + (metrics,))
     return ps2, metrics
 
@@ -264,15 +275,35 @@ def run_program(
     return ps, trace
 
 
-def resource_report(steps: Sequence[ProgramStep], cv_level: int = 0) -> ResourceReport:
+def resource_report(
+    steps: Sequence[ProgramStep], cv_level: int = 0, max_level: int = MAX_LEVEL_DEFAULT
+) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead.  A final CV wider than
-    the table limit is refused, as the processor would refuse it."""
+    pool and pays one CV level per erasure instead.  A program the
+    processor would stop with a resource limit is refused the same way:
+    an erase from level max_level squeezes past it, an erase from level L
+    translates over at least 2^L + 1 cells, and the final CV must fit the
+    table limit."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
     final_level = cv_level + total_cleans
-    what = f"cv_level: {cv_level} plus {total_cleans} cleans reaches a CV of 2^{final_level} cells"
+    prefix = f"{cv_level} plus {total_cleans} cleans"
+    # the first erase level whose translate exceeds the per-row cell limit
+    ceiling = (MAX_CELLS_DEFAULT - 1).bit_length()
+    # the processor stops at its first failing erase, translate before squeeze
+    stop = max(cv_level, min(max_level, ceiling))
+    if stop < final_level:
+        if stop >= ceiling:
+            raise ResourceLimitError(
+                f"cv_level: {prefix}: the erase from level {stop} needs a conditional "
+                f"translation of at least 2^{stop} + 1 cells (limit {MAX_CELLS_DEFAULT})"
+            )
+        raise ResourceLimitError(
+            f"max_level: cv_level {prefix}: the erase from level {stop} would "
+            f"squeeze past max level {max_level}"
+        )
+    what = f"cv_level: {prefix} reaches a CV of 2^{final_level} cells"
     _check_table(final_level, 1, MAX_CELLS_DEFAULT, what)
     return ResourceReport(
         plain_reversible_ancillas=total_cleans,

@@ -73,6 +73,16 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def _adopt(cls, dim: int, entries: np.ndarray) -> "DensityMatrix":
+        """Wrap a freshly computed complex128 (dim, dim) array that no one
+        else holds, without copying it; the array becomes read-only."""
+        entries.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dim", dim)
+        object.__setattr__(rho, "entries", entries)
+        return rho
+
     def validate(self, tol: float = NORM_TOL, eig_floor: float = -1e-10) -> None:
         """Raise unless Hermitian, unit trace, and positive within tolerances."""
         rho = self.entries
@@ -177,7 +187,7 @@ def trace_out(amps: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMa
     traced = tuple(n_qubits - 1 - q for q in range(n_qubits) if q not in kept) + (n_qubits,)
     rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     d = 1 << len(keep_sorted)
-    return DensityMatrix(d, rho.reshape(d, d))
+    return DensityMatrix._adopt(d, rho.reshape(d, d))
 
 
 def purity(rho: DensityMatrix) -> float:

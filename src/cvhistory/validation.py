@@ -652,22 +652,30 @@ def suite_processor_history_fidelity(rng, tol):
 
 
 def suite_processor_purity_monotone(rng, tol):
+    """Checks a purity recomputed from the state at every step, so a step
+    that reports a carried value is held to the state too."""
     worst = 0.0
     inv = 1.0 / np.sqrt(2.0)
+
+    def step(ps, op):
+        ps, m = run_step(ps, ProgramStep(op=op, clean=(1,)))
+        fresh = purity(hybrid_reduced_density(ps.hybrid, {0}))
+        return ps, fresh, abs(m.data_purity - fresh)
+
     for _ in range(10):
         # correlated cleanup: purity must never increase
         plus = RegisterState(1, np.array([inv, inv], dtype=complex))
         ps = init(1, 1, plus, cv_level=0)
         last = 1.0
         for _step in range(3):
-            ps, m = run_step(ps, ProgramStep(op=GateOp("CNOT", (0, 1)), clean=(1,)))
-            worst = max(worst, max(0.0, m.data_purity - last - 1e-15))
-            last = m.data_purity
+            ps, fresh, err = step(ps, GateOp("CNOT", (0, 1)))
+            worst = max(worst, err, max(0.0, fresh - last - 1e-15))
+            last = fresh
         # product-state cleanup: purity constant
         ps = init(1, 1, plus, cv_level=0)
         for _step in range(3):
-            ps, m = run_step(ps, ProgramStep(op=GateOp("X", (1,)), clean=(1,)))
-            worst = max(worst, abs(m.data_purity - 1.0))
+            ps, fresh, err = step(ps, GateOp("X", (1,)))
+            worst = max(worst, err, abs(fresh - 1.0))
     return 10, worst
 
 

@@ -466,6 +466,28 @@ class TestResourceCommand:
         assert main(["resource", s]) == 3
         assert capsys.readouterr().err.startswith("error: cv_level:")
 
+    @pytest.mark.parametrize(
+        "n_cleans, max_level, code", [(22, None, 0), (23, None, 3), (3, 3, 0), (5, 3, 3)]
+    )
+    def test_agrees_with_processor(self, tmp_path, capsys, n_cleans, max_level, code):
+        # 23 cleans: the processor stops at the erase from level 22, whose
+        # translate needs 2^22 + 1 cells; 5 cleans pass max_level 3
+        prog = {
+            "data": 1,
+            "ancilla": 1,
+            "steps": [{"op": {"gate": "X", "targets": [1]}, "clean": [1]}] * n_cleans,
+        }
+        scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
+        if max_level is not None:
+            scenario["max_level"] = max_level
+        s = write_scenario(tmp_path, "s.json", scenario)
+        assert main(["processor", s]) == code
+        assert main(["resource", s]) == code
+        if code:
+            err = capsys.readouterr().err.splitlines()
+            field = "cv_level" if max_level is None else "max_level"
+            assert err[-1].startswith(f"error: {field}:")
+
 
 class TestValidateCommand:
     def test_all_suites_pass_and_report_schema(self, tmp_path):

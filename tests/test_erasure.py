@@ -449,8 +449,8 @@ class TestHybridReducedDensity:
             assert np.allclose(a, b, atol=1e-13)
 
     def test_no_joint_density(self):
-        # tracing an 11-qubit table onto 10 qubits holds the 16 MiB result
-        # and at most two copies of it made while wrapping and scaling it,
+        # tracing an 11-qubit table onto 10 qubits holds the 16 MiB partial
+        # trace and its width-scaled product, both wrapped without a copy,
         # never the 64 MiB 2^11 x 2^11 joint density
         rng = np.random.default_rng(37)
         amps = rng.normal(size=(1 << 11, 4)) + 1j * rng.normal(size=(1 << 11, 4))
@@ -463,7 +463,8 @@ class TestHybridReducedDensity:
             tracemalloc.stop()
         assert rho.dim == 1 << 10
         assert abs(complex(np.trace(rho.entries)) - 1.0) <= 1e-12
-        assert peak < 56 << 20
+        assert not rho.entries.flags.writeable
+        assert peak < 40 << 20
 
     def test_cnot_erase_decoheres_data(self):
         plus = np.kron([1.0, 0.0], [SQRT1_2, SQRT1_2])  # q0 = |+>, q1 = |0>

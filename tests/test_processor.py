@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cvhistory.dyadic import indicator_unit
-from cvhistory.erasure import lift
-from cvhistory.errors import ValidationError
+from cvhistory.erasure import hybrid_reduced_density, lift
+from cvhistory.errors import ResourceLimitError, ValidationError
 from cvhistory.processor import (
     GateOp,
+    ProcessorState,
     ProgramStep,
     TableOp,
     init,
@@ -20,7 +21,7 @@ from cvhistory.processor import (
     run_program,
     run_step,
 )
-from cvhistory.qubits import RegisterState, basis_state
+from cvhistory.qubits import RegisterState, basis_state, purity
 from cvhistory.revcomp import SubtractMode, named_table
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -169,6 +170,74 @@ class TestDecoherence:
         assert abs(m.data_purity - 1.0) <= 1e-12
 
 
+def random_carry_program(rng, n_data, n_anc, n_steps=12):
+    """Steps mixing single-qubit gates, CNOT/SWAP/CZ and table lifts whose
+    qubits lie on the data only, on the ancillas only or across both,
+    each cleaning a random subset of the ancillas."""
+    data = list(range(n_data))
+    anc = list(range(n_data, n_data + n_anc))
+    steps = []
+    for _ in range(n_steps):
+        width = int(rng.integers(1, 4))  # a gate on 1 or 2 qubits, or a table on 3
+        scopes = [scope for scope in (data, anc) if len(scope) >= width]
+        if width > 1 and (not scopes or rng.random() < 0.5):
+            # across both: at least one data and one ancilla qubit
+            qs = [int(rng.choice(data)), int(rng.choice(anc))]
+            rest = [q for q in data + anc if q not in qs]
+            qs += [int(q) for q in rng.choice(rest, size=width - 2, replace=False)]
+            rng.shuffle(qs)
+        else:
+            scope = scopes[int(rng.integers(len(scopes)))]
+            qs = [int(q) for q in rng.choice(scope, size=width, replace=False)]
+        if width == 1:
+            op = GateOp(["X", "Y", "Z", "H", "S", "T"][int(rng.integers(6))], tuple(qs))
+        elif width == 2:
+            op = GateOp(["CNOT", "SWAP", "CZ"][int(rng.integers(3))], tuple(qs))
+        else:
+            table = named_table(["AND", "OR", "XOR"][int(rng.integers(3))])
+            op = TableOp(table, SubtractMode.XOR, tuple(qs[:2]), (qs[2],))
+        clean = tuple(q for q in anc if rng.random() < 0.4)
+        steps.append(ProgramStep(op, clean))
+    return steps
+
+
+class TestPurityCarry:
+    """data_purity is recomputed only after an op that touches both data
+    and ancilla qubits, and carried otherwise (exact by invariance)."""
+
+    def test_matches_fresh_purity(self):
+        carried = changed = 0
+        for seed in range(12):
+            rng = np.random.default_rng([41, seed])
+            n_data, n_anc = 2 + seed % 2, 1 + (seed // 2) % 2
+            amps = rng.normal(size=1 << n_data) + 1j * rng.normal(size=1 << n_data)
+            ps = init(n_data, n_anc, RegisterState(n_data, amps / np.linalg.norm(amps)))
+            for step in random_carry_program(rng, n_data, n_anc):
+                prev = ps.history[-1].data_purity if ps.history else None
+                ps, m = run_step(ps, step)
+                fresh = purity(hybrid_reduced_density(ps.hybrid, set(range(n_data))))
+                assert abs(m.data_purity - fresh) <= 1e-12, (seed, step)
+                op = step.op
+                qs = op.targets if isinstance(op, GateOp) else op.x_qubits + op.y_qubits
+                local = all(q < n_data for q in qs) or all(q >= n_data for q in qs)
+                if prev is not None and local:
+                    assert m.data_purity == prev, (seed, step)
+                    carried += 1
+                elif prev is not None and abs(fresh - prev) > 1e-6:
+                    changed += 1
+        # both paths were taken, and mixed ops moved the purity
+        assert carried >= 50 and changed >= 10
+
+    def test_hand_built_state_recomputes(self):
+        # a state built by hand has no history to carry from: data q0 is
+        # entangled with the ancilla, so its purity is 1/2 even after a
+        # data-only gate
+        bell = RegisterState(2, [INV_SQRT2, 0, 0, INV_SQRT2])
+        ps = ProcessorState(lift(bell, indicator_unit(0)), 1, 1, step_index=0)
+        ps, m = run_step(ps, ProgramStep(op=GateOp("H", (0,)), clean=()))
+        assert abs(m.data_purity - 0.5) <= 1e-12
+
+
 class TestRunProgram:
     def test_empty_program_is_identity(self):
         ps = init(2, 1, basis_state(2, 2), cv_level=3)
@@ -214,6 +283,21 @@ class TestResourceReport:
         assert rep.cv_scheme_qubits == 2
         assert rep.cv_final_level == 6
         assert rep.joint_cells == 64
+
+    def test_refuses_what_the_processor_refuses(self):
+        x_clean = ProgramStep(op=GateOp("X", (1,)), clean=(1,))
+        # the erase from level 22 needs a translate of 2^22 + 1 cells
+        assert resource_report([x_clean] * 22).cv_final_level == 22
+        with pytest.raises(ResourceLimitError, match="^cv_level: .*from level 22"):
+            resource_report([x_clean] * 23)
+        with pytest.raises(ResourceLimitError, match="^cv_level: .*from level 30"):
+            resource_report([x_clean], cv_level=30)
+        # the erase from level max_level squeezes past it
+        assert resource_report([x_clean] * 3, max_level=3).cv_final_level == 3
+        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 3"):
+            resource_report([x_clean] * 5, max_level=3)
+        # with no clean there is no erase to refuse
+        assert resource_report([], cv_level=20, max_level=3).cv_final_level == 20
 
     def test_empty_program(self):
         rep = resource_report([], cv_level=5)

@@ -196,6 +196,24 @@ class TestReducedDensity:
                     assert np.allclose(got, loop_partial_trace(amps, 4, keep), atol=1e-14)
 
 
+class TestDensityMatrix:
+    def test_adopted_entries_read_only(self):
+        # trace_out wraps its fresh result without a copy, frozen
+        rho = trace_out(random_state(np.random.default_rng(19), 3).amps, 3, {0, 2})
+        assert not rho.entries.flags.writeable
+        with pytest.raises(ValueError):
+            rho.entries[0, 0] = 0.0
+
+    def test_constructor_copies_caller_array(self):
+        arr = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(2, arr)
+        assert arr.flags.writeable
+        assert not rho.entries.flags.writeable
+        assert not np.shares_memory(arr, rho.entries)
+        arr[0, 0] = 1.0
+        assert rho.entries[0, 0] == 0.5
+
+
 class TestPurity:
     def test_pure(self):
         assert purity(trace_out(basis_state(1, 0).amps, 1, {0})) == pytest.approx(1.0)
