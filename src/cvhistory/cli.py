@@ -55,10 +55,12 @@ from .processor import (
 )
 from .qubits import RegisterState
 from .serialize import (
-    dyadic_csv_rows,
+    dyadic_cells,
+    dyadic_edges,
     format_float,
-    grid_csv_rows,
+    grid_cells,
     json_dumps,
+    write_cells_csv,
     write_json,
     write_jsonl,
     write_wave_csv,
@@ -299,7 +301,7 @@ def _check_erase_demo_bounds(cfg: ScenarioConfig) -> None:
 
 
 # Each backend supplies the initial wave with its norm, the erasure of one
-# pair's qubit into the wave, and the CSV rows of a wave; cmd_erase_demo
+# pair's qubit into the wave, and the CSV cells of a wave; cmd_erase_demo
 # owns the loop, the trace and the dumps.
 
 
@@ -342,9 +344,9 @@ def cmd_erase_demo(cfg: ScenarioConfig) -> int:
     """Erase each pair's qubit in turn into the CV, reusing one ancilla."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.backend == "grid":
-        start, erase_pair, csv_rows = _grid_start, _grid_erase_pair, grid_csv_rows
+        start, erase_pair, cells = _grid_start, _grid_erase_pair, grid_cells
     else:
-        start, erase_pair, csv_rows = _dyadic_start, _dyadic_erase_pair, dyadic_csv_rows
+        start, erase_pair, cells = _dyadic_start, _dyadic_erase_pair, dyadic_cells
     wave, norm2 = start(cfg)
     level, residual = cfg.cv_level, 0.0
     trace = []
@@ -353,7 +355,7 @@ def cmd_erase_demo(cfg: ScenarioConfig) -> int:
             a, b = cfg.pairs[step - 1]
             wave, level, norm2, residual = erase_pair(cfg, wave, level, a, b)
         name = f"step_{step:02d}.csv"
-        write_wave_csv(os.path.join(cfg.out_dir, name), csv_rows(wave))
+        write_cells_csv(os.path.join(cfg.out_dir, name), *cells(wave))
         trace.append(
             {
                 "step": step,
@@ -419,17 +421,14 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     write_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), lines)
     factored = cv_factor(ps.hybrid)
     entangled = factored is None
+    path = os.path.join(cfg.out_dir, "final_wave.csv")
     if entangled:
         # the CV marginal density (re = im = 0)
         h = ps.hybrid
         density = np.sum(h.amps.real**2 + h.amps.imag**2, axis=0)
-        rows = (
-            ((h.offset + k) * h.width, (h.offset + k + 1) * h.width, 0.0, 0.0, p)
-            for k, p in enumerate(density)
-        )
+        write_wave_csv(path, dyadic_edges(h.level, h.offset, h.n_cells), 0.0, 0.0, density)
     else:
-        rows = dyadic_csv_rows(factored[1])
-    write_wave_csv(os.path.join(cfg.out_dir, "final_wave.csv"), rows)
+        write_cells_csv(path, *dyadic_cells(factored[1]))
     summary = {
         "steps": len(trace),
         "cv_level": ps.hybrid.level,

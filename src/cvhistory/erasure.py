@@ -404,15 +404,22 @@ def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterStat
         reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
         reg[r] = 1.0
         return RegisterState(h.n_qubits, reg), DyadicWave(h.level, h.offset, a[r])
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    # Exact-zero rows and columns add no singular value, so decompose only
+    # the block of rows and columns that hold a nonzero entry.
+    nz = a != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    whole = rows.size == a.shape[0] and cols.size == a.shape[1]
+    u, s, vh = np.linalg.svd(a if whole else a[np.ix_(rows, cols)], full_matrices=False)
     if s.size > 1 and s[1] > tol * s[0]:
         return None
-    reg = u[:, 0]
+    reg = np.zeros(a.shape[0], dtype=np.complex128)
+    wave = np.zeros(a.shape[1], dtype=np.complex128)
+    reg[rows], wave[cols] = u[:, 0], vh[0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
     return (
         RegisterState(h.n_qubits, reg / phase),
-        DyadicWave(h.level, h.offset, s[0] * vh[0] * phase),
+        DyadicWave(h.level, h.offset, s[0] * wave * phase),
     )
 
 

@@ -2,10 +2,11 @@
 
 Approximate backend for the continuous variable.  Translation is realized
 both as an index shift and in its momentum-exponential form through the
-discrete Fourier transform; the squeeze is realized both as even-index
-decimation (exact on piecewise-constant input) and through the matrix
-exponential of the dilation generator (x p + p x)/2 (accurate on smooth
-input).  Used to cross-validate the exact dyadic backend.
+discrete Fourier transform.  The squeeze is realized here through the
+matrix exponential of the dilation generator (x p + p x)/2 (accurate on
+smooth input); its even-index decimation form (exact on piecewise-constant
+input) is ``erasure.grid_squeeze_all``.  Used to cross-validate the exact
+dyadic backend.
 """
 from __future__ import annotations
 
@@ -94,38 +95,6 @@ def translate_spectral(g: GridWave, a: float) -> GridWave:
     k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.h)
     shifted = np.fft.ifft(np.fft.fft(g.samples) * np.exp(-1j * k * a))
     return GridWave(g.x_min, g.h, shifted)
-
-
-def _support_bounds(g: GridWave):
-    """Index range [lo, hi] of samples above the relative zero threshold."""
-    mags = np.abs(g.samples)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return None
-    nz = np.flatnonzero(mags > SUPPORT_EPS * peak)
-    if nz.size == 0:
-        return None
-    return int(nz[0]), int(nz[-1])
-
-
-def squeeze_resample(g: GridWave) -> GridWave:
-    """sqrt(2)*psi(2x) by reading even grid positions; exact when psi is
-    constant on cells of width >= 2h.  The output reuses the same window."""
-    x0_idx = _samples_per_unit(g, -g.x_min, "window origin offset")
-    bounds = _support_bounds(g)
-    if bounds is not None:
-        lo, hi = bounds
-        xs_half = ((np.array([lo, hi]) - x0_idx) * g.h) / 2.0
-        if xs_half[0] < g.x_min or xs_half[1] >= g.x_max:
-            raise DomainError(
-                f"halved support [{xs_half[0]}, {xs_half[1]}] escapes the window "
-                f"[{g.x_min}, {g.x_max})"
-            )
-    src = -x0_idx + 2 * np.arange(g.n)  # grid index holding psi(2*x_j)
-    valid = (src >= 0) & (src < g.n)
-    out = np.zeros(g.n, dtype=np.complex128)
-    out[valid] = np.sqrt(2.0) * g.samples[src[valid]]
-    return GridWave(g.x_min, g.h, out)
 
 
 def dilation_generator(g: GridWave) -> GridWave:

@@ -109,9 +109,6 @@ class ProcessorState:
     def data_qubits(self) -> range:
         return range(self.data_count)
 
-    def ancilla_qubits(self) -> range:
-        return range(self.data_count, self.data_count + self.anc_count)
-
 
 @dataclass(frozen=True)
 class ResourceReport:

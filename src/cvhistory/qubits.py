@@ -55,9 +55,6 @@ class RegisterState:
     def norm2(self) -> float:
         return float(np.real(np.vdot(self.amps, self.amps)))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= tol
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:

@@ -6,8 +6,9 @@ is avoided for emission because its float repr is version-dependent.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -102,34 +103,52 @@ def write_jsonl(path: str, objs: Iterable) -> None:
             fh.write("\n")
 
 
-# (x_left, x_right, re, im, abs2), one CSV line each
-WaveRow = Tuple[float, float, float, float, float]
+def dyadic_edges(level: int, offset: int, n_cells: int) -> np.ndarray:
+    """The n_cells + 1 boundaries of dyadic cells offset .. offset + n_cells."""
+    return (offset + np.arange(n_cells + 1)) * 2.0 ** (-level)
 
 
-def _value_row(x_left: float, x_right: float, value: complex) -> WaveRow:
-    re, im = value.real, value.imag
-    return x_left, x_right, re, im, re * re + im * im
+def dyadic_cells(w: DyadicWave) -> Tuple[np.ndarray, np.ndarray]:
+    """(edges, values) of a dyadic wave, one value per cell."""
+    return dyadic_edges(w.level, w.offset, w.n_cells), w.coeffs
 
 
-def dyadic_csv_rows(w: DyadicWave) -> Iterator[WaveRow]:
-    width = w.width
-    return (
-        _value_row((w.offset + k) * width, (w.offset + k + 1) * width, complex(c))
-        for k, c in enumerate(w.coeffs)
-    )
+def grid_cells(g: GridWave) -> Tuple[np.ndarray, np.ndarray]:
+    """(edges, values) of a grid wave: sample j covers [x_min + j h, x_min + (j+1) h)."""
+    return g.x_min + np.arange(g.n + 1) * g.h, g.samples
 
 
-def grid_csv_rows(g: GridWave) -> Iterator[WaveRow]:
-    return (
-        _value_row(g.x_min + j * g.h, g.x_min + (j + 1) * g.h, complex(v))
-        for j, v in enumerate(g.samples)
-    )
+CSV_CHUNK_ROWS = 1024
 
 
-def write_wave_csv(path: str, rows: Iterable[WaveRow]) -> None:
+def _strings(values: np.ndarray, lo: int, hi: int) -> Iterable[str]:
+    """values[lo:hi], or one scalar repeated, as format_float renders them."""
+    if values.ndim == 0:
+        return itertools.repeat("%.17g" % float(values), hi - lo)
+    return map("%.17g".__mod__, values[lo:hi].tolist())
+
+
+def write_wave_csv(path: str, edges, re, im, abs2) -> None:
+    """Write one row (x_left, x_right, re, im, abs2) per cell, row k spanning
+    edges[k]..edges[k+1].  re, im and abs2 are arrays or scalars.  Every value
+    is checked finite before the file is opened, so none is left half written."""
+    edges, *cols = (np.asarray(c, dtype=np.float64) for c in (edges, re, im, abs2))
+    n = edges.size - 1
+    if edges.ndim != 1 or n < 0 or any(c.ndim and c.shape != (n,) for c in cols):
+        raise ValidationError(f"CSV columns do not match {edges.size} cell edges")
+    for c in (edges, *cols):
+        if not np.isfinite(c).all():
+            raise ValidationError(f"non-finite value {float(c[~np.isfinite(c)][0])!r} in output")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(WAVE_CSV_HEADER)
-        fh.write("\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row))
-            fh.write("\n")
+        fh.write(WAVE_CSV_HEADER + "\n")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            hi = min(lo + CSV_CHUNK_ROWS, n)
+            e = list(_strings(edges, lo, hi + 1))
+            rows = zip(e, e[1:], *(_strings(c, lo, hi) for c in cols))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
+def write_cells_csv(path: str, edges: np.ndarray, values: np.ndarray) -> None:
+    """``write_wave_csv`` of complex cell values, with abs2 = re*re + im*im."""
+    re, im = values.real, values.imag
+    write_wave_csv(path, edges, re, im, re * re + im * im)

@@ -522,6 +522,54 @@ class TestCvFactor:
         h = HybridState(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
+    @staticmethod
+    def full_table_factor(h, tol=1e-10):
+        """Reference: the SVD of the whole table, zero rows and columns included."""
+        u, s, vh = np.linalg.svd(h.amps, full_matrices=False)
+        if s.size > 1 and s[1] > tol * s[0]:
+            return None
+        reg = u[:, 0]
+        lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
+        phase = lead / abs(lead)
+        return reg / phase, s[0] * vh[0] * phase
+
+    @staticmethod
+    def sparse_table(rng, n, cells, rank, tiny_row):
+        """A rank-`rank` table with every other row and every third column
+        zero, plus row 1 scaled by `tiny_row` (0 leaves it zero)."""
+        rows = np.arange(0, 1 << n, 2)
+        cols = np.flatnonzero(np.arange(cells) % 3 != 1)
+        a = np.zeros((1 << n, cells), dtype=np.complex128)
+        left = rng.normal(size=(rows.size, rank)) + 1j * rng.normal(size=(rows.size, rank))
+        right = rng.normal(size=(rank, cols.size)) + 1j * rng.normal(size=(rank, cols.size))
+        a[np.ix_(rows, cols)] = left @ right
+        a[1, cols] = tiny_row * (rng.normal(size=cols.size) + 1j * rng.normal(size=cols.size))
+        return HybridState(n, 4, 3, a / np.linalg.norm(a))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("tiny_row", [0.0, 1e-13, 1e-7])
+    def test_block_svd_matches_full_table_svd(self, seed, rank, tiny_row):
+        rng = np.random.default_rng(seed)
+        h = self.sparse_table(rng, int(rng.integers(2, 5)), int(rng.integers(4, 40)), rank, tiny_row)
+        if tiny_row:
+            weight = np.sum(np.abs(h.amps) ** 2, axis=1)
+            assert 0 < weight[1] < 1e-10 * weight.sum()
+        ref = self.full_table_factor(h)
+        got = cv_factor(h)
+        assert (got is None) == (ref is None) == (rank == 2 or tiny_row == 1e-7)
+        if got is not None:
+            reg, wave = got
+            full_wave = np.zeros(h.n_cells, dtype=np.complex128)
+            full_wave[wave.offset - h.offset :][: wave.n_cells] = wave.coeffs
+            assert np.max(np.abs(np.outer(reg.amps, full_wave) - h.amps)) <= 1e-12
+            # exact-zero rows and columns of the table factor to exact zeros
+            assert np.all(reg.amps[~h.amps.any(axis=1)] == 0)
+            assert np.all(full_wave[~h.amps.any(axis=0)] == 0)
+            ref_reg, ref_wave = ref
+            assert np.max(np.abs(reg.amps - ref_reg)) <= 1e-12
+            assert np.max(np.abs(full_wave - ref_wave)) <= 1e-12
+
 
 class TestRegisterOpsOnHybrid:
     def test_gate_acts_on_rows(self):

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from cvhistory.dyadic import DyadicWave, squeeze, value_at
+from cvhistory.erasure import GridHybrid, grid_squeeze_all
 from cvhistory.errors import DomainError, ValidationError
 from cvhistory.grid import (
     GridWave,
     dilation_generator,
     sample_function,
-    squeeze_resample,
     translate_shift,
     translate_spectral,
 )
@@ -119,6 +119,11 @@ class TestTranslateSpectral:
             a = float(rng.uniform(-2, 2))
             back = translate_spectral(translate_spectral(g, a), -a)
             assert np.max(np.abs(back.samples - g.samples)) <= 1e-9
+
+
+def squeeze_resample(g: GridWave) -> GridWave:
+    """Even-index decimation of one wave: grid_squeeze_all on a one-row hybrid."""
+    return grid_squeeze_all(GridHybrid(0, g.x_min, g.h, [g.samples])).row_wave(0)
 
 
 class TestSqueezeResample:
