@@ -425,7 +425,8 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     if entangled:
         # the CV marginal density (re = im = 0)
         h = ps.hybrid
-        density = np.sum(h.amps.real**2 + h.amps.imag**2, axis=0)
+        w2 = h.amps.real**2 + h.amps.imag**2
+        density = np.bincount(h.cells - h.offset, weights=w2, minlength=h.n_cells)
         write_wave_csv(path, dyadic_edges(h.level, h.offset, h.n_cells), 0.0, 0.0, density)
     else:
         write_cells_csv(path, *dyadic_cells(factored[1]))

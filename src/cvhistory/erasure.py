@@ -1,9 +1,10 @@
 """Joint qubit (x) continuous-variable states and the erasure pipeline.
 
 The continuous variable is one shared mode holding a piecewise-constant
-wave on dyadic cells; a HybridState stores the joint amplitude table
-A[q][k] over qubit basis index q and cell k.  The erasure of a qubit is
-the four-gate sequence, applied in temporal order:
+wave on dyadic cells.  A HybridState stores only the nonzero joint
+amplitudes, as sorted (row, cell, amp) entries: qubit basis index, absolute
+dyadic cell index at one common level, and value.  The erasure of a qubit
+is the four-gate sequence, applied in temporal order:
 
     conditional translate by +1  (shift the |1> branch to [1,2))
     conditional flip             (reset the qubit where the wave sits
@@ -13,11 +14,15 @@ the four-gate sequence, applied in temporal order:
                                   off-domain)
     squeeze                      (compress [0,2) back into [0,1))
 
-For input waves supported in [0,1) this maps (a|0> + b|1>) (x) psi to
-|0> (x) sqrt(2)(a psi(2x) + b psi(2x-1)) with no approximation error:
-every step is a relocation or a scaling of stored cell values.  The same
-pipeline is provided on the sampled-grid backend, where translation runs
-through the momentum-space exponential, for cross-validation.
+Each gate is index arithmetic on the entries: a translate adds t * 2^level
+to the cells of the moved rows, a flip toggles bit q of the rows on the
+selected cells, and the squeeze raises the level by one and scales every
+amplitude by sqrt(2).  For input waves supported in [0,1) this maps
+(a|0> + b|1>) (x) psi to |0> (x) sqrt(2)(a psi(2x) + b psi(2x-1)) with no
+approximation error: every step is a relocation or a scaling of stored
+values.  The same pipeline is provided on the sampled-grid backend, where
+translation runs through the momentum-space exponential, for
+cross-validation.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ from .grid import SUPPORT_EPS, GridWave, translate_shift, translate_spectral
 from .qubits import (
     DensityMatrix,
     RegisterState,
-    _apply_permutation_kernel,
     _apply_single_qubit_kernel,
     _check_permutation,
     is_unitary,
@@ -51,17 +55,21 @@ class FlipVariant(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """Qubit register entangled with one dyadic CV mode.
+    """Qubit register entangled with one dyadic CV mode, stored sparsely.
 
-    amps[q][k] is the joint amplitude of qubit basis state q on cell k;
-    all rows share the cell geometry (level, offset).  Boundary columns
-    that are zero in every row are trimmed, mirroring DyadicWave's
-    canonical form.
+    Entry i puts amplitude amps[i] on qubit basis state rows[i] and on
+    the absolute dyadic cell cells[i], which covers
+    [cells[i] * 2^-level, (cells[i] + 1) * 2^-level); every other pair of
+    row and cell holds zero.  The entries are canonical: no exact zeros,
+    sorted by (row, cell), no pair twice; so equal states compare equal.
+    The constructor copies, checks and canonicalizes its arrays.
+    ``offset`` and ``n_cells`` describe the hull of the occupied cells.
     """
 
     n_qubits: int
     level: int
-    offset: int
+    rows: np.ndarray
+    cells: np.ndarray
     amps: np.ndarray
 
     def __post_init__(self):
@@ -69,44 +77,43 @@ class HybridState:
             raise DomainError(f"n_qubits must be nonnegative, got {self.n_qubits}")
         if self.level < 0:
             raise DomainError(f"level must be nonnegative, got {self.level}")
-        arr = np.array(self.amps, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != 1 << self.n_qubits or arr.shape[1] < 1:
+        rows = np.array(self.rows, dtype=np.int64)
+        cells = np.array(self.cells, dtype=np.int64)
+        amps = np.array(self.amps, dtype=np.complex128)
+        if rows.ndim != 1 or rows.shape != cells.shape or rows.shape != amps.shape:
             raise ValidationError(
-                f"amps must have shape (2^{self.n_qubits}, K>=1), got {arr.shape}"
+                f"rows, cells and amps must be vectors of one length, got shapes "
+                f"{rows.shape}, {cells.shape}, {amps.shape}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if np.count_nonzero(np.isfinite(amps)) != amps.size:
             raise ValidationError("amplitudes must be finite (no NaN/Inf)")
-        nonzero_cols = np.flatnonzero(np.any(arr != 0, axis=0))
-        if nonzero_cols.size == 0:
-            offset = 0
-            arr = np.zeros((arr.shape[0], 1), dtype=np.complex128)
-        else:
-            lo, hi = int(nonzero_cols[0]), int(nonzero_cols[-1]) + 1
-            offset = int(self.offset) + lo
-            if lo or hi < arr.shape[1]:
-                arr = arr[:, lo:hi].copy()
-        arr.setflags(write=False)
+        if np.count_nonzero(amps) != amps.size:
+            nonzero = amps != 0
+            rows, cells, amps = rows[nonzero], cells[nonzero], amps[nonzero]
+        if not _in_order(rows, cells):
+            order = np.lexsort((cells, rows))
+            rows, cells, amps = rows[order], cells[order], amps[order]
+            if ((rows[1:] == rows[:-1]) & (cells[1:] == cells[:-1])).any():
+                raise ValidationError("two entries share one (row, cell) pair")
+        # sorted: the first and last rows are the least and the greatest
+        if rows.size and (rows[0] < 0 or rows[-1] >> self.n_qubits):
+            raise ValidationError(f"row index out of range for {self.n_qubits} qubits")
+        for arr in (rows, cells, amps):
+            arr.setflags(write=False)
         object.__setattr__(self, "level", int(self.level))
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "amps", arr)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def _adopt(cls, n_qubits: int, level: int, offset: int, amps: np.ndarray) -> "HybridState":
-        """Wrap a table without copying or scanning it.
-
-        Only for a freshly allocated complex128 table of shape
-        (2^n_qubits, K >= 1) that no one else holds and that is already
-        canonical: finite, with nonzero first and last columns (or a single
-        zero column at offset 0).  The gate ops below build such tables by
-        relocating the values of a validated state.
-        """
-        amps.setflags(write=False)
-        h = object.__new__(cls)
-        object.__setattr__(h, "n_qubits", n_qubits)
-        object.__setattr__(h, "level", level)
-        object.__setattr__(h, "offset", offset)
-        object.__setattr__(h, "amps", amps)
-        return h
+    def from_table(cls, n_qubits: int, level: int, offset: int, table) -> "HybridState":
+        """The state with amplitude table[q][k] on qubit basis state q and
+        cell offset + k; the zeros of the table are not stored."""
+        arr = np.asarray(table, dtype=np.complex128)
+        if n_qubits >= 0 and (arr.ndim != 2 or arr.shape[0] != 1 << n_qubits or arr.shape[1] < 1):
+            raise ValidationError(f"amps must have shape (2^{n_qubits}, K>=1), got {arr.shape}")
+        rows, cols = np.nonzero(arr)
+        return cls(n_qubits, level, rows, cols + int(offset), arr[rows, cols])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HybridState):
@@ -114,16 +121,23 @@ class HybridState:
         return (
             self.n_qubits == other.n_qubits
             and self.level == other.level
-            and self.offset == other.offset
-            and self.amps.shape == other.amps.shape
-            and bool(np.all(self.amps == other.amps))
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cells, other.cells)
+            and np.array_equal(self.amps, other.amps)
         )
 
     __hash__ = None
 
     @property
+    def offset(self) -> int:
+        """First cell of the occupied hull; 0 for the zero state."""
+        return int(self.cells.min()) if self.cells.size else 0
+
+    @property
     def n_cells(self) -> int:
-        return self.amps.shape[1]
+        """Width of the occupied hull in cells; 1 for the zero state."""
+        c = self.cells
+        return int(c.max() - c.min()) + 1 if c.size else 1
 
     @property
     def width(self) -> float:
@@ -137,48 +151,62 @@ class HybridState:
         """The CV wave co-occurring with qubit basis state q."""
         if not 0 <= q < 1 << self.n_qubits:
             raise DomainError(f"basis index {q} out of range")
-        return DyadicWave(self.level, self.offset, self.amps[q])
+        lo, hi = self.rows.searchsorted((q, q + 1))
+        if lo == hi:
+            return DyadicWave(self.level, 0, [0.0])
+        first, span = int(self.cells[lo]), int(self.cells[hi - 1] - self.cells[lo]) + 1
+        coeffs = self.amps[lo:hi]
+        if span > hi - lo:  # the row has gaps: spread its cells out
+            coeffs = np.zeros(span, dtype=np.complex128)
+            coeffs[self.cells[lo:hi] - first] = self.amps[lo:hi]
+        return DyadicWave(self.level, first, coeffs)
 
-    def cell_index_range(self) -> np.ndarray:
-        """Absolute dyadic cell indices (offset + column)."""
-        return self.offset + np.arange(self.n_cells)
+
+def _in_order(rows: np.ndarray, cells: np.ndarray) -> bool:
+    """Whether the entries are strictly increasing in (row, cell)."""
+    r0, r1 = rows[:-1], rows[1:]
+    later = (r1 > r0) | ((r1 == r0) & (cells[1:] > cells[:-1]))
+    return np.count_nonzero(later) == later.size
 
 
 def lift(reg: RegisterState, w: DyadicWave) -> HybridState:
-    """Product state: A[q][k] = reg.amps[q] * w.coeffs[k]."""
+    """Product state: amplitude reg.amps[q] * w.coeffs[k] on row q, cell k."""
     if abs(reg.norm2() - 1.0) > 1e-9:
         raise ContractError(f"register input not normalized (norm2 = {reg.norm2()!r})")
     if abs(dyadic.norm2(w) - 1.0) > 1e-9:
         raise ContractError(f"wave input not normalized (norm2 = {dyadic.norm2(w)!r})")
-    return HybridState(reg.n_qubits, w.level, w.offset, np.outer(reg.amps, w.coeffs))
+    rows, col = np.divmod(np.arange(reg.amps.size * w.n_cells), w.n_cells)
+    amps = np.outer(reg.amps, w.coeffs).ravel()
+    return HybridState(reg.n_qubits, w.level, rows, col + w.offset, amps)
 
 
 def _bit1_rows(n_qubits: int, q: int) -> np.ndarray:
     return (np.arange(1 << n_qubits) >> q) & 1 == 1
 
 
-def _qubit_view(h: HybridState, q: int) -> np.ndarray:
-    """The table as (high rows, bit q, low rows, cells); [:, 1] selects the
-    rows whose qubit q is |1>."""
-    return h.amps.reshape(1 << (h.n_qubits - 1 - q), 2, 1 << q, h.n_cells)
+def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
+    """Boolean mask of the entries whose row has qubit q in |1>; one byte
+    per entry, with no full-width integer temporary."""
+    bit = np.right_shift(rows, q, out=np.empty(rows.size, dtype=np.uint8), casting="unsafe")
+    return np.bitwise_and(bit, 1, out=bit).view(bool)
 
 
-def _occupied_span(block: np.ndarray) -> Optional[Tuple[int, int]]:
-    """[first, last + 1) of the cells holding a nonzero value; None if none."""
-    cols = np.flatnonzero(np.any(block != 0, axis=(0, 1)))
-    if cols.size == 0:
-        return None
-    return int(cols[0]), int(cols[-1]) + 1
+def _table_fits(row_bits: int, cells: int, max_cells: int) -> bool:
+    """Whether 2^row_bits rows by ``cells`` columns hold at most
+    64 * max_cells amplitudes; never builds 2^row_bits."""
+    limit = max_cells * 64
+    return row_bits < limit.bit_length() and cells << row_bits <= limit
 
 
 def _check_table(row_bits: int, cells: int, max_cells: int, what: str) -> None:
-    """Refuse a table of 2^row_bits rows by ``cells`` columns that holds
-    more than 64 * max_cells amplitudes.  This is the one size rule for
-    every table the processor grows; it runs before the table is allocated
-    and never builds 2^row_bits."""
-    limit = max_cells * 64
-    if row_bits >= limit.bit_length() or cells << row_bits > limit:
-        raise ResourceLimitError(f"{what} exceeds {limit} cells")
+    """Refuse, as ``what``, a table that ``_table_fits`` rejects.  This is the
+    one size rule for every table the processor grows; it runs before the
+    table is built."""
+    if not _table_fits(row_bits, cells, max_cells):
+        raise ResourceLimitError(f"{what} exceeds {max_cells * 64} cells")
+
+
+_I64 = np.iinfo(np.int64)
 
 
 def cond_translate(
@@ -197,62 +225,53 @@ def cond_translate(
         raise ResourceLimitError(
             f"conditional translation needs {k2} cells (limit {max_cells})"
         )
-    # Place each row group's occupied cells (the moved rows shifted by tc)
-    # and allocate only their hull, so the output is canonical as built.
-    view = _qubit_view(h, q)
-    placed = []  # (bit, first output cell, occupied input columns)
-    for bit, shift in ((0, 0), (1, tc)):
-        span = _occupied_span(view[:, bit])
-        if span is not None:
-            placed.append((bit, span[0] + shift, span))
-    if not placed:
-        zero = np.zeros((h.amps.shape[0], 1), dtype=np.complex128)
-        return HybridState._adopt(h.n_qubits, h.level, 0, zero)
-    lo = min(start for _, start, _ in placed)
-    hi = max(start + b - a for _, start, (a, b) in placed)
-    what = f"conditional translation: a table of 2^{h.n_qubits} rows by {hi - lo} cells"
-    _check_table(h.n_qubits, hi - lo, max_cells, what)
-    out = np.zeros(view.shape[:3] + (hi - lo,), dtype=np.complex128)
-    for bit, start, (a, b) in placed:
-        out[:, bit, :, start - lo : start - lo + b - a] = view[:, bit, :, a:b]
-    return HybridState._adopt(
-        h.n_qubits, h.level, h.offset + lo, out.reshape(h.amps.shape[0], hi - lo)
-    )
+    if not h.amps.size:
+        return h
+    moved = _bit_set(h.rows, q)
+    # The output hull, at most k2 cells wide, is held to the table rule
+    # before any output entry is built; only a k2 that does not fit needs
+    # the exact hull, from each row group's occupied cells.
+    if not _table_fits(h.n_qubits, k2, max_cells):
+        spans = [
+            (int(h.cells.min(where=group, initial=_I64.max)) + shift,
+             int(h.cells.max(where=group, initial=_I64.min)) + shift + 1)
+            for group, shift in ((~moved, 0), (moved, tc))
+            if group.any()
+        ]
+        hull = max(hi for _, hi in spans) - min(lo for lo, _ in spans)
+        what = f"conditional translation: a table of 2^{h.n_qubits} rows by {hull} cells"
+        _check_table(h.n_qubits, hull, max_cells, what)
+    # every cell of a row moves by the same amount: the order is kept
+    return HybridState(h.n_qubits, h.level, h.rows, np.where(moved, h.cells + tc, h.cells), h.amps)
 
 
-def _flip_columns(h: HybridState, variant: FlipVariant) -> np.ndarray:
-    """Boolean mask over columns on which the qubit is flipped."""
-    idx = h.cell_index_range()
+def _flip_cells(h: HybridState, variant: FlipVariant) -> np.ndarray:
+    """Boolean mask over entries whose cell the variant flips."""
     unit = 1 << h.level
     if variant is FlipVariant.OUTSIDE_UNIT:
-        return ~((idx >= 0) & (idx < unit))
+        return (h.cells < 0) | (h.cells >= unit)
     if variant is FlipVariant.INSIDE_ONE_TWO:
-        return (idx >= unit) & (idx < 2 * unit)
+        return (h.cells >= unit) & (h.cells < 2 * unit)
     raise DomainError(f"unknown flip variant {variant!r}")
 
 
 def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> HybridState:
     """Apply X on qubit q for every cell selected by the variant; identity
     elsewhere.  Cell boundaries always align with the integer interval
-    endpoints, so the action is an exact per-column row swap."""
+    endpoints, so the action is an exact per-cell row swap."""
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    flip = _flip_columns(h, variant)
-    view = _qubit_view(h, q)
-    out = np.where(flip, view[:, ::-1], view)
-    # a per-column row swap keeps every column's occupancy: still canonical
-    return HybridState._adopt(h.n_qubits, h.level, h.offset, out.reshape(h.amps.shape))
+    rows = np.where(_flip_cells(h, variant), h.rows ^ (1 << q), h.rows)
+    return HybridState(h.n_qubits, h.level, rows, h.cells, h.amps)
 
 
 def squeeze_all(h: HybridState, max_level: int = MAX_LEVEL_DEFAULT) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
     if h.level + 1 > max_level:
         raise ResourceLimitError(f"squeeze would exceed max level {max_level}")
-    out = h.amps * SQRT2
-    # scaling by sqrt(2) cannot zero a cell, but it can overflow one
-    if not np.all(np.isfinite(out.view(np.float64))):
-        raise ValidationError("squeeze overflowed: amplitudes must be finite (no NaN/Inf)")
-    return HybridState._adopt(h.n_qubits, h.level + 1, h.offset, out)
+    # scaling by sqrt(2) cannot zero a cell; the constructor refuses one
+    # that overflowed
+    return HybridState(h.n_qubits, h.level + 1, h.rows, h.cells, h.amps * SQRT2)
 
 
 def unfold(
@@ -268,17 +287,10 @@ def unfold(
     return cond_translate(out, q, -1, max_cells=max_cells)
 
 
-def _support_violations(h: HybridState) -> np.ndarray:
-    """Absolute indices of nonzero cells outside [0,1)."""
-    idx = h.cell_index_range()
-    unit = 1 << h.level
-    occupied = np.any(h.amps != 0, axis=0)
-    return idx[occupied & ~((idx >= 0) & (idx < unit))]
-
-
 def require_unit_support(h: HybridState, op_name: str) -> None:
-    bad = _support_violations(h)
+    bad = h.cells[(h.cells < 0) | (h.cells >= 1 << h.level)]
     if bad.size:
+        bad = np.unique(bad)
         w = h.width
         cells = ", ".join(f"[{i * w:g},{(i + 1) * w:g})" for i in bad[:8])
         more = "" if bad.size <= 8 else f" and {bad.size - 8} more"
@@ -307,8 +319,8 @@ def residual_weight(h: HybridState, q: int) -> float:
     """Probability weight on rows whose qubit q is |1>."""
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    rows = _qubit_view(h, q)[:, 1]
-    return float(np.sum(rows.real**2 + rows.imag**2)) * h.width
+    a = h.amps[_bit_set(h.rows, q)]
+    return float(np.sum(a.real**2 + a.imag**2)) * h.width
 
 
 @dataclass(frozen=True)
@@ -381,9 +393,13 @@ def tensor_oracle(
 
 
 def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out the CV mode and the complement qubits.  Each cell weighs
-    width = 2^-level, a power of two, so scaling afterwards is exact."""
-    rho = trace_out(h.amps, h.n_qubits, keep)
+    """Trace out the CV mode and the complement qubits.  Only the occupied
+    cells enter the partial trace.  Each cell weighs width = 2^-level, a
+    power of two, so scaling afterwards is exact."""
+    cols, slot = np.unique(h.cells, return_inverse=True)
+    block = np.zeros((1 << h.n_qubits, max(cols.size, 1)), dtype=np.complex128)
+    block[h.rows, slot] = h.amps
+    rho = trace_out(block, h.n_qubits, keep)
     return DensityMatrix._adopt(rho.dim, rho.entries * h.width)
 
 
@@ -394,27 +410,27 @@ def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterStat
     real positive.  The wave carries the overall norm.
     """
     a = h.amps
-    row_weight = np.sum(a.real**2 + a.imag**2, axis=1)
-    total = float(np.sum(row_weight))
-    if total == 0.0:
+    if not a.size:
         return None
-    nz_rows = np.flatnonzero(row_weight > tol * total)
+    if h.rows[0] == h.rows[-1]:  # one occupied row
+        nz_rows = h.rows[:1]
+    else:
+        row_weight = np.bincount(h.rows, weights=a.real**2 + a.imag**2)
+        nz_rows = np.flatnonzero(row_weight > tol * np.sum(row_weight))
+    reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
     if nz_rows.size == 1:
-        r = int(nz_rows[0])
-        reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
-        reg[r] = 1.0
-        return RegisterState(h.n_qubits, reg), DyadicWave(h.level, h.offset, a[r])
-    # Exact-zero rows and columns add no singular value, so decompose only
-    # the block of rows and columns that hold a nonzero entry.
-    nz = a != 0
-    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
-    whole = rows.size == a.shape[0] and cols.size == a.shape[1]
-    u, s, vh = np.linalg.svd(a if whole else a[np.ix_(rows, cols)], full_matrices=False)
+        reg[nz_rows[0]] = 1.0
+        return RegisterState(h.n_qubits, reg), h.row_wave(int(nz_rows[0]))
+    # Only the block of occupied rows x occupied cells has a singular value.
+    rows, row_slot = np.unique(h.rows, return_inverse=True)
+    cols, col_slot = np.unique(h.cells, return_inverse=True)
+    block = np.zeros((rows.size, cols.size), dtype=np.complex128)
+    block[row_slot, col_slot] = a
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
     if s.size > 1 and s[1] > tol * s[0]:
         return None
-    reg = np.zeros(a.shape[0], dtype=np.complex128)
-    wave = np.zeros(a.shape[1], dtype=np.complex128)
-    reg[rows], wave[cols] = u[:, 0], vh[0]
+    wave = np.zeros(h.n_cells, dtype=np.complex128)
+    reg[rows], wave[cols - h.offset] = u[:, 0], vh[0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
     return (
@@ -424,7 +440,11 @@ def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterStat
 
 
 def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
-    """Single-qubit unitary on the register part, CV untouched."""
+    """Single-qubit unitary on the register part, CV untouched.
+
+    Entries pair up over (row without qubit q, cell); a missing partner
+    counts as zero, so each pair goes through the same 2x2 product as a
+    column of the full table would."""
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
     u = np.asarray(u, dtype=np.complex128)
@@ -432,15 +452,26 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
         raise ValidationError(f"single-qubit gate must be 2x2, got {u.shape}")
     if not is_unitary(u):
         raise ValidationError("gate matrix is not unitary within 1e-12")
-    out = _apply_single_qubit_kernel(h.amps, h.n_qubits, q, u)
-    return HybridState(h.n_qubits, h.level, h.offset, out)
+    if not h.amps.size:
+        return h
+    bit = 1 << q
+    base = h.rows & ~bit
+    order = np.lexsort((h.cells, base))
+    base, cells = base[order], h.cells[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (base[1:] != base[:-1]) | (cells[1:] != cells[:-1])
+    pairs = np.zeros((2, int(np.count_nonzero(first))), dtype=np.complex128)
+    pairs[_bit_set(h.rows, q)[order].view(np.uint8), np.cumsum(first) - 1] = h.amps[order]
+    out = _apply_single_qubit_kernel(pairs, 1, 0, u)
+    base, cells = base[first], cells[first]
+    rows = np.concatenate([base, base | bit])
+    return HybridState(h.n_qubits, h.level, rows, np.concatenate([cells, cells]), out.ravel())
 
 
 def apply_basis_permutation(h: HybridState, perm: Sequence[int] | np.ndarray) -> HybridState:
     """Permute qubit basis rows: row i moves to perm[i]."""
     p = _check_permutation(perm, 1 << h.n_qubits)
-    # moving whole rows keeps every column's occupancy: still canonical
-    return HybridState._adopt(h.n_qubits, h.level, h.offset, _apply_permutation_kernel(h.amps, p))
+    return HybridState(h.n_qubits, h.level, p[h.rows], h.cells, h.amps)
 
 
 def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
@@ -448,9 +479,11 @@ def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
     ph = np.asarray(phases, dtype=np.complex128)
     if ph.shape != (1 << h.n_qubits,):
         raise ValidationError(f"phase vector must have length {1 << h.n_qubits}")
+    if not np.all(np.isfinite(ph.view(np.float64))):
+        raise ValidationError("phase factors must be finite (no NaN/Inf)")
     if np.max(np.abs(np.abs(ph) - 1.0)) > 1e-12:
         raise ValidationError("phase factors must have unit modulus")
-    return HybridState(h.n_qubits, h.level, h.offset, h.amps * ph[:, None])
+    return HybridState(h.n_qubits, h.level, h.rows, h.cells, h.amps * ph[h.rows])
 
 
 # ---------------------------------------------------------------------------

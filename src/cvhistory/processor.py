@@ -197,9 +197,7 @@ def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
     h = ps.hybrid
     residual = 0.0
     if ps.anc_count:
-        rows = np.arange(1 << h.n_qubits)
-        anc_set = (rows >> ps.data_count) != 0
-        a = h.amps[anc_set]
+        a = h.amps[(h.rows >> ps.data_count) != 0]
         residual = float(np.sum(a.real**2 + a.imag**2)) * h.width
     if data_purity is None:
         data_purity = 1.0

@@ -1,0 +1,105 @@
+"""Dense reference for the sparse HybridState, used by the tests only.
+
+``table(h)`` spells a state as the full 2^n x hull table: row q, column
+k holds the amplitude on qubit basis state q and cell h.offset + k.  The
+``ref_*`` functions are the state operations written on that table, each
+the way the state computed them while it stored the table itself.  The
+sparse operations must agree with them: bit for bit where an operation
+only relocates or scales values, and within rounding where a sum over the
+cells runs in another order.
+"""
+from typing import Optional, Tuple
+
+import numpy as np
+
+from cvhistory.dyadic import SQRT2
+from cvhistory.erasure import FlipVariant, HybridState
+from cvhistory.qubits import _apply_permutation_kernel, _apply_single_qubit_kernel, trace_out
+
+
+def table(h: HybridState) -> np.ndarray:
+    """The 2^n x n_cells amplitude table over the hull of h."""
+    out = np.zeros((1 << h.n_qubits, h.n_cells), dtype=np.complex128)
+    out[h.rows, h.cells - h.offset] = h.amps
+    return out
+
+
+def _moved_rows(h: HybridState, q: int) -> np.ndarray:
+    return (np.arange(1 << h.n_qubits) >> q) & 1 == 1
+
+
+def ref_cond_translate(h: HybridState, q: int, t: int) -> HybridState:
+    """Full-width conditional translation, trimmed by the constructor."""
+    tc = t << h.level
+    new_offset = h.offset + min(tc, 0)
+    a = table(h)
+    out = np.zeros((a.shape[0], h.n_cells + abs(tc)), dtype=np.complex128)
+    moved = _moved_rows(h, q)
+    lo_fixed, lo_moved = h.offset - new_offset, h.offset + tc - new_offset
+    out[~moved, lo_fixed : lo_fixed + h.n_cells] = a[~moved]
+    out[moved, lo_moved : lo_moved + h.n_cells] = a[moved]
+    return HybridState.from_table(h.n_qubits, h.level, new_offset, out)
+
+
+def ref_cond_flip(h: HybridState, q: int, variant: FlipVariant) -> HybridState:
+    """Swap the |0> and |1> rows of qubit q on every flipped column."""
+    idx = h.offset + np.arange(h.n_cells)
+    unit = 1 << h.level
+    if variant is FlipVariant.OUTSIDE_UNIT:
+        flip = ~((idx >= 0) & (idx < unit))
+    else:
+        flip = (idx >= unit) & (idx < 2 * unit)
+    a = table(h)
+    view = a.reshape(1 << (h.n_qubits - 1 - q), 2, 1 << q, h.n_cells)
+    out = np.where(flip, view[:, ::-1], view).reshape(a.shape)
+    return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
+
+
+def ref_squeeze_all(h: HybridState) -> HybridState:
+    return HybridState.from_table(h.n_qubits, h.level + 1, h.offset, table(h) * SQRT2)
+
+
+def ref_apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
+    out = _apply_single_qubit_kernel(table(h), h.n_qubits, q, np.asarray(u, dtype=np.complex128))
+    return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
+
+
+def ref_apply_basis_permutation(h: HybridState, perm: np.ndarray) -> HybridState:
+    out = _apply_permutation_kernel(table(h), np.asarray(perm, dtype=np.int64))
+    return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
+
+
+def ref_apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
+    out = table(h) * np.asarray(phases, dtype=np.complex128)[:, None]
+    return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
+
+
+def ref_hybrid_reduced_density(h: HybridState, keep) -> np.ndarray:
+    """Partial trace over the whole hull, zero columns included."""
+    return trace_out(table(h), h.n_qubits, keep).entries * h.width
+
+
+def ref_cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(register, hull-wide wave) by the SVD of the table's block of nonzero
+    rows x nonzero columns; None if entangled."""
+    a = table(h)
+    row_weight = np.sum(a.real**2 + a.imag**2, axis=1)
+    total = float(np.sum(row_weight))
+    if total == 0.0:
+        return None
+    nz_rows = np.flatnonzero(row_weight > tol * total)
+    if nz_rows.size == 1:
+        reg = np.zeros(a.shape[0], dtype=np.complex128)
+        reg[nz_rows[0]] = 1.0
+        return reg, a[nz_rows[0]]
+    nz = a != 0
+    rows, cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
+    u, s, vh = np.linalg.svd(a[np.ix_(rows, cols)], full_matrices=False)
+    if s.size > 1 and s[1] > tol * s[0]:
+        return None
+    reg = np.zeros(a.shape[0], dtype=np.complex128)
+    wave = np.zeros(a.shape[1], dtype=np.complex128)
+    reg[rows], wave[cols] = u[:, 0], vh[0]
+    lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
+    phase = lead / abs(lead)
+    return reg / phase, s[0] * wave * phase

@@ -55,17 +55,17 @@ def suite_error(name, tol=None):
 
 def test_criterion_01_conditional_translation_contract():
     mismatches = 0
-    one = HybridState(1, 0, 0, np.array([[0.0], [1.0]], dtype=complex))
+    one = HybridState.from_table(1, 0, 0, np.array([[0.0], [1.0]], dtype=complex))
     moved = cond_translate(one, 0, 1)
     # |1> rows move to [1, 2)
-    if moved != HybridState(1, 0, 1, np.array([[0.0], [1.0]], dtype=complex)):
+    if moved != HybridState.from_table(1, 0, 1, np.array([[0.0], [1.0]], dtype=complex)):
         mismatches += 1
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         level = int(rng.integers(0, 5))
         n_cells = int(rng.integers(1, 9))
         c = rng.normal(size=n_cells) + 1j * rng.normal(size=n_cells)
-        h0 = HybridState(1, level, int(rng.integers(-4, 5)), np.vstack([c, 0.0 * c]))
+        h0 = HybridState.from_table(1, level, int(rng.integers(-4, 5)), np.vstack([c, 0.0 * c]))
         if cond_translate(h0, 0, 1) != h0:  # identity on |0> rows
             mismatches += 1
     report(1, "conditional translation moves only the set-qubit rows", float(mismatches), 0.0, mismatches == 0)
@@ -76,9 +76,9 @@ def test_criterion_02_conditional_flip_contract():
     # wave spanning [-1, 2): flip must act on [-1,0) and [1,2), not [0,1)
     r0 = np.array([1.0, 2.0, 3.0], dtype=complex)
     r1 = np.array([4.0, 5.0, 6.0], dtype=complex)
-    h = HybridState(1, 0, -1, np.vstack([r0, r1]))
+    h = HybridState.from_table(1, 0, -1, np.vstack([r0, r1]))
     flipped = cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT)
-    want = HybridState(
+    want = HybridState.from_table(
         1, 0, -1, np.vstack([[4.0, 2.0, 6.0], [1.0, 5.0, 3.0]]).astype(complex)
     )
     if flipped != want:
@@ -104,7 +104,7 @@ def test_criterion_04_erase_contract():
         w = DyadicWave(level, 0, c / np.sqrt(norm2(DyadicWave(level, 0, c))))
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = v / np.linalg.norm(v)
-        h = HybridState(1, w.level, 0, np.vstack([v[0] * w.coeffs, v[1] * w.coeffs]))
+        h = HybridState.from_table(1, w.level, 0, np.vstack([v[0] * w.coeffs, v[1] * w.coeffs]))
         drift = max(drift, abs(erase(h, 0).norm2() - 1.0))
     ok = ok and drift <= 1e-12
     report(4, "erasure squeezes the unfolded wave with zero set-qubit weight", max(err, drift), tol, ok)

@@ -13,7 +13,7 @@ import pytest
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-@pytest.mark.parametrize("name", ["erase_demo_n11", "processor_entangled_c16", "processor_wide_adder3"])
+@pytest.mark.parametrize("name", ["erase_demo_n11", "processor_entangled_c16", "processor_wide_adder3", "validate"])
 def test_traced_workload(tmp_path, monkeypatch, name):
     monkeypatch.syspath_prepend(PERFBENCH)
     workload = importlib.import_module("workloads").WORKLOADS[name]

@@ -31,8 +31,20 @@ from cvhistory.erasure import (
     tensor_oracle,
     unfold,
 )
+from cvhistory import qubits
 from cvhistory.grid import sample_function
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
+from dense_reference import (
+    ref_apply_basis_permutation,
+    ref_apply_qubit_gate,
+    ref_apply_row_phases,
+    ref_cond_flip,
+    ref_cond_translate,
+    ref_cv_factor,
+    ref_hybrid_reduced_density,
+    ref_squeeze_all,
+    table,
+)
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 SQRT2 = np.sqrt(2.0)
@@ -55,8 +67,8 @@ def random_hybrid(rng: np.random.Generator, n: int, level: int) -> HybridState:
     k = int(rng.integers(1, 5))
     offset = int(rng.integers(-4, 4))
     a = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
-    h = HybridState(n, level, offset, a)
-    return HybridState(n, level, h.offset, h.amps / np.sqrt(h.norm2()))
+    h = HybridState.from_table(n, level, offset, a)
+    return HybridState.from_table(n, level, offset, a / np.sqrt(h.norm2()))
 
 
 def product_register(pairs) -> RegisterState:
@@ -68,35 +80,62 @@ def product_register(pairs) -> RegisterState:
 
 class TestHybridState:
     def test_column_trimming(self):
-        h = HybridState(1, 0, 5, [[0, 1, 0], [0, 0, 0]])
+        h = HybridState.from_table(1, 0, 5, [[0, 1, 0], [0, 0, 0]])
         assert h.offset == 6 and h.n_cells == 1
 
     def test_zero_state_pinned(self):
-        h = HybridState(1, 2, 9, np.zeros((2, 3)))
+        h = HybridState.from_table(1, 2, 9, np.zeros((2, 3)))
         assert h.offset == 0 and h.n_cells == 1
 
     def test_norm2(self):
-        h = HybridState(1, 1, 0, [[1.0, 0.0], [0.0, 1.0]])
+        h = HybridState.from_table(1, 1, 0, [[1.0, 0.0], [0.0, 1.0]])
         assert h.norm2() == 1.0
 
     def test_row_wave(self):
-        h = HybridState(1, 0, 2, [[3.0], [4.0]])
+        h = HybridState.from_table(1, 0, 2, [[3.0], [4.0]])
         assert h.row_wave(1) == DyadicWave(0, 2, [4.0])
+
+    def test_entries_canonical(self):
+        # unsorted, with an exact zero and a negative cell
+        h = HybridState(2, 1, [3, 0, 1, 0], [5, 7, 2, -1], [1.0, 2.0, 0.0, 3j])
+        assert h.rows.tolist() == [0, 0, 3] and h.cells.tolist() == [-1, 7, 5]
+        assert h.amps.tolist() == [3j, 2.0, 1.0]
+        assert h.offset == -1 and h.n_cells == 9
+        assert h == HybridState(2, 1, h.rows, h.cells, h.amps)
+        assert not h.amps.flags.writeable
+
+    def test_duplicate_entry_rejected(self):
+        with pytest.raises(ValidationError, match="share"):
+            HybridState(1, 0, [1, 0, 1], [2, 0, 2], [1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("rows, cells, amps", [
+        ([2], [0], [1.0]),  # row outside 2^1
+        ([-1], [0], [1.0]),
+        ([0, 1], [0], [1.0, 1.0]),  # lengths differ
+        ([0], [0], [np.nan]),
+    ])
+    def test_bad_entries_rejected(self, rows, cells, amps):
+        with pytest.raises(ValidationError):
+            HybridState(1, 0, rows, cells, amps)
+
+    def test_table_shape_checked(self):
+        with pytest.raises(ValidationError, match="shape"):
+            HybridState.from_table(2, 0, 0, np.ones((2, 3)))
 
 
 class TestLift:
     def test_basis_zero(self):
         h = lift(basis_state(1, 0), indicator_unit(0))
-        assert np.array_equal(h.amps, [[1.0], [0.0]])
+        assert np.array_equal(table(h), [[1.0], [0.0]])
 
     def test_plus_state(self):
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
-        assert np.allclose(h.amps, [[SQRT1_2], [SQRT1_2]], atol=0)
+        assert np.allclose(table(h), [[SQRT1_2], [SQRT1_2]], atol=0)
 
     def test_one_with_level1_wave(self):
         h = lift(basis_state(1, 1), DyadicWave(1, 0, [SQRT2, 0.0]))
         assert h.level == 1 and h.offset == 0
-        assert np.allclose(h.amps, [[0.0], [SQRT2]], atol=0)
+        assert np.allclose(table(h), [[0.0], [SQRT2]], atol=0)
 
     def test_norm_one(self):
         rng = np.random.default_rng(1)
@@ -126,7 +165,7 @@ class TestCondTranslate:
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
         out = cond_translate(h, 0, 1)
         assert out.level == 0 and out.offset == 0 and out.n_cells == 2
-        assert np.allclose(out.amps, [[SQRT1_2, 0], [0, SQRT1_2]], atol=0)
+        assert np.allclose(table(out), [[SQRT1_2, 0], [0, SQRT1_2]], atol=0)
 
     def test_inverse_pair_exact(self):
         rng = np.random.default_rng(21)
@@ -164,7 +203,7 @@ class TestCondTranslate:
         # each row fits max_cells, but 256 rows by 2 * 2^10 cells exceed
         # the 64 * max_cells table limit
         amps = np.full((1 << 8, 1 << 10), 1.0 / (1 << 4), dtype=np.complex128)
-        h = HybridState(8, 10, 0, amps)
+        h = HybridState.from_table(8, 10, 0, amps)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="conditional translation"):
@@ -187,9 +226,9 @@ class TestCondFlip:
         assert cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT) == h
 
     def test_cellwise_action_on_superposition(self):
-        h = HybridState(1, 0, 0, [[SQRT1_2, SQRT1_2], [0, 0]])
+        h = HybridState.from_table(1, 0, 0, [[SQRT1_2, SQRT1_2], [0, 0]])
         out = cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT)
-        assert np.allclose(out.amps, [[SQRT1_2, 0], [0, SQRT1_2]], atol=0)
+        assert np.allclose(table(out), [[SQRT1_2, 0], [0, SQRT1_2]], atol=0)
 
     def test_inside_variant_ignores_beyond_two(self):
         far = translate_int(indicator_unit(0), 2)  # support [2,3)
@@ -211,7 +250,7 @@ class TestCondFlip:
             level = int(rng.integers(0, 4))
             k = 1 << (level + 1)  # cells covering [0,2)
             a = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
-            h = HybridState(2, level, 0, a)
+            h = HybridState.from_table(2, level, 0, a)
             q = int(rng.integers(0, 2))
             assert cond_flip(h, q, FlipVariant.OUTSIDE_UNIT) == cond_flip(
                 h, q, FlipVariant.INSIDE_ONE_TWO
@@ -241,7 +280,7 @@ class TestSqueezeAll:
             squeeze_all(h, max_level=0)
 
     def test_overflow_rejected(self):
-        h = HybridState(1, 0, 0, [[1.5e308], [0.0]])
+        h = HybridState.from_table(1, 0, 0, [[1.5e308], [0.0]])
         with pytest.raises(ValidationError):
             squeeze_all(h)
 
@@ -250,7 +289,7 @@ class TestUnfold:
     def test_known_pair_unfolds_to_halves(self):
         h = lift(RegisterState(1, [0.6, 0.8]), indicator_unit(0))
         out = unfold(h, 0)
-        assert out == HybridState(1, 0, 0, [[0.6, 0.8], [0.0, 0.0]])
+        assert out == HybridState.from_table(1, 0, 0, [[0.6, 0.8], [0.0, 0.0]])
 
     def test_alpha_only_identity(self):
         h = lift(basis_state(1, 0), indicator_unit(0))
@@ -454,7 +493,7 @@ class TestHybridReducedDensity:
         # never the 64 MiB 2^11 x 2^11 joint density
         rng = np.random.default_rng(37)
         amps = rng.normal(size=(1 << 11, 4)) + 1j * rng.normal(size=(1 << 11, 4))
-        h = HybridState(11, 2, 0, amps * (2.0 / np.linalg.norm(amps)))
+        h = HybridState.from_table(11, 2, 0, amps * (2.0 / np.linalg.norm(amps)))
         tracemalloc.start()
         try:
             rho = hybrid_reduced_density(h, set(range(10)))
@@ -485,7 +524,7 @@ class TestHybridReducedDensity:
         rows = np.array(
             [[alpha], [beta * SQRT1_2], [0.0], [beta * SQRT1_2]], dtype=np.complex128
         )  # bit1 = ancilla, bit0 = data
-        hyb = HybridState(2, 0, 0, rows)
+        hyb = HybridState.from_table(2, 0, 0, rows)
         out = erase(hyb, 1)
         rho = hybrid_reduced_density(out, {0})
         w0 = tensor_oracle([(1.0, 0.0)])
@@ -506,12 +545,12 @@ class TestCvFactor:
         assert res is not None
         got_reg, got_wave = res
         rebuilt = np.outer(got_reg.amps, got_wave.coeffs)
-        assert np.allclose(rebuilt, h.amps, atol=1e-12)
+        assert np.allclose(rebuilt, table(h), atol=1e-12)
         lead = got_reg.amps[np.flatnonzero(np.abs(got_reg.amps) > 1e-12)[0]]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
 
     def test_single_row_exact(self):
-        h = HybridState(2, 1, 0, [[0, 0], [0, 0], [0.5, -0.5j], [0, 0]])
+        h = HybridState.from_table(2, 1, 0, [[0, 0], [0, 0], [0.5, -0.5j], [0, 0]])
         res = cv_factor(h)
         assert res is not None
         got_reg, got_wave = res
@@ -519,13 +558,13 @@ class TestCvFactor:
         assert got_wave == DyadicWave(1, 0, [0.5, -0.5j])
 
     def test_entangled_returns_none(self):
-        h = HybridState(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        h = HybridState.from_table(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
     @staticmethod
     def full_table_factor(h, tol=1e-10):
         """Reference: the SVD of the whole table, zero rows and columns included."""
-        u, s, vh = np.linalg.svd(h.amps, full_matrices=False)
+        u, s, vh = np.linalg.svd(table(h), full_matrices=False)
         if s.size > 1 and s[1] > tol * s[0]:
             return None
         reg = u[:, 0]
@@ -544,7 +583,7 @@ class TestCvFactor:
         right = rng.normal(size=(rank, cols.size)) + 1j * rng.normal(size=(rank, cols.size))
         a[np.ix_(rows, cols)] = left @ right
         a[1, cols] = tiny_row * (rng.normal(size=cols.size) + 1j * rng.normal(size=cols.size))
-        return HybridState(n, 4, 3, a / np.linalg.norm(a))
+        return HybridState.from_table(n, 4, 3, a / np.linalg.norm(a))
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("rank", [1, 2])
@@ -553,7 +592,7 @@ class TestCvFactor:
         rng = np.random.default_rng(seed)
         h = self.sparse_table(rng, int(rng.integers(2, 5)), int(rng.integers(4, 40)), rank, tiny_row)
         if tiny_row:
-            weight = np.sum(np.abs(h.amps) ** 2, axis=1)
+            weight = np.sum(np.abs(table(h)) ** 2, axis=1)
             assert 0 < weight[1] < 1e-10 * weight.sum()
         ref = self.full_table_factor(h)
         got = cv_factor(h)
@@ -562,10 +601,10 @@ class TestCvFactor:
             reg, wave = got
             full_wave = np.zeros(h.n_cells, dtype=np.complex128)
             full_wave[wave.offset - h.offset :][: wave.n_cells] = wave.coeffs
-            assert np.max(np.abs(np.outer(reg.amps, full_wave) - h.amps)) <= 1e-12
+            assert np.max(np.abs(np.outer(reg.amps, full_wave) - table(h))) <= 1e-12
             # exact-zero rows and columns of the table factor to exact zeros
-            assert np.all(reg.amps[~h.amps.any(axis=1)] == 0)
-            assert np.all(full_wave[~h.amps.any(axis=0)] == 0)
+            assert np.all(reg.amps[~table(h).any(axis=1)] == 0)
+            assert np.all(full_wave[~table(h).any(axis=0)] == 0)
             ref_reg, ref_wave = ref
             assert np.max(np.abs(reg.amps - ref_reg)) <= 1e-12
             assert np.max(np.abs(full_wave - ref_wave)) <= 1e-12
@@ -585,7 +624,16 @@ class TestRegisterOpsOnHybrid:
     def test_row_phases(self):
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
         out = apply_row_phases(h, np.array([1.0, -1.0]))
-        assert np.allclose(out.amps, [[SQRT1_2], [-SQRT1_2]], atol=0)
+        assert np.allclose(table(out), [[SQRT1_2], [-SQRT1_2]], atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_row_phases_reject_non_finite(self, bad):
+        # row 1 holds no entry, so no stored amplitude would carry the value
+        h = lift(basis_state(1, 0), indicator_unit(0))
+        with pytest.raises(ValidationError, match="finite"):
+            apply_row_phases(h, np.array([1.0, bad]))
+        with pytest.raises(ValidationError, match="finite"):
+            apply_row_phases(h, np.array([bad, 1.0]))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(37)
@@ -645,50 +693,52 @@ class TestGridPipeline:
             grid_squeeze_all(gh)
 
 
-def sparse_hybrid(rng: np.random.Generator, unit: bool, zero_bit=None) -> tuple:
+def sparse_hybrid(rng: np.random.Generator, unit: bool, zero_bit=None, full=False) -> tuple:
     """Random hybrid with scattered zero cells, and a qubit q of it; with
     unit=True its support lies inside [0,1).  zero_bit clears every row
     whose qubit q has that value, so a whole fixed or moved group can be
-    empty."""
+    empty.  full=True fills K = 2^level cells over [0,1) with both end
+    cells occupied, so a group translated by one abuts the other."""
     n = int(rng.integers(1, 4))
     q = int(rng.integers(0, n))
     level = int(rng.integers(1, 4))
-    if unit:
+    if full:
+        offset, k = 0, 1 << level
+    elif unit:
         offset = int(rng.integers(0, 1 << level))
         k = int(rng.integers(1, (1 << level) - offset + 1))
     else:
         offset, k = int(rng.integers(-6, 7)), int(rng.integers(1, 9))
     a = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
-    a[rng.random(a.shape) < 0.3] = 0.0
+    scatter = rng.random(a.shape) < 0.3
+    if full:
+        scatter[:, [0, -1]] = False
+    a[scatter] = 0.0
     if zero_bit is not None:
         a[((np.arange(1 << n) >> q) & 1) == zero_bit] = 0.0
-    return HybridState(n, level, offset, a), q
+    return HybridState.from_table(n, level, offset, a), q
 
 
-def translate_reference(h: HybridState, q: int, t: int) -> HybridState:
-    """Full-width conditional translation, trimmed by the validating
-    constructor."""
-    tc = t << h.level
-    new_offset = h.offset + min(tc, 0)
-    out = np.zeros((h.amps.shape[0], h.n_cells + abs(tc)), dtype=np.complex128)
-    moved = (np.arange(1 << h.n_qubits) >> q) & 1 == 1
-    lo_fixed, lo_moved = h.offset - new_offset, h.offset + tc - new_offset
-    out[~moved, lo_fixed : lo_fixed + h.n_cells] = h.amps[~moved]
-    out[moved, lo_moved : lo_moved + h.n_cells] = h.amps[moved]
-    return HybridState(h.n_qubits, h.level, new_offset, out)
+def assert_canonical(h: HybridState) -> None:
+    """Nonzero entries, strictly increasing in (row, cell), frozen."""
+    assert np.all(h.amps != 0)
+    step = np.diff(h.rows)
+    assert np.all((step > 0) | ((step == 0) & (np.diff(h.cells) > 0)))
+    assert not any(arr.flags.writeable for arr in (h.rows, h.cells, h.amps))
 
 
 class TestAdoptedOutputs:
-    """Gate ops hand their freshly built tables to HybridState without a
-    copy or a re-scan; each such output must already be canonical, frozen
-    and independent of its input."""
+    """Gate ops hand their outputs to the validating constructor; each
+    output must be canonical, frozen and independent of its input."""
 
     @staticmethod
     def assert_adopted(out: HybridState, src: HybridState) -> None:
-        again = HybridState(out.n_qubits, out.level, out.offset, np.array(out.amps))
-        assert again == out  # same offset, shape and values
-        assert not out.amps.flags.writeable
-        assert not np.shares_memory(out.amps, src.amps)
+        copies = (np.array(out.rows), np.array(out.cells), np.array(out.amps))
+        again = HybridState(out.n_qubits, out.level, *copies)
+        assert again == out  # same entries
+        assert_canonical(out)
+        for arr, src_arr in zip((out.rows, out.cells, out.amps), (src.rows, src.cells, src.amps)):
+            assert not np.shares_memory(arr, src_arr)
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 70), (0, 71), (1, 72)])
     def test_gate_outputs(self, zero_bit, seed):
@@ -698,7 +748,7 @@ class TestAdoptedOutputs:
             for t in (-2, -1, 1, 3):
                 out = cond_translate(h, q, t)
                 self.assert_adopted(out, h)
-                assert out == translate_reference(h, q, t)
+                assert out == ref_cond_translate(h, q, t)
             for variant in FlipVariant:
                 self.assert_adopted(cond_flip(h, q, variant), h)
             self.assert_adopted(squeeze_all(h), h)
@@ -715,7 +765,7 @@ class TestAdoptedOutputs:
             assert residual_weight(out, q) == 0.0
 
     def test_zero_state(self):
-        h = HybridState(2, 1, 0, np.zeros((4, 1)))
+        h = HybridState.from_table(2, 1, 0, np.zeros((4, 1)))
         for out in (cond_translate(h, 1, -1), cond_flip(h, 0), squeeze_all(h), erase(h, 1)):
             self.assert_adopted(out, h)
             assert out.offset == 0 and out.n_cells == 1
@@ -725,6 +775,89 @@ class TestAdoptedOutputs:
         for _ in range(30):
             h, _ = sparse_hybrid(rng, unit=False)
             for q in range(h.n_qubits):
-                rows = h.amps[(np.arange(1 << h.n_qubits) >> q) & 1 == 1]
+                rows = table(h)[(np.arange(1 << h.n_qubits) >> q) & 1 == 1]
+                rows = rows[rows != 0]  # the stored entries, in (row, cell) order
                 expect = float(np.sum(rows.real**2 + rows.imag**2)) * h.width
                 assert residual_weight(h, q) == expect
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(m)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# (unit, full, zero_bit): cells < 0 and offsets of either sign, support in
+# [0,1) at offset >= 0, K = 2^L cells where the two groups abut, and an
+# empty bit-0 or bit-1 group
+DENSE_CASES = [
+    (False, False, None),
+    (False, False, 0),
+    (False, False, 1),
+    (True, False, None),
+    (True, True, None),
+    (True, True, 0),
+    (True, True, 1),
+]
+
+
+class TestDenseReference:
+    """Every sparse state op against the dense-table reference of
+    tests/dense_reference.py on seeded states: bit for bit where the op
+    relocates or scales values, within rounding where the partial trace
+    sums over fewer cells."""
+
+    @staticmethod
+    def states(seed, unit, full, zero_bit, count=40):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            h, q = sparse_hybrid(rng, unit=unit, zero_bit=zero_bit, full=full)
+            yield rng, h, q
+
+    @pytest.mark.parametrize("unit, full, zero_bit", DENSE_CASES)
+    def test_gates_match_bit_for_bit(self, unit, full, zero_bit):
+        gates = [qubits.H, qubits.S, qubits.T, qubits.X, qubits.Y, qubits.Z]
+        for rng, h, q in self.states(100, unit, full, zero_bit):
+            for t in (-2, -1, 1, 3):
+                assert cond_translate(h, q, t) == ref_cond_translate(h, q, t)
+            for variant in FlipVariant:
+                assert cond_flip(h, q, variant) == ref_cond_flip(h, q, variant)
+            assert squeeze_all(h) == ref_squeeze_all(h)
+            for u in gates + [random_unitary(rng)]:
+                assert apply_qubit_gate(h, q, u) == ref_apply_qubit_gate(h, q, u)
+            perm = rng.permutation(1 << h.n_qubits)
+            assert apply_basis_permutation(h, perm) == ref_apply_basis_permutation(h, perm)
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << h.n_qubits))
+            phases[rng.random(phases.size) < 0.5] = -1.0
+            assert apply_row_phases(h, phases) == ref_apply_row_phases(h, phases)
+
+    @pytest.mark.parametrize("full, zero_bit", [(f, z) for u, f, z in DENSE_CASES if u])
+    def test_erase_matches_dense_pipeline(self, full, zero_bit):
+        for _, h, q in self.states(101, True, full, zero_bit):
+            for variant in FlipVariant:
+                out = ref_cond_translate(h, q, 1)
+                out = ref_cond_flip(out, q, variant)
+                out = ref_squeeze_all(ref_cond_translate(out, q, -1))
+                assert erase(h, q, variant) == out
+
+    @pytest.mark.parametrize("unit, full, zero_bit", DENSE_CASES)
+    def test_reduced_density_and_factor(self, unit, full, zero_bit):
+        for rng, h, q in self.states(102, unit, full, zero_bit):
+            h = cond_translate(h, q, 2)  # spread the occupied cells apart
+            for keep in ({q}, set(range(h.n_qubits))):
+                got = hybrid_reduced_density(h, keep).entries
+                want = ref_hybrid_reduced_density(h, keep)
+                assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+            # a product of a random register and the wave of h's first
+            # occupied row, then h itself: single-row, block or entangled
+            reg = rng.normal(size=1 << h.n_qubits) + 1j * rng.normal(size=1 << h.n_qubits)
+            reg[rng.random(reg.size) < 0.5] = 0.0
+            row = int(h.rows[0]) if h.amps.size else 0
+            wave = h.row_wave(row)
+            for offset, t in ((wave.offset, np.outer(reg, wave.coeffs)), (h.offset, table(h))):
+                k = HybridState.from_table(h.n_qubits, h.level, offset, t)
+                got, want = cv_factor(k), ref_cv_factor(k)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got[0].amps, want[0])
+                    assert got[1] == DyadicWave(k.level, k.offset, want[1])

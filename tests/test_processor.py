@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cvhistory.dyadic import indicator_unit
-from cvhistory.erasure import hybrid_reduced_density, lift
+from cvhistory.erasure import HybridState, apply_qubit_gate, hybrid_reduced_density, lift, unfold
 from cvhistory.errors import ResourceLimitError, ValidationError
 from cvhistory.processor import (
+    SINGLE_QUBIT_GATES,
     GateOp,
     ProcessorState,
     ProgramStep,
@@ -20,9 +21,12 @@ from cvhistory.processor import (
     resource_report,
     run_program,
     run_step,
+    _apply_gate,
+    _apply_table,
 )
 from cvhistory.qubits import RegisterState, basis_state, purity
 from cvhistory.revcomp import SubtractMode, named_table
+from dense_reference import table
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -39,7 +43,7 @@ class TestInit:
         ps = init(2, 1, basis_state(2, 3), cv_level=0)
         # joint index 0b011 = data |11>, ancilla |0>
         assert ps.hybrid.n_qubits == 3
-        amps = ps.hybrid.amps
+        amps = table(ps.hybrid)
         assert amps[0b011, 0] == 1.0
         assert np.count_nonzero(amps) == 1
 
@@ -65,7 +69,7 @@ class TestGateOps:
         h = self.lift_register(amps)
         ps = init(int(np.log2(len(amps))), 0, RegisterState(h.n_qubits, np.asarray(amps, dtype=complex)))
         out, _ = run_step(ps, ProgramStep(op=op, clean=()))
-        return out.hybrid.amps[:, 0]
+        return table(out.hybrid)[:, 0]
 
     def test_hadamard_on_qubit_zero(self):
         got = self.run_gate([1, 0], GateOp("H", (0,)))
@@ -199,6 +203,62 @@ def random_carry_program(rng, n_data, n_anc, n_steps=12):
         clean = tuple(q for q in anc if rng.random() < 0.4)
         steps.append(ProgramStep(op, clean))
     return steps
+
+
+def unerase(h: HybridState, q: int) -> HybridState:
+    """The inverse of erase on qubit q: undo the squeeze (level - 1,
+    amplitudes / sqrt(2)), then unfold, which is its own inverse
+    (T-1 F T+1 with F an involution)."""
+    down = HybridState(h.n_qubits, h.level - 1, h.rows, h.cells, h.amps / np.sqrt(2.0))
+    return unfold(down, q)
+
+
+def undo_op(h: HybridState, op, n_total: int) -> HybridState:
+    """The inverse of a step's op: S and T invert to S^dagger and
+    T^dagger; every other gate and every table lift is an involution."""
+    if isinstance(op, GateOp) and op.name in ("S", "T"):
+        return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[op.name].conj().T)
+    if isinstance(op, GateOp):
+        return _apply_gate(h, op, n_total)
+    return _apply_table(h, op, n_total)
+
+
+def on_cells(h: HybridState, lo: int, hi: int) -> np.ndarray:
+    """h as a dense 2^n x (hi - lo) table over cells lo .. hi - 1."""
+    out = np.zeros((1 << h.n_qubits, hi - lo), dtype=np.complex128)
+    out[h.rows, h.cells - lo] = h.amps
+    return out
+
+
+class TestReversal:
+    """A program run forward and then undone step by step in reverse gives
+    back its initial state: the history mode keeps every erased bit
+    coherently, so the whole run is unitary.  An entangled cross-check of
+    the erase pipeline that does not go through tensor_oracle."""
+
+    def test_forward_then_backward_restores_start(self):
+        erased = 0
+        for seed in range(12):
+            rng = np.random.default_rng([41, seed])
+            n_data, n_anc = 2 + seed % 2, 1 + (seed // 2) % 2
+            amps = rng.normal(size=1 << n_data) + 1j * rng.normal(size=1 << n_data)
+            ps = init(n_data, n_anc, RegisterState(n_data, amps / np.linalg.norm(amps)))
+            start = ps.hybrid
+            steps = random_carry_program(rng, n_data, n_anc)
+            ps, _ = run_program(ps, steps)
+            h = ps.hybrid
+            for step in reversed(steps):
+                for q in sorted(step.clean, reverse=True):
+                    h = unerase(h, q)
+                    erased += 1
+                h = undo_op(h, step.op, n_data + n_anc)
+            assert h.level == start.level
+            lo = min(h.offset, start.offset)
+            hi = max(h.offset + h.n_cells, start.offset + start.n_cells)
+            diff = on_cells(h, lo, hi) - on_cells(start, lo, hi)
+            rel = np.linalg.norm(diff) / np.linalg.norm(start.amps)
+            assert rel <= 1e-15, (seed, rel)
+        assert erased >= 50
 
 
 class TestPurityCarry:
@@ -410,8 +470,28 @@ class TestParseProgram:
     def test_init_from_program(self):
         prog = parse_program(self.good())
         ps = init_from_program(prog, data_basis=3)
-        assert ps.hybrid.amps[0b011, 0] == 1.0
+        assert table(ps.hybrid)[0b011, 0] == 1.0
         assert ps.data_count == 2 and ps.anc_count == 1
+
+
+class TestEntangledHistoryStaysSparse:
+    def test_sixteen_cleans_store_one_entry_per_branch(self):
+        # three data qubits in uniform superposition; each of 16 AND/OR
+        # lifts records 0 on branch x = 0 and 1 on branch x = 7, so the
+        # occupied hull is all of [0, 2^16) while each of the 8 branches
+        # holds one cell
+        steps = [ProgramStep(op=GateOp("H", (q,)), clean=()) for q in range(3)]
+        for i in range(16):
+            x_qubits = ((0, 1), (1, 2), (0, 2))[i % 3]
+            op = TableOp(named_table(("AND", "OR")[i % 2]), SubtractMode.XOR, x_qubits, (3,))
+            steps.append(ProgramStep(op=op, clean=(3,)))
+        ps, trace = run_program(init(3, 1, basis_state(3, 0)), steps)
+        assert ps.hybrid.level == 16
+        assert ps.hybrid.amps.size == 8
+        assert trace[-1].joint_cells == ps.hybrid.n_cells == 1 << 16
+        w = ps.hybrid.row_wave(0)  # branch 0 recorded all zeros: cell 0
+        assert w.offset == 0 and w.n_cells == 1
+        assert abs(w.coeffs[0] - 2.0**8 / np.sqrt(8)) <= 1e-12 * 2.0**8
 
 
 class TestMetricsFields:
