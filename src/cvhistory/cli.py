@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
+from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
 from .dyadic import norm2 as wave_norm2
 from .erasure import (
     FlipVariant,
@@ -46,6 +46,8 @@ from .errors import (
 from .grid import GridWave
 from .processor import (
     Program,
+    _check_cv_level,
+    _check_joint_table,
     _expect_int,
     init_from_program,
     load_program,
@@ -287,12 +289,7 @@ def _check_erase_demo_bounds(cfg: ScenarioConfig) -> None:
             f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs reaches level "
             f"{final}, above max_level {cfg.max_level}"
         )
-    # 2^cv_level > MAX_CELLS_DEFAULT, without building the power
-    if cfg.cv_level >= MAX_CELLS_DEFAULT.bit_length():
-        raise ResourceLimitError(
-            f"cv_level: the level-{cfg.cv_level} indicator needs 2^{cfg.cv_level} cells "
-            f"(limit {MAX_CELLS_DEFAULT})"
-        )
+    _check_cv_level(cfg.cv_level)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +448,9 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
 
 def cmd_resource(cfg: ScenarioConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    rep = resource_report(cfg.program.steps, cfg.program.cv_level, cfg.max_level)
+    program = cfg.program
+    rep = resource_report(program.steps, program.cv_level, cfg.max_level)
+    _check_joint_table(program.data, program.ancilla, program.cv_level)
     obj = {
         "plain_reversible_ancillas": rep.plain_reversible_ancillas,
         "cv_scheme_qubits": rep.cv_scheme_qubits,

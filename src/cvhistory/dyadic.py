@@ -104,16 +104,16 @@ def indicator_unit(level: int) -> DyadicWave:
     return DyadicWave(level, 0, np.ones(1 << level, dtype=np.complex128))
 
 
-def refine(w: DyadicWave, target: int, max_cells: int = MAX_CELLS_DEFAULT) -> DyadicWave:
+def refine(w: DyadicWave, target: int) -> DyadicWave:
     """Re-express at a finer level; pointwise identical, coarsening refused."""
     if target < w.level:
         raise DomainError(
             f"cannot coarsen from level {w.level} to {target}; coarsening is lossy"
         )
     factor = 1 << (target - w.level)
-    if w.n_cells * factor > max_cells:
+    if w.n_cells * factor > MAX_CELLS_DEFAULT:
         raise ResourceLimitError(
-            f"refining to level {target} needs {w.n_cells * factor} cells (limit {max_cells})"
+            f"refining to level {target} needs {w.n_cells * factor} cells (limit {MAX_CELLS_DEFAULT})"
         )
     return DyadicWave(target, w.offset * factor, np.repeat(w.coeffs, factor))
 

@@ -191,27 +191,20 @@ def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
     return np.bitwise_and(bit, 1, out=bit).view(bool)
 
 
-def _table_fits(row_bits: int, cells: int, max_cells: int) -> bool:
-    """Whether 2^row_bits rows by ``cells`` columns hold at most
-    64 * max_cells amplitudes; never builds 2^row_bits."""
-    limit = max_cells * 64
-    return row_bits < limit.bit_length() and cells << row_bits <= limit
+# Every array sized by the state's rows and cells holds at most this many
+# amplitudes: 64 times the 2^22-cell row limit.
+MAX_AMPLITUDES = MAX_CELLS_DEFAULT * 64
 
 
-def _check_table(row_bits: int, cells: int, max_cells: int, what: str) -> None:
-    """Refuse, as ``what``, a table that ``_table_fits`` rejects.  This is the
-    one size rule for every table the processor grows; it runs before the
-    table is built."""
-    if not _table_fits(row_bits, cells, max_cells):
-        raise ResourceLimitError(f"{what} exceeds {max_cells * 64} cells")
+def _check_table(row_bits: int, cells: int, what: str) -> None:
+    """Refuse, as ``what``, a table of 2^row_bits rows by ``cells`` columns
+    above MAX_AMPLITUDES; never builds 2^row_bits.  It runs before the
+    table is allocated."""
+    if row_bits >= MAX_AMPLITUDES.bit_length() or cells << row_bits > MAX_AMPLITUDES:
+        raise ResourceLimitError(f"{what} exceeds {MAX_AMPLITUDES} amplitudes")
 
 
-_I64 = np.iinfo(np.int64)
-
-
-def cond_translate(
-    h: HybridState, q: int, t: int, max_cells: int = MAX_CELLS_DEFAULT
-) -> HybridState:
+def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     """Translate the CV by t x-units on rows whose qubit q is |1>."""
     if not 0 <= q < h.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
@@ -220,27 +213,14 @@ def cond_translate(
     tc = int(t) << h.level
     if tc == 0:
         return h
+    # the output hull, which the marginal, row_wave and cv_factor's wave
+    # span, is at most k2 cells wide
     k2 = h.n_cells + abs(tc)
-    if k2 > max_cells:
+    if k2 > MAX_CELLS_DEFAULT:
         raise ResourceLimitError(
-            f"conditional translation needs {k2} cells (limit {max_cells})"
+            f"conditional translation needs {k2} cells (limit {MAX_CELLS_DEFAULT})"
         )
-    if not h.amps.size:
-        return h
     moved = _bit_set(h.rows, q)
-    # The output hull, at most k2 cells wide, is held to the table rule
-    # before any output entry is built; only a k2 that does not fit needs
-    # the exact hull, from each row group's occupied cells.
-    if not _table_fits(h.n_qubits, k2, max_cells):
-        spans = [
-            (int(h.cells.min(where=group, initial=_I64.max)) + shift,
-             int(h.cells.max(where=group, initial=_I64.min)) + shift + 1)
-            for group, shift in ((~moved, 0), (moved, tc))
-            if group.any()
-        ]
-        hull = max(hi for _, hi in spans) - min(lo for lo, _ in spans)
-        what = f"conditional translation: a table of 2^{h.n_qubits} rows by {hull} cells"
-        _check_table(h.n_qubits, hull, max_cells, what)
     # every cell of a row moves by the same amount: the order is kept
     return HybridState(h.n_qubits, h.level, h.rows, np.where(moved, h.cells + tc, h.cells), h.amps)
 
@@ -278,13 +258,12 @@ def unfold(
     h: HybridState,
     q: int,
     variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    max_cells: int = MAX_CELLS_DEFAULT,
 ) -> HybridState:
     """Translate-flip-untranslate: for rows supported in [0,1) this maps
     (a|0> + b|1>) (x) psi to |0> (x) (a psi(x) + b psi(x-1))."""
-    out = cond_translate(h, q, 1, max_cells=max_cells)
+    out = cond_translate(h, q, 1)
     out = cond_flip(out, q, variant)
-    return cond_translate(out, q, -1, max_cells=max_cells)
+    return cond_translate(out, q, -1)
 
 
 def require_unit_support(h: HybridState, op_name: str) -> None:
@@ -304,14 +283,13 @@ def erase(
     q: int,
     variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
     max_level: int = MAX_LEVEL_DEFAULT,
-    max_cells: int = MAX_CELLS_DEFAULT,
 ) -> HybridState:
     """Reset qubit q to |0>, recording its amplitudes in the CV:
     (a|0> + b|1>) (x) psi  ->  |0> (x) sqrt(2)(a psi(2x) + b psi(2x-1)).
 
     Requires every row's CV support inside [0,1); raises otherwise."""
     require_unit_support(h, "erase")
-    out = unfold(h, q, variant, max_cells=max_cells)
+    out = unfold(h, q, variant)
     return squeeze_all(out, max_level=max_level)
 
 
@@ -339,7 +317,6 @@ def erase_sequence(
     qubits: Sequence[int],
     variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
     max_level: int = MAX_LEVEL_DEFAULT,
-    max_cells: int = MAX_CELLS_DEFAULT,
 ) -> Tuple[HybridState, List[EraseStep]]:
     """Erase the listed qubits in order into the shared CV mode.
 
@@ -349,7 +326,7 @@ def erase_sequence(
     trace: List[EraseStep] = []
     state = h
     for i, q in enumerate(qubits, start=1):
-        state = erase(state, q, variant, max_level=max_level, max_cells=max_cells)
+        state = erase(state, q, variant, max_level=max_level)
         trace.append(
             EraseStep(
                 step=i,
@@ -397,6 +374,8 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     cells enter the partial trace.  Each cell weighs width = 2^-level, a
     power of two, so scaling afterwards is exact."""
     cols, slot = np.unique(h.cells, return_inverse=True)
+    what = f"reduced density: a block of 2^{h.n_qubits} rows by {cols.size} occupied cells"
+    _check_table(h.n_qubits, cols.size, what)
     block = np.zeros((1 << h.n_qubits, max(cols.size, 1)), dtype=np.complex128)
     block[h.rows, slot] = h.amps
     rho = trace_out(block, h.n_qubits, keep)
@@ -424,6 +403,8 @@ def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterStat
     # Only the block of occupied rows x occupied cells has a singular value.
     rows, row_slot = np.unique(h.rows, return_inverse=True)
     cols, col_slot = np.unique(h.cells, return_inverse=True)
+    what = f"cv_factor: a block of {rows.size} occupied rows by {cols.size} occupied cells"
+    _check_table(0, rows.size * cols.size, what)
     block = np.zeros((rows.size, cols.size), dtype=np.complex128)
     block[row_slot, col_slot] = a
     u, s, vh = np.linalg.svd(block, full_matrices=False)
@@ -460,7 +441,9 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
     base, cells = base[order], h.cells[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (base[1:] != base[:-1]) | (cells[1:] != cells[:-1])
-    pairs = np.zeros((2, int(np.count_nonzero(first))), dtype=np.complex128)
+    n_pairs = int(np.count_nonzero(first))
+    _check_table(1, n_pairs, f"single-qubit gate: {n_pairs} pairs of amplitudes")
+    pairs = np.zeros((2, n_pairs), dtype=np.complex128)
     pairs[_bit_set(h.rows, q)[order].view(np.uint8), np.cumsum(first) - 1] = h.amps[order]
     out = _apply_single_qubit_kernel(pairs, 1, 0, u)
     base, cells = base[first], cells[first]

@@ -118,23 +118,30 @@ class ResourceReport:
     joint_cells: int
 
 
-def _check_joint_table(n_data: int, n_anc: int, cv_level: int, max_cells: int) -> None:
-    """Refuse a starting table of 2^(data + ancilla) rows by 2^cv_level
-    cells, or a 2^data x 2^data data density, above the table limit,
-    before anything is allocated."""
+def _check_joint_table(n_data: int, n_anc: int, cv_level: int) -> None:
+    """The start checks, before anything is allocated: the level-cv_level
+    indicator against the 2^22-cell row limit, then the starting table of
+    2^(data + ancilla) rows by 2^cv_level cells and the 2^data x 2^data
+    data density against the amplitude budget."""
+    _check_cv_level(cv_level)
     n_total = n_data + n_anc
     joint = f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by 2^{cv_level} cells"
-    _check_table(n_total + cv_level, 1, max_cells, joint)
-    _check_table(2 * n_data, 1, max_cells, f"data: a 2^{n_data} x 2^{n_data} density matrix")
+    _check_table(n_total + cv_level, 1, joint)
+    _check_table(2 * n_data, 1, f"data: a 2^{n_data} x 2^{n_data} density matrix")
 
 
-def init(
-    n_data: int,
-    n_anc: int,
-    data_state: RegisterState,
-    cv_level: int = 0,
-    max_cells: int = MAX_CELLS_DEFAULT,
-) -> ProcessorState:
+def _check_cv_level(cv_level: int) -> None:
+    """Refuse a level-cv_level indicator wider than the 2^22-cell row
+    limit; erase-demo, processor and resource all run it at the start."""
+    # 2^cv_level > MAX_CELLS_DEFAULT, without building the power
+    if cv_level >= MAX_CELLS_DEFAULT.bit_length():
+        raise ResourceLimitError(
+            f"cv_level: the level-{cv_level} indicator needs 2^{cv_level} cells "
+            f"(limit {MAX_CELLS_DEFAULT})"
+        )
+
+
+def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) -> ProcessorState:
     """Data register joined with zeroed ancillas and the unit-interval CV."""
     if data_state.n_qubits != n_data:
         raise ValidationError(
@@ -142,7 +149,7 @@ def init(
         )
     if n_anc < 0:
         raise ValidationError(f"ancilla count must be nonnegative, got {n_anc}")
-    _check_joint_table(n_data, n_anc, cv_level, max_cells)
+    _check_joint_table(n_data, n_anc, cv_level)
     n_total = n_data + n_anc
     anc_zero = np.zeros(1 << n_anc, dtype=np.complex128)
     anc_zero[0] = 1.0
@@ -275,11 +282,11 @@ def resource_report(
 ) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead.  A program the
+    pool and pays one CV level per erasure instead.  An erase the
     processor would stop with a resource limit is refused the same way:
-    an erase from level max_level squeezes past it, an erase from level L
-    translates over at least 2^L + 1 cells, and the final CV must fit the
-    table limit."""
+    an erase from level max_level squeezes past it, and an erase from
+    level L translates over at least 2^L + 1 cells.  The start checks are
+    ``_check_joint_table``'s, which the resource command runs after this."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
     final_level = cv_level + total_cleans
@@ -298,8 +305,6 @@ def resource_report(
             f"max_level: cv_level {prefix}: the erase from level {stop} would "
             f"squeeze past max level {max_level}"
         )
-    what = f"cv_level: {prefix} reaches a CV of 2^{final_level} cells"
-    _check_table(final_level, 1, MAX_CELLS_DEFAULT, what)
     return ResourceReport(
         plain_reversible_ancillas=total_cleans,
         cv_scheme_qubits=pool,
@@ -436,7 +441,7 @@ def load_program(path: str) -> Program:
 
 def init_from_program(program: Program, data_basis: int = 0) -> ProcessorState:
     # the data register itself is allocated before init could check it
-    _check_joint_table(program.data, program.ancilla, program.cv_level, MAX_CELLS_DEFAULT)
+    _check_joint_table(program.data, program.ancilla, program.cv_level)
     return init(
         program.data, program.ancilla, basis_state(program.data, data_basis), program.cv_level
     )

@@ -39,6 +39,12 @@ def and_program(n_steps=10):
     }
 
 
+def x_clean_program(n_cleans):
+    """One data qubit and one ancilla, set by X and cleaned n_cleans times."""
+    step = {"op": {"gate": "X", "targets": [1]}, "clean": [1]}
+    return {"data": 1, "ancilla": 1, "steps": [step] * n_cleans}
+
+
 def read_tree(root):
     """All regular files under root as {relative name: bytes}."""
     out = {}
@@ -467,16 +473,33 @@ class TestResourceCommand:
         assert capsys.readouterr().err.startswith("error: cv_level:")
 
     @pytest.mark.parametrize(
-        "n_cleans, max_level, code", [(22, None, 0), (23, None, 3), (3, 3, 0), (5, 3, 3)]
+        "prog, max_level, code",
+        [
+            # 23 cleans: the processor stops at the erase from level 22,
+            # whose translate needs 2^22 + 1 cells; 5 cleans pass max_level 3
+            pytest.param(x_clean_program(22), None, 0, id="22-None-0"),
+            pytest.param(x_clean_program(23), None, 3, id="23-None-3"),
+            pytest.param(x_clean_program(3), 3, 0, id="3-3-0"),
+            pytest.param(x_clean_program(5), 3, 3, id="5-3-3"),
+            # 2 entries on a hull of 2^18 cells and 2^11 rows
+            pytest.param(
+                {
+                    "data": 10,
+                    "ancilla": 1,
+                    "steps": [{"op": {"gate": "H", "targets": [0]}}]
+                    + [{"op": {"gate": "CNOT", "targets": [0, 10]}, "clean": [10]}] * 18,
+                },
+                None,
+                0,
+                id="wide-hull-0",
+            ),
+            # the level-23 indicator is past the 2^22-cell row limit
+            pytest.param(
+                {"data": 1, "ancilla": 0, "cv_level": 23, "steps": []}, None, 3, id="cv-level-23-3"
+            ),
+        ],
     )
-    def test_agrees_with_processor(self, tmp_path, capsys, n_cleans, max_level, code):
-        # 23 cleans: the processor stops at the erase from level 22, whose
-        # translate needs 2^22 + 1 cells; 5 cleans pass max_level 3
-        prog = {
-            "data": 1,
-            "ancilla": 1,
-            "steps": [{"op": {"gate": "X", "targets": [1]}, "clean": [1]}] * n_cleans,
-        }
+    def test_agrees_with_processor(self, tmp_path, capsys, prog, max_level, code):
         scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
         if max_level is not None:
             scenario["max_level"] = max_level

@@ -5,7 +5,8 @@ Each scenario starts valid.  Sizes are drawn either small enough to run
 in milliseconds (data + ancilla <= 6, cv_level <= 3, <= 3 steps) or far
 past a bound, so that no example allocates more than a few MiB.  Some
 scenarios then get one field replaced by a wrong type, a bad name or an
-out-of-range value.
+out-of-range value.  Every generated program, run as both a processor
+and a resource scenario, must get the same exit code from both.
 """
 import copy
 import json
@@ -25,8 +26,9 @@ junk = st.one_of(
     st.lists(st.integers(-2, 9), max_size=3),
     st.fixed_dictionaries({"n_in": st.integers(-1, 2), "m_out": st.integers(0, 2)}),
 )
-# past the 2^28-cell table limit: data >= 15 for the data density, and
-# ancilla or cv_level >= 29 for the joint table
+# past a start check: data >= 15 for the 2^28-amplitude data density,
+# ancilla >= 29 for the joint table, cv_level >= 23 for the 2^22-cell row
+# limit
 far_level = st.one_of(st.integers(40, 80), st.integers(10**4, 10**12))
 far_data = st.one_of(st.integers(17, 80), st.integers(10**4, 10**12))
 
@@ -144,3 +146,28 @@ def test_cli_exits_with_a_documented_code(tmp_path, kind_and_scenario):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
     assert main([kind, path]) in (0, 1, 2, 3)
+
+
+@given(programs())
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_processor_and_resource_agree(tmp_path, program):
+    """resource refuses exactly the programs the processor refuses, and
+    predicts the level the processor ends at."""
+    out = {kind: os.path.join(str(tmp_path), kind) for kind in ("processor", "resource")}
+    codes = {}
+    for kind in out:
+        path = os.path.join(str(tmp_path), f"{kind}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": kind, "program": program, "out_dir": out[kind]}, fh)
+        codes[kind] = main([kind, path])
+    assert codes["processor"] == codes["resource"]
+    if codes["processor"] == 0:
+        with open(os.path.join(out["processor"], "summary.json"), encoding="utf-8") as fh:
+            level = json.load(fh)["cv_level"]
+        with open(os.path.join(out["resource"], "resource_report.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["cv_final_level"] == level

@@ -93,7 +93,7 @@ class TestRefine:
 
     def test_cell_limit(self):
         with pytest.raises(ResourceLimitError):
-            refine(indicator_unit(0), 23, max_cells=1 << 22)
+            refine(indicator_unit(0), 23)
 
     @given(waves_strategy, st.integers(min_value=0, max_value=3))
     @settings(max_examples=50, deadline=None)

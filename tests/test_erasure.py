@@ -31,7 +31,7 @@ from cvhistory.erasure import (
     tensor_oracle,
     unfold,
 )
-from cvhistory import qubits
+from cvhistory import erasure, qubits
 from cvhistory.grid import sample_function
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 from dense_reference import (
@@ -185,7 +185,7 @@ class TestCondTranslate:
     def test_cell_limit(self):
         h = lift(basis_state(1, 1), indicator_unit(4))
         with pytest.raises(ResourceLimitError):
-            cond_translate(h, 0, 1000000, max_cells=1 << 20)
+            cond_translate(h, 0, 1 << 18)
 
     def test_refused_before_allocating(self):
         # both rows occupied, so the hull would span the whole shift
@@ -193,26 +193,20 @@ class TestCondTranslate:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
-                cond_translate(h, 0, 1 << 16, max_cells=1 << 20)
+                cond_translate(h, 0, 1 << 18)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20  # the refused table would take 32 MiB
+        assert peak < 1 << 20  # one row over the 2^22-cell hull would take 64 MiB
 
-    def test_table_refused_before_allocating(self):
-        # each row fits max_cells, but 256 rows by 2 * 2^10 cells exceed
-        # the 64 * max_cells table limit
+    def test_wide_hull_translates(self):
+        # 256 rows by a hull of 2^20 + 2^10 cells would be a table above the
+        # 2^28-amplitude budget, but the state stores only its 2^18 entries
         amps = np.full((1 << 8, 1 << 10), 1.0 / (1 << 4), dtype=np.complex128)
         h = HybridState.from_table(8, 10, 0, amps)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="conditional translation"):
-                cond_translate(h, 0, 1, max_cells=1 << 11)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # the refused table would take 8 MiB
-        assert cond_translate(h, 0, 1, max_cells=1 << 13).n_cells == 1 << 11
+        out = cond_translate(h, 0, 1 << 10)
+        assert out.n_cells == (1 << 20) + (1 << 10)
+        assert out.amps.size == h.amps.size
 
 
 class TestCondFlip:
@@ -505,6 +499,19 @@ class TestHybridReducedDensity:
         assert not rho.entries.flags.writeable
         assert peak < 40 << 20
 
+    def test_block_refused_before_allocating(self):
+        # 2^20 rows by 512 occupied cells exceed the 2^28-amplitude budget,
+        # although the state stores only 512 entries
+        h = HybridState(20, 9, np.arange(512) << 11, np.arange(512), np.ones(512))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="reduced density"):
+                hybrid_reduced_density(h, {0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the refused block would take 8 GiB
+
     def test_cnot_erase_decoheres_data(self):
         plus = np.kron([1.0, 0.0], [SQRT1_2, SQRT1_2])  # q0 = |+>, q1 = |0>
         reg = RegisterState(2, plus)
@@ -561,6 +568,20 @@ class TestCvFactor:
         h = HybridState.from_table(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
+    def test_block_refused_before_allocating(self):
+        # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-amplitude
+        # budget, although the state stores only 2^15 entries
+        n = 1 << 15
+        h = HybridState(15, 14, np.arange(n), np.arange(n) >> 1, np.full(n, 1 / 2**0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="cv_factor"):
+                cv_factor(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # the refused block would take 8 GiB
+
     @staticmethod
     def full_table_factor(h, tol=1e-10):
         """Reference: the SVD of the whole table, zero rows and columns included."""
@@ -615,6 +636,15 @@ class TestRegisterOpsOnHybrid:
         h = lift(basis_state(1, 0), indicator_unit(0))
         out = apply_qubit_gate(h, 0, np.array([[0, 1], [1, 0]], dtype=complex))
         assert out == lift(basis_state(1, 1), indicator_unit(0))
+
+    def test_gate_refused_past_the_budget(self, monkeypatch):
+        # four (row without q, cell) pairs become eight amplitudes
+        h = lift(basis_state(1, 0), indicator_unit(2))
+        monkeypatch.setattr(erasure, "MAX_AMPLITUDES", 8)
+        assert apply_qubit_gate(h, 0, qubits.H).amps.size == 8
+        monkeypatch.setattr(erasure, "MAX_AMPLITUDES", 7)
+        with pytest.raises(ResourceLimitError, match="single-qubit gate"):
+            apply_qubit_gate(h, 0, qubits.H)
 
     def test_permutation_moves_rows(self):
         h = lift(basis_state(2, 1), indicator_unit(0))
