@@ -400,10 +400,11 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
 
 
 def cmd_processor(cfg: ScenarioConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     program = cfg.program
     ps = init_from_program(program, data_basis=cfg.data_basis)
     ps, trace = run_program(ps, program.steps, cfg.variant, max_level=cfg.max_level)
+    # only a run that finished leaves out_dir behind
+    os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [
         {
             "step": i,
@@ -447,10 +448,10 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
 
 
 def cmd_resource(cfg: ScenarioConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     program = cfg.program
     rep = resource_report(program.steps, program.cv_level, cfg.max_level)
     _check_joint_table(program.data, program.ancilla, program.cv_level)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     obj = {
         "plain_reversible_ancillas": rep.plain_reversible_ancillas,
         "cv_scheme_qubits": rep.cv_scheme_qubits,
@@ -479,15 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvhistory",
         description="Simulate erasing ancilla qubits into one continuous history variable.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} scenario")
-        p.add_argument("scenario", help="path to the scenario JSON file")
-        p.add_argument("--backend", choices=("dyadic", "grid"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-level", type=int, default=None)
-        p.add_argument("--out-dir", default=None)
-        p.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("command", choices=KINDS, help="the scenario kind to run")
+    parser.add_argument("scenario", help="path to the scenario JSON file")
+    parser.add_argument("--backend", choices=("dyadic", "grid"), default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--max-level", type=int, default=None)
+    parser.add_argument("--out-dir", default=None)
+    parser.add_argument("--tolerance", type=float, default=None)
     return parser
 
 

@@ -175,9 +175,11 @@ def lift(reg: RegisterState, w: DyadicWave) -> HybridState:
         raise ContractError(f"register input not normalized (norm2 = {reg.norm2()!r})")
     if abs(dyadic.norm2(w) - 1.0) > 1e-9:
         raise ContractError(f"wave input not normalized (norm2 = {dyadic.norm2(w)!r})")
-    rows, col = np.divmod(np.arange(reg.amps.size * w.n_cells), w.n_cells)
-    amps = np.outer(reg.amps, w.coeffs).ravel()
-    return HybridState(reg.n_qubits, w.level, rows, col + w.offset, amps)
+    # a zero row stores nothing, so only the nonzero rows enter the product
+    nz = np.flatnonzero(reg.amps)
+    k, col = np.divmod(np.arange(nz.size * w.n_cells), w.n_cells)
+    amps = np.outer(reg.amps[nz], w.coeffs).ravel()
+    return HybridState(reg.n_qubits, w.level, nz[k], col + w.offset, amps)
 
 
 def _bit1_rows(n_qubits: int, q: int) -> np.ndarray:

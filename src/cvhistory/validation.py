@@ -76,7 +76,9 @@ class SuiteResult:
     passed: bool
 
 
-SuiteFn = Callable[[np.random.Generator, float], Tuple[int, float]]
+# quoted: evaluating np.random.Generator here would import numpy.random
+# into every command, not only validate
+SuiteFn = Callable[["np.random.Generator", float], Tuple[int, float]]
 
 
 # ---------------------------------------------------------------------------

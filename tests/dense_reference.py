@@ -12,9 +12,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from cvhistory.dyadic import SQRT2
+from cvhistory.dyadic import SQRT2, DyadicWave
 from cvhistory.erasure import FlipVariant, HybridState
-from cvhistory.qubits import _apply_permutation_kernel, _apply_single_qubit_kernel, trace_out
+from cvhistory.qubits import (
+    RegisterState,
+    _apply_permutation_kernel,
+    _apply_single_qubit_kernel,
+    trace_out,
+)
 
 
 def table(h: HybridState) -> np.ndarray:
@@ -22,6 +27,13 @@ def table(h: HybridState) -> np.ndarray:
     out = np.zeros((1 << h.n_qubits, h.n_cells), dtype=np.complex128)
     out[h.rows, h.cells - h.offset] = h.amps
     return out
+
+
+def ref_lift(reg: RegisterState, w: DyadicWave) -> HybridState:
+    """The whole 2^n x n_cells outer product, zeros dropped by the
+    constructor."""
+    out = np.outer(reg.amps, w.coeffs)
+    return HybridState.from_table(reg.n_qubits, w.level, w.offset, out)
 
 
 def _moved_rows(h: HybridState, q: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cvhistory
-from cvhistory.cli import main
+from cvhistory.cli import build_parser, main
 from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
 from cvhistory.validation import SUITE_NAMES
@@ -53,6 +53,42 @@ def read_tree(root):
             full = os.path.join(dirpath, f)
             out[os.path.relpath(full, root)] = open(full, "rb").read()
     return out
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("kind", ["erase-demo", "validate", "processor", "resource"])
+    def test_each_command_parses(self, kind):
+        args = build_parser().parse_args([kind, "s.json", "--seed", "3", "--out-dir", "o"])
+        assert (args.command, args.scenario, args.seed, args.out_dir) == (kind, "s.json", 3, "o")
+        assert args.backend is args.max_level is args.tolerance is None
+
+    @pytest.mark.parametrize("argv", [[], ["foo"], ["foo", "s.json"]])
+    def test_unknown_or_missing_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if argv:
+            assert "argument command: invalid choice: 'foo'" in err
+        else:
+            assert "the following arguments are required: command" in err
+
+    def test_import_leaves_scipy_and_numpy_random_out(self):
+        # only validate needs numpy.random, at its first generator
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
+        code = (
+            "import sys, cvhistory.cli; "
+            "print(sorted(m for m in ('scipy', 'numpy.random') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSerialize:
@@ -434,6 +470,24 @@ class TestProcessorCommand:
         s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
         assert main([kind, s]) == 2
         assert "steps[0].clean[1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("kind", ["processor", "resource"])
+    @pytest.mark.parametrize(
+        "prog, max_level",
+        [
+            pytest.param({"data": 1, "ancilla": 0, "cv_level": 23, "steps": []}, None, id="cv-level"),
+            pytest.param({"data": 16, "ancilla": 1, "steps": []}, None, id="data-density"),
+            # the processor stops mid-run, at the erase from max_level
+            pytest.param(x_clean_program(5), 3, id="max-level"),
+        ],
+    )
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, kind, prog, max_level):
+        scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
+        if max_level is not None:
+            scenario["max_level"] = max_level
+        assert main([kind, write_scenario(tmp_path, "s.json", scenario)]) == 3
         assert not (tmp_path / "o").exists()
 
 

@@ -42,6 +42,7 @@ from dense_reference import (
     ref_cond_translate,
     ref_cv_factor,
     ref_hybrid_reduced_density,
+    ref_lift,
     ref_squeeze_all,
     table,
 )
@@ -142,6 +143,24 @@ class TestLift:
         reg = RegisterState(2, np.array([0.5, 0.5, 0.5, 0.5]))
         w = random_unit_wave(rng, 3)
         assert abs(lift(reg, w).norm2() - 1.0) <= 1e-12
+
+    def test_matches_whole_outer_product(self):
+        # registers with zero amplitudes, waves with zero cells and offsets
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps[rng.random(amps.size) < 0.5] = 0.0
+            if not amps.any():
+                amps[int(rng.integers(0, amps.size))] = 1.0
+            reg = RegisterState(n, amps / np.linalg.norm(amps))
+            level = int(rng.integers(0, 4))
+            c = rng.normal(size=1 << level) + 1j * rng.normal(size=1 << level)
+            c[rng.random(c.size) < 0.3] = 0.0
+            c[0] = 1.0
+            w = DyadicWave(level, int(rng.integers(-3, 4)), c)
+            w = DyadicWave(level, w.offset, w.coeffs / np.sqrt(wave_norm2(w)))
+            assert lift(reg, w) == ref_lift(reg, w)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ContractError):

@@ -171,3 +171,29 @@ class TestDilationGenerator:
         g = sample_function(lambda x: 0.0, -4.0, 1 / 8, 64)
         assert np.max(np.abs(dilation_generator(g).samples)) <= 1e-12
 
+    @pytest.mark.parametrize("wave", ["gaussian", "random"])
+    def test_matches_matrix_exponential(self, wave):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        n, half = 512, 12.0
+        h = 2 * half / n
+        if wave == "gaussian":
+            g = sample_function(lambda x: np.exp(-(x**2) / 2) / np.pi**0.25, -half, h, n)
+        else:
+            g = band_limited_random(np.random.default_rng(5), n, -half, h)
+        # the same generator, exponentiated as a dense matrix
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+        p = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+        xp = g.positions()[:, None] * p
+        u = scipy_linalg.expm(1j * (np.log(2.0) / 2.0) * (xp + xp.conj().T))
+        want = u @ g.samples
+        got = dilation_generator(g).samples
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_norm_preserved_on_random_input(self):
+        rng = np.random.default_rng(17)
+        for n in (16, 64, 256, 512):
+            s = rng.normal(size=n) + 1j * rng.normal(size=n)
+            g = GridWave(-1.0, 4.0 / n, s)
+            g = GridWave(g.x_min, g.h, s / np.sqrt(g.norm2()))
+            assert abs(dilation_generator(g).norm2() - 1.0) <= 1e-12
+

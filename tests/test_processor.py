@@ -1,6 +1,7 @@
 """Step-loop tests: program parsing, gate and table ops on the joint state,
 per-step cleanup metrics, and the resource accounting rules."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cvhistory.processor import (
 )
 from cvhistory.qubits import RegisterState, basis_state, purity
 from cvhistory.revcomp import SubtractMode, named_table
-from dense_reference import table
+from dense_reference import ref_lift, table
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -50,6 +51,22 @@ class TestInit:
     def test_cv_level_sets_indicator(self):
         ps = init(1, 0, basis_state(1, 0), cv_level=2)
         assert ps.hybrid.row_wave(0) == indicator_unit(2)
+
+    def test_start_builds_only_the_occupied_row(self):
+        # the whole 2^7 x 2^14 product would take over 100 MiB; the state
+        # keeps 16384 entries of one row
+        prog = parse_program({"data": 6, "ancilla": 1, "cv_level": 14, "steps": []})
+        tracemalloc.start()
+        try:
+            ps = init_from_program(prog, data_basis=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        joint = np.zeros(1 << 7, dtype=np.complex128)
+        joint[5] = 1.0
+        assert ps.hybrid == ref_lift(RegisterState(7, joint), indicator_unit(14))
+        assert ps.hybrid.amps.size == 1 << 14
 
     def test_wrong_data_width_rejected(self):
         with pytest.raises(ValidationError):
