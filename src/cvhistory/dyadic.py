@@ -180,9 +180,18 @@ def max_abs_diff(w1: DyadicWave, w2: DyadicWave) -> float:
     return float(np.max(np.abs(c1 - c2))) if c1.size else 0.0
 
 
-def value_at(w: DyadicWave, x: float) -> complex:
-    """Pointwise value with half-open cell ownership; zero outside support."""
-    k = int(np.floor(x * (1 << w.level))) - w.offset
-    if 0 <= k < w.n_cells:
-        return complex(w.coeffs[k])
-    return 0.0 + 0.0j
+def value_at(w: DyadicWave, x: float | np.ndarray) -> complex | np.ndarray:
+    """Value at position ``x``, or at every position of an array ``x``, with
+    half-open cell ownership; zero outside support.  A scalar ``x`` gives a
+    ``complex``, an array gives a complex128 array of its shape."""
+    xs = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("positions must be finite (no NaN/Inf)")
+    # Clipped before the cast, so a cell index beyond int64 (a huge x, or
+    # x * 2^level overflowing to inf) lands far outside the support.
+    cell = np.clip(np.floor(xs * (1 << w.level)), -(2.0**62), 2.0**62).astype(np.int64)
+    k = cell - w.offset
+    inside = (k >= 0) & (k < w.n_cells)
+    out = np.zeros(xs.shape, dtype=np.complex128)
+    out[inside] = w.coeffs[k[inside]]
+    return complex(out) if out.ndim == 0 else out

@@ -6,7 +6,8 @@ k holds the amplitude on qubit basis state q and cell h.offset + k.  The
 the way the state computed them while it stored the table itself.  The
 sparse operations must agree with them: bit for bit where an operation
 only relocates or scales values, and within rounding where a sum over the
-cells runs in another order.
+cells runs in another order.  ``ref_value_at`` is the one-position wave
+lookup, in exact integer cell arithmetic, that ``value_at`` must match.
 """
 from typing import Optional, Tuple
 
@@ -115,3 +116,9 @@ def ref_cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[np.ndarr
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
     return reg / phase, s[0] * wave * phase
+
+
+def ref_value_at(w: DyadicWave, x: float) -> complex:
+    """The value of w at one position: half-open cells, zero outside."""
+    k = int(np.floor(x * (1 << w.level))) - w.offset
+    return complex(w.coeffs[k]) if 0 <= k < w.n_cells else 0j

@@ -18,6 +18,7 @@ from cvhistory.dyadic import (
     value_at,
 )
 from cvhistory.errors import DomainError, ResourceLimitError, ValidationError
+from dense_reference import ref_value_at
 
 SQRT2 = np.sqrt(2.0)
 
@@ -220,6 +221,50 @@ class TestSamplesAndValueAt:
         assert value_at(w, 0.5) == 2.0
         assert value_at(w, 1.0) == 0.0
         assert value_at(w, -0.001) == 0.0
+
+    @staticmethod
+    def probe_positions(w, rng):
+        """Every cell edge including the last, the floats on either side of
+        each edge, and uniform points reaching a few cells past the support."""
+        edges = (w.offset + np.arange(w.n_cells + 1)) / float(1 << w.level)
+        near = np.concatenate([np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        pad = 3 * w.width
+        spread = rng.uniform(w.x_min - pad, w.x_max + pad, size=64)
+        return np.concatenate([edges, near, spread, [-1e300, 1e300, -0.0]])
+
+    @pytest.mark.parametrize("level", [0, 5, 24])
+    @pytest.mark.parametrize("offset", [-37, 0, 21])
+    def test_array_matches_scalar_loop(self, level, offset):
+        rng = np.random.default_rng([level, offset + 100])
+        n = int(rng.integers(1, 9))
+        w = DyadicWave(level, offset, rng.normal(size=n) + 1j * rng.normal(size=n))
+        xs = self.probe_positions(w, rng)
+        got = value_at(w, xs)
+        assert got.dtype == np.complex128 and got.shape == xs.shape
+        want = np.array([ref_value_at(w, float(x)) for x in xs], dtype=np.complex128)
+        loop = np.array([value_at(w, float(x)) for x in xs], dtype=np.complex128)
+        assert got.tobytes() == want.tobytes() == loop.tobytes()
+
+    def test_zero_wave_and_empty_positions(self):
+        zero = DyadicWave(3, 5, np.zeros(4))
+        xs = np.linspace(-2.0, 2.0, 33)
+        assert value_at(zero, xs).tobytes() == np.zeros(33, dtype=np.complex128).tobytes()
+        empty = value_at(DyadicWave(2, 1, [1.0, 1j]), np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+
+    def test_scalar_gives_complex(self):
+        w = DyadicWave(1, 0, [1.0, 2.0j])
+        for x in (0.5, np.float64(0.5), 0, 7.0):
+            assert type(value_at(w, x)) is complex
+        assert value_at(w, 0.5) == 2.0j
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_refused(self, bad):
+        w = DyadicWave(1, 0, [1.0, 2.0])
+        with pytest.raises(DomainError):
+            value_at(w, bad)
+        with pytest.raises(DomainError):
+            value_at(w, np.array([0.0, bad, 0.5]))
 
 
 class TestAlignedPair:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvhistory.dyadic import DyadicWave, indicator_unit, inner, max_abs_diff, translate_int
+from cvhistory.dyadic import DyadicWave, indicator_unit, inner, max_abs_diff, translate_int, value_at
 from cvhistory.dyadic import norm2 as wave_norm2
 from cvhistory.dyadic import squeeze as wave_squeeze
 from cvhistory.errors import ContractError, DomainError, ResourceLimitError, ValidationError
@@ -31,7 +31,7 @@ from cvhistory.erasure import (
     tensor_oracle,
     unfold,
 )
-from cvhistory import erasure, qubits
+from cvhistory import erasure, qubits, validation
 from cvhistory.grid import sample_function
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 from dense_reference import (
@@ -44,6 +44,7 @@ from dense_reference import (
     ref_hybrid_reduced_density,
     ref_lift,
     ref_squeeze_all,
+    ref_value_at,
     table,
 )
 
@@ -702,23 +703,40 @@ class TestGridPipeline:
         reg = RegisterState(1, [a, b])
         w = random_unit_wave(rng, 2)
 
-        def f(x):
-            from cvhistory.dyadic import value_at
-
-            return value_at(w, x)
-
-        gw = sample_function(f, x_min, h_step, n_samples)
+        gw = sample_function(lambda x: value_at(w, x), x_min, h_step, n_samples)
         gh = grid_lift(reg, gw)
         g_out = grid_erase(gh, 0)
         d_out = erase(lift(reg, w), 0)
-        from cvhistory.dyadic import value_at
-
         err2 = 0.0
         xs = g_out.positions()
         for q in range(2):
-            ref = np.array([value_at(d_out.row_wave(q), float(x)) for x in xs])
+            ref = value_at(d_out.row_wave(q), xs)
             err2 += float(np.sum(np.abs(g_out.amps[q] - ref) ** 2)) * h_step
         assert np.sqrt(err2) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234, 2718, 9001])
+    def test_cross_check_suite_matches_per_point(self, seed):
+        """The validate suite evaluates its waves on the whole grid at once;
+        its error must equal, to the bit, the per-point form below: each
+        value looked up alone, scaled by a Python complex product."""
+        n, x_min, h = 4096, -2.0, 4.0 / 1024.0
+        positions = x_min + h * np.arange(n)
+        idx = validation.SUITE_NAMES.index("grid_pipeline_cross_check")
+        rng = np.random.default_rng([seed, idx])
+        worst = 0.0
+        for _ in range(3):
+            alpha, beta = validation._random_pair(rng)
+            w = validation._random_unit_wave(rng, max_level=5)
+            hd = HybridState.from_table(1, w.level, 0, np.vstack([alpha * w.coeffs, beta * w.coeffs]))
+            exact = erase(hd, 0)
+            rows = np.array([[ref_value_at(w, x) * s for x in positions] for s in (alpha, beta)])
+            approx = grid_erase(GridHybrid(1, x_min, h, rows), 0)
+            row_waves = [exact.row_wave(q) for q in range(2)]
+            expect = np.array([[ref_value_at(rw, x) for x in positions] for rw in row_waves])
+            num = np.sqrt(h * np.sum(np.abs(approx.amps - expect) ** 2))
+            den = np.sqrt(h * np.sum(np.abs(expect) ** 2))
+            worst = max(worst, float(num / den))
+        assert validation.run_suite("grid_pipeline_cross_check", seed).max_error == worst
 
     def test_spectral_and_shift_agree(self):
         reg = RegisterState(1, [0.0, 1.0])

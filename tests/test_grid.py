@@ -141,7 +141,7 @@ class TestSqueezeResample:
         w = DyadicWave(2, 0, [0.5, -1.0, 0.25j, 1.0, 0.5, 0.0, 1.0, -0.5j])
         g = sample_function(lambda x: complex(w.coeffs[int(x * 4) - w.offset]) if w.x_min <= x < w.x_max else 0.0, -4.0, 1 / 16, 128)
         out = squeeze_resample(g)
-        ref = np.array([value_at(squeeze(w), float(x)) for x in out.positions()])
+        ref = value_at(squeeze(w), out.positions())
         assert np.max(np.abs(out.samples - ref)) <= 1e-12
 
     def test_support_escape_rejected(self):
