@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, indicator_unit
+from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, check_bytes, indicator_unit
 from .dyadic import norm2 as wave_norm2
 from .erasure import (
     FlipVariant,
@@ -46,7 +46,6 @@ from .errors import (
 from .grid import GridWave
 from .processor import (
     Program,
-    _check_cv_level,
     _check_joint_table,
     _expect_int,
     init_from_program,
@@ -58,7 +57,6 @@ from .processor import (
 from .qubits import RegisterState
 from .serialize import (
     dyadic_cells,
-    dyadic_edges,
     format_float,
     grid_cells,
     json_dumps,
@@ -206,7 +204,7 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
     if "seed" in raw:
         cfg.seed = _expect_int(raw["seed"], "seed", minimum=0)
     if "max_level" in raw:
-        cfg.max_level = _expect_int(raw["max_level"], "max_level", minimum=0)
+        cfg.max_level = _expect_int(raw["max_level"], "max_level", 0, MAX_LEVEL_DEFAULT)
     if "out_dir" in raw:
         if not isinstance(raw["out_dir"], str):
             raise ValidationError(f"out_dir: expected a string, got {raw['out_dir']!r}")
@@ -263,7 +261,7 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
     if args.seed is not None:
         cfg.seed = _expect_int(args.seed, "--seed", minimum=0)
     if args.max_level is not None:
-        cfg.max_level = _expect_int(args.max_level, "--max-level", minimum=0)
+        cfg.max_level = _expect_int(args.max_level, "--max-level", 0, MAX_LEVEL_DEFAULT)
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     if args.tolerance is not None:
@@ -277,19 +275,23 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
 
 
 def _check_erase_demo_bounds(cfg: ScenarioConfig) -> None:
-    """Reject cv_level values the run could not reach, before any table
-    is allocated."""
+    """Refuse, before anything is allocated, a run that would pass
+    max_level or whose dense wave, the grid's samples or the 2^level cells
+    of the last dyadic wave, would not fit the byte budget."""
     if cfg.backend == "grid" and cfg.cv_level != 0:
         raise ValidationError(
             f"cv_level: the grid backend starts at level 0, got {cfg.cv_level}"
         )
     final = cfg.cv_level + len(cfg.pairs)
+    prefix = f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs"
     if final > cfg.max_level:
         raise ResourceLimitError(
-            f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs reaches level "
-            f"{final}, above max_level {cfg.max_level}"
+            f"{prefix} reaches level {final}, above max_level {cfg.max_level}"
         )
-    _check_cv_level(cfg.cv_level)
+    if cfg.backend == "grid":
+        check_bytes(f"grid.n: a wave of {cfg.grid_n} samples", 0, cfg.grid_n)
+    else:
+        check_bytes(f"{prefix}: the level-{final} wave of 2^{final} cells", final, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +403,12 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
 
 def cmd_processor(cfg: ScenarioConfig) -> int:
     program = cfg.program
+    # resource's level rule, so the two commands refuse alike and up front
+    resource_report(program.steps, program.cv_level, cfg.max_level)
     ps = init_from_program(program, data_basis=cfg.data_basis)
     ps, trace = run_program(ps, program.steps, cfg.variant, max_level=cfg.max_level)
+    h = ps.hybrid
+    factored = cv_factor(h)
     # only a run that finished leaves out_dir behind
     os.makedirs(cfg.out_dir, exist_ok=True)
     lines = [
@@ -412,32 +418,32 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
             "data_purity": m.data_purity,
             "cv_level": m.cv_level,
             "joint_cells": m.joint_cells,
+            "entries": m.entries,
             "norm2": m.norm2,
         }
         for i, m in enumerate(trace, start=1)
     ]
     write_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), lines)
-    factored = cv_factor(ps.hybrid)
-    entangled = factored is None
     path = os.path.join(cfg.out_dir, "final_wave.csv")
-    if entangled:
+    # one row per stored cell, whatever the width of the hull
+    if factored is None:
         # the CV marginal density (re = im = 0)
-        h = ps.hybrid
-        w2 = h.amps.real**2 + h.amps.imag**2
-        density = np.bincount(h.cells - h.offset, weights=w2, minlength=h.n_cells)
-        write_wave_csv(path, dyadic_edges(h.level, h.offset, h.n_cells), 0.0, 0.0, density)
+        cells, slot = np.unique(h.cells, return_inverse=True)
+        density = np.bincount(slot, weights=h.amps.real**2 + h.amps.imag**2)
+        write_wave_csv(path, cells, 0.0, h.width, 0.0, 0.0, density)
     else:
-        write_cells_csv(path, *dyadic_cells(factored[1]))
+        write_cells_csv(path, factored[1], 0.0, h.width, factored[2])
     summary = {
         "steps": len(trace),
-        "cv_level": ps.hybrid.level,
-        "joint_cells": ps.hybrid.n_cells,
-        "norm2": ps.hybrid.norm2(),
-        "entangled_final_cv": entangled,
+        "cv_level": h.level,
+        "joint_cells": h.n_cells,
+        "entries": h.amps.size,
+        "norm2": h.norm2(),
+        "entangled_final_cv": factored is None,
     }
     write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
     print(
-        f"processor: {len(trace)} steps, final level {ps.hybrid.level} -> {cfg.out_dir}"
+        f"processor: {len(trace)} steps, final level {h.level} -> {cfg.out_dir}"
     )
     return EXIT_OK
 

@@ -17,10 +17,21 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ValidationError
 
-MAX_LEVEL_DEFAULT = 24
-MAX_CELLS_DEFAULT = 1 << 22
+# The last level at which every cell edge k * 2^-level is exact in a float.
+MAX_LEVEL_DEFAULT = 53
+
+# Every complex128 array the size rules cover holds at most this many bytes:
+# one 2^24-cell wave, the densest output erase-demo writes.
+MAX_BYTES = 1 << 28
 
 SQRT2 = float(np.sqrt(2.0))
+
+
+def check_bytes(what: str, row_bits: int, cols: int) -> None:
+    """Refuse, as ``what``, a complex128 array of 2^row_bits x cols entries
+    above MAX_BYTES, before it is allocated; never builds 2^row_bits."""
+    if row_bits >= MAX_BYTES.bit_length() or (cols << row_bits) * 16 > MAX_BYTES:
+        raise ResourceLimitError(f"{what} exceeds the {MAX_BYTES}-byte budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +121,8 @@ def refine(w: DyadicWave, target: int) -> DyadicWave:
         raise DomainError(
             f"cannot coarsen from level {w.level} to {target}; coarsening is lossy"
         )
+    check_bytes(f"refining {w.n_cells} cells to level {target}", target - w.level, w.n_cells)
     factor = 1 << (target - w.level)
-    if w.n_cells * factor > MAX_CELLS_DEFAULT:
-        raise ResourceLimitError(
-            f"refining to level {target} needs {w.n_cells * factor} cells (limit {MAX_CELLS_DEFAULT})"
-        )
     return DyadicWave(target, w.offset * factor, np.repeat(w.coeffs, factor))
 
 
@@ -161,6 +169,7 @@ def aligned_pair(w1: DyadicWave, w2: DyadicWave) -> Tuple[int, int, np.ndarray, 
     a, b = refine(w1, level), refine(w2, level)
     lo = min(a.offset, b.offset)
     hi = max(a.offset + a.n_cells, b.offset + b.n_cells)
+    check_bytes(f"aligning two waves over a hull of {hi - lo} cells", 1, hi - lo)
     c1 = np.zeros(hi - lo, dtype=np.complex128)
     c2 = np.zeros(hi - lo, dtype=np.complex128)
     c1[a.offset - lo : a.offset - lo + a.n_cells] = a.coeffs

@@ -33,7 +33,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dyadic
-from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, SQRT2, DyadicWave, indicator_unit
+from .dyadic import MAX_LEVEL_DEFAULT, SQRT2, DyadicWave, check_bytes, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
 from .grid import SUPPORT_EPS, GridWave, translate_shift, translate_spectral
 from .qubits import (
@@ -157,6 +157,7 @@ class HybridState:
         first, span = int(self.cells[lo]), int(self.cells[hi - 1] - self.cells[lo]) + 1
         coeffs = self.amps[lo:hi]
         if span > hi - lo:  # the row has gaps: spread its cells out
+            check_bytes(f"row {q}: a wave of {span} cells", 0, span)
             coeffs = np.zeros(span, dtype=np.complex128)
             coeffs[self.cells[lo:hi] - first] = self.amps[lo:hi]
         return DyadicWave(self.level, first, coeffs)
@@ -193,19 +194,6 @@ def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
     return np.bitwise_and(bit, 1, out=bit).view(bool)
 
 
-# Every array sized by the state's rows and cells holds at most this many
-# amplitudes: 64 times the 2^22-cell row limit.
-MAX_AMPLITUDES = MAX_CELLS_DEFAULT * 64
-
-
-def _check_table(row_bits: int, cells: int, what: str) -> None:
-    """Refuse, as ``what``, a table of 2^row_bits rows by ``cells`` columns
-    above MAX_AMPLITUDES; never builds 2^row_bits.  It runs before the
-    table is allocated."""
-    if row_bits >= MAX_AMPLITUDES.bit_length() or cells << row_bits > MAX_AMPLITUDES:
-        raise ResourceLimitError(f"{what} exceeds {MAX_AMPLITUDES} amplitudes")
-
-
 def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     """Translate the CV by t x-units on rows whose qubit q is |1>."""
     if not 0 <= q < h.n_qubits:
@@ -215,13 +203,9 @@ def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     tc = int(t) << h.level
     if tc == 0:
         return h
-    # the output hull, which the marginal, row_wave and cv_factor's wave
-    # span, is at most k2 cells wide
-    k2 = h.n_cells + abs(tc)
-    if k2 > MAX_CELLS_DEFAULT:
-        raise ResourceLimitError(
-            f"conditional translation needs {k2} cells (limit {MAX_CELLS_DEFAULT})"
-        )
+    # the cells are int64: refuse a shift that would wrap them around
+    if not -(1 << 63) <= h.offset + tc <= h.offset + h.n_cells + tc <= 1 << 63:
+        raise DomainError(f"translating by {t} at level {h.level} leaves the int64 cells")
     moved = _bit_set(h.rows, q)
     # every cell of a row moves by the same amount: the order is kept
     return HybridState(h.n_qubits, h.level, h.rows, np.where(moved, h.cells + tc, h.cells), h.amps)
@@ -356,8 +340,9 @@ def tensor_oracle(
     if base is None:
         base = indicator_unit(0)
     n = len(pairs)
-    if base.level + n > MAX_LEVEL_DEFAULT:
-        raise ResourceLimitError(f"oracle level {base.level + n} exceeds {MAX_LEVEL_DEFAULT}")
+    max_level = 24  # the oracle is dense: 2^24 cells at most
+    if base.level + n > max_level:
+        raise ResourceLimitError(f"oracle level {base.level + n} exceeds {max_level}")
     unit = 1 << base.level
     if not (0 <= base.offset and base.offset + base.n_cells <= unit):
         raise DomainError("oracle base must be supported inside [0,1)")
@@ -377,15 +362,19 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     power of two, so scaling afterwards is exact."""
     cols, slot = np.unique(h.cells, return_inverse=True)
     what = f"reduced density: a block of 2^{h.n_qubits} rows by {cols.size} occupied cells"
-    _check_table(h.n_qubits, cols.size, what)
+    check_bytes(what, h.n_qubits, cols.size)
     block = np.zeros((1 << h.n_qubits, max(cols.size, 1)), dtype=np.complex128)
     block[h.rows, slot] = h.amps
     rho = trace_out(block, h.n_qubits, keep)
     return DensityMatrix._adopt(rho.dim, rho.entries * h.width)
 
 
-def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterState, DyadicWave]]:
-    """Split a product state into (register, wave); None if entangled.
+def cv_factor(
+    h: HybridState, tol: float = 1e-10
+) -> Optional[Tuple[RegisterState, np.ndarray, np.ndarray]]:
+    """Split a product state into (register, cells, values), the wave
+    being values[i] on cell cells[i] at h.level; None if entangled.  The
+    cells are the occupied ones, increasing, whatever the hull's width.
 
     The register phase is fixed by making its first nonzero component
     real positive.  The wave carries the overall norm.
@@ -400,26 +389,24 @@ def cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[RegisterStat
         nz_rows = np.flatnonzero(row_weight > tol * np.sum(row_weight))
     reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
     if nz_rows.size == 1:
-        reg[nz_rows[0]] = 1.0
-        return RegisterState(h.n_qubits, reg), h.row_wave(int(nz_rows[0]))
+        q = int(nz_rows[0])
+        reg[q] = 1.0
+        lo, hi = h.rows.searchsorted((q, q + 1))
+        return RegisterState(h.n_qubits, reg), h.cells[lo:hi], a[lo:hi]
     # Only the block of occupied rows x occupied cells has a singular value.
     rows, row_slot = np.unique(h.rows, return_inverse=True)
     cols, col_slot = np.unique(h.cells, return_inverse=True)
     what = f"cv_factor: a block of {rows.size} occupied rows by {cols.size} occupied cells"
-    _check_table(0, rows.size * cols.size, what)
+    check_bytes(what, 0, rows.size * cols.size)
     block = np.zeros((rows.size, cols.size), dtype=np.complex128)
     block[row_slot, col_slot] = a
     u, s, vh = np.linalg.svd(block, full_matrices=False)
     if s.size > 1 and s[1] > tol * s[0]:
         return None
-    wave = np.zeros(h.n_cells, dtype=np.complex128)
-    reg[rows], wave[cols - h.offset] = u[:, 0], vh[0]
+    reg[rows] = u[:, 0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
-    return (
-        RegisterState(h.n_qubits, reg / phase),
-        DyadicWave(h.level, h.offset, s[0] * wave * phase),
-    )
+    return RegisterState(h.n_qubits, reg / phase), cols, s[0] * vh[0] * phase
 
 
 def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
@@ -444,7 +431,7 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
     first = np.ones(order.size, dtype=bool)
     first[1:] = (base[1:] != base[:-1]) | (cells[1:] != cells[:-1])
     n_pairs = int(np.count_nonzero(first))
-    _check_table(1, n_pairs, f"single-qubit gate: {n_pairs} pairs of amplitudes")
+    check_bytes(f"single-qubit gate: {n_pairs} pairs of amplitudes", 1, n_pairs)
     pairs = np.zeros((2, n_pairs), dtype=np.complex128)
     pairs[_bit_set(h.rows, q)[order].view(np.uint8), np.cumsum(first) - 1] = h.amps[order]
     out = _apply_single_qubit_kernel(pairs, 1, 0, u)

@@ -17,11 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import qubits
-from .dyadic import MAX_CELLS_DEFAULT, MAX_LEVEL_DEFAULT, indicator_unit
+from .dyadic import MAX_LEVEL_DEFAULT, check_bytes, indicator_unit
 from .erasure import (
     FlipVariant,
     HybridState,
-    _check_table,
     apply_basis_permutation,
     apply_qubit_gate,
     apply_row_phases,
@@ -95,6 +94,7 @@ class StepMetrics:
     data_purity: float
     cv_level: int
     joint_cells: int
+    entries: int
     norm2: float
 
 
@@ -115,30 +115,22 @@ class ResourceReport:
     plain_reversible_ancillas: int
     cv_scheme_qubits: int
     cv_final_level: int
-    joint_cells: int
+
+    @property
+    def joint_cells(self) -> int:
+        """The cells of [0,1) at the final level, a bound on the hull."""
+        return 1 << self.cv_final_level
 
 
 def _check_joint_table(n_data: int, n_anc: int, cv_level: int) -> None:
-    """The start checks, before anything is allocated: the level-cv_level
-    indicator against the 2^22-cell row limit, then the starting table of
-    2^(data + ancilla) rows by 2^cv_level cells and the 2^data x 2^data
-    data density against the amplitude budget."""
-    _check_cv_level(cv_level)
+    """The start checks against the byte budget, before anything is
+    allocated: the level-cv_level indicator, the starting table of
+    2^(data + ancilla) rows by 2^cv_level cells and the data density."""
+    check_bytes(f"cv_level: the level-{cv_level} indicator of 2^{cv_level} cells", cv_level, 1)
     n_total = n_data + n_anc
     joint = f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by 2^{cv_level} cells"
-    _check_table(n_total + cv_level, 1, joint)
-    _check_table(2 * n_data, 1, f"data: a 2^{n_data} x 2^{n_data} density matrix")
-
-
-def _check_cv_level(cv_level: int) -> None:
-    """Refuse a level-cv_level indicator wider than the 2^22-cell row
-    limit; erase-demo, processor and resource all run it at the start."""
-    # 2^cv_level > MAX_CELLS_DEFAULT, without building the power
-    if cv_level >= MAX_CELLS_DEFAULT.bit_length():
-        raise ResourceLimitError(
-            f"cv_level: the level-{cv_level} indicator needs 2^{cv_level} cells "
-            f"(limit {MAX_CELLS_DEFAULT})"
-        )
+    check_bytes(joint, n_total + cv_level, 1)
+    check_bytes(f"data: a 2^{n_data} x 2^{n_data} density matrix", 2 * n_data, 1)
 
 
 def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) -> ProcessorState:
@@ -215,6 +207,7 @@ def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
         data_purity=data_purity,
         cv_level=h.level,
         joint_cells=h.n_cells,
+        entries=h.amps.size,
         norm2=h.norm2(),
     )
 
@@ -282,34 +275,22 @@ def resource_report(
 ) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead.  An erase the
-    processor would stop with a resource limit is refused the same way:
-    an erase from level max_level squeezes past it, and an erase from
-    level L translates over at least 2^L + 1 cells.  The start checks are
-    ``_check_joint_table``'s, which the resource command runs after this."""
+    pool and pays one CV level per erasure instead.  An erase from level
+    max_level or above would squeeze past it, so a program reaching one is
+    refused; both commands run this first and ``_check_joint_table`` next."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
     final_level = cv_level + total_cleans
-    prefix = f"{cv_level} plus {total_cleans} cleans"
-    # the first erase level whose translate exceeds the per-row cell limit
-    ceiling = (MAX_CELLS_DEFAULT - 1).bit_length()
-    # the processor stops at its first failing erase, translate before squeeze
-    stop = max(cv_level, min(max_level, ceiling))
+    stop = max(cv_level, max_level)
     if stop < final_level:
-        if stop >= ceiling:
-            raise ResourceLimitError(
-                f"cv_level: {prefix}: the erase from level {stop} needs a conditional "
-                f"translation of at least 2^{stop} + 1 cells (limit {MAX_CELLS_DEFAULT})"
-            )
         raise ResourceLimitError(
-            f"max_level: cv_level {prefix}: the erase from level {stop} would "
-            f"squeeze past max level {max_level}"
+            f"max_level: cv_level {cv_level} plus {total_cleans} cleans: the erase from "
+            f"level {stop} would squeeze past max level {max_level}"
         )
     return ResourceReport(
         plain_reversible_ancillas=total_cleans,
         cv_scheme_qubits=pool,
         cv_final_level=final_level,
-        joint_cells=1 << final_level,
     )
 
 
@@ -319,11 +300,15 @@ def resource_report(
 # ---------------------------------------------------------------------------
 
 
-def _expect_int(value, path: str, minimum: Optional[int] = None) -> int:
+def _expect_int(
+    value, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 

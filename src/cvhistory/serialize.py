@@ -103,19 +103,14 @@ def write_jsonl(path: str, objs: Iterable) -> None:
             fh.write("\n")
 
 
-def dyadic_edges(level: int, offset: int, n_cells: int) -> np.ndarray:
-    """The n_cells + 1 boundaries of dyadic cells offset .. offset + n_cells."""
-    return (offset + np.arange(n_cells + 1)) * 2.0 ** (-level)
+def dyadic_cells(w: DyadicWave) -> Tuple[np.ndarray, float, float, np.ndarray]:
+    """(cells, origin, step, values) of a dyadic wave: cell k starts at k 2^-level."""
+    return w.offset + np.arange(w.n_cells), 0.0, w.width, w.coeffs
 
 
-def dyadic_cells(w: DyadicWave) -> Tuple[np.ndarray, np.ndarray]:
-    """(edges, values) of a dyadic wave, one value per cell."""
-    return dyadic_edges(w.level, w.offset, w.n_cells), w.coeffs
-
-
-def grid_cells(g: GridWave) -> Tuple[np.ndarray, np.ndarray]:
-    """(edges, values) of a grid wave: sample j covers [x_min + j h, x_min + (j+1) h)."""
-    return g.x_min + np.arange(g.n + 1) * g.h, g.samples
+def grid_cells(g: GridWave) -> Tuple[np.ndarray, float, float, np.ndarray]:
+    """(cells, origin, step, values) of a grid wave: sample j starts at x_min + j h."""
+    return np.arange(g.n), g.x_min, g.h, g.samples
 
 
 CSV_CHUNK_ROWS = 1024
@@ -128,27 +123,42 @@ def _strings(values: np.ndarray, lo: int, hi: int) -> Iterable[str]:
     return map("%.17g".__mod__, values[lo:hi].tolist())
 
 
-def write_wave_csv(path: str, edges, re, im, abs2) -> None:
-    """Write one row (x_left, x_right, re, im, abs2) per cell, row k spanning
-    edges[k]..edges[k+1].  re, im and abs2 are arrays or scalars.  Every value
+def write_wave_csv(path: str, cells, origin: float, step: float, re, im, abs2) -> None:
+    """Write one row (x_left, x_right, re, im, abs2) per given cell, cell k
+    spanning origin + k step .. origin + (k+1) step; the cells are strictly
+    increasing integers.  re, im and abs2 are arrays or scalars.  Every value
     is checked finite before the file is opened, so none is left half written."""
-    edges, *cols = (np.asarray(c, dtype=np.float64) for c in (edges, re, im, abs2))
-    n = edges.size - 1
-    if edges.ndim != 1 or n < 0 or any(c.ndim and c.shape != (n,) for c in cols):
-        raise ValidationError(f"CSV columns do not match {edges.size} cell edges")
-    for c in (edges, *cols):
+    cells = np.asarray(cells, dtype=np.int64)
+    cols = [np.asarray(c, dtype=np.float64) for c in (re, im, abs2)]
+    n = cells.size
+    if cells.ndim != 1 or any(c.ndim and c.shape != (n,) for c in cols):
+        raise ValidationError(f"CSV columns do not match {n} cells")
+    if np.any(cells[1:] <= cells[:-1]):
+        raise ValidationError("CSV cells must be strictly increasing")
+    # the edges are monotone in k, so the outermost two bound the rest
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = origin + (cells[[0, -1]] + [0, 1]) * step if n else np.zeros(0)
+    for c in (ends, *cols):
         if not np.isfinite(c).all():
             raise ValidationError(f"non-finite value {float(c[~np.isfinite(c)][0])!r} in output")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(WAVE_CSV_HEADER + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
-            hi = min(lo + CSV_CHUNK_ROWS, n)
-            e = list(_strings(edges, lo, hi + 1))
-            rows = zip(e, e[1:], *(_strings(c, lo, hi) for c in cols))
+            chunk = cells[lo : lo + CSV_CHUNK_ROWS]
+            # k lists each distinct edge once, in order; row i spans
+            # k[at[i]] .. k[at[i] + 1], the next row's left edge unless a
+            # gap follows
+            gap = np.append(chunk[1:] > chunk[:-1] + 1, True)
+            at = np.arange(chunk.size) + np.cumsum(gap) - gap
+            k = np.empty(chunk.size + np.count_nonzero(gap), dtype=np.int64)
+            k[at], k[at + 1] = chunk, chunk + 1
+            e = list(_strings(origin + k * step, 0, k.size))
+            left, right = map(e.__getitem__, at.tolist()), map(e.__getitem__, (at + 1).tolist())
+            rows = zip(left, right, *(_strings(c, lo, lo + chunk.size) for c in cols))
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def write_cells_csv(path: str, edges: np.ndarray, values: np.ndarray) -> None:
+def write_cells_csv(path: str, cells, origin: float, step: float, values: np.ndarray) -> None:
     """``write_wave_csv`` of complex cell values, with abs2 = re*re + im*im."""
     re, im = values.real, values.imag
-    write_wave_csv(path, edges, re, im, re * re + im * im)
+    write_wave_csv(path, cells, origin, step, re, im, re * re + im * im)

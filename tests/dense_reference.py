@@ -30,6 +30,13 @@ def table(h: HybridState) -> np.ndarray:
     return out
 
 
+def hull_wave(h: HybridState, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A wave given on some cells of h, spread over the hull of h."""
+    out = np.zeros(h.n_cells, dtype=np.complex128)
+    out[cells - h.offset] = values
+    return out
+
+
 def ref_lift(reg: RegisterState, w: DyadicWave) -> HybridState:
     """The whole 2^n x n_cells outer product, zeros dropped by the
     constructor."""

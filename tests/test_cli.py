@@ -1,5 +1,6 @@
 """CLI tests: scenario schema validation, exit codes, output formats,
 and byte-for-byte determinism of repeated runs."""
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from cvhistory.serialize import format_float, json_dumps
 from cvhistory.validation import SUITE_NAMES
 
 INV_SQRT2 = 0.7071067811865476
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def write_scenario(tmp_path, name, obj):
@@ -162,12 +164,39 @@ class TestScenarioSchema:
             ({"pairs": [[1.0, 0.0]] * 5, "cv_level": 20}, []),
             ({"pairs": [[1.0, 0.0]] * 4, "cv_level": 5}, ["--max-level", "8"]),
             ({"pairs": [], "cv_level": 30, "max_level": 40}, []),
+            # within max_level, but the level-25 wave of 2^25 cells takes
+            # 2^29 bytes, past the budget
+            ({"pairs": [[1.0, 0.0]] * 25, "cv_level": 0, "max_level": 30}, []),
         ],
     )
     def test_erase_demo_level_bounds_exit_3(self, tmp_path, capsys, scenario, flags):
         s = write_scenario(tmp_path, "s.json", {**scenario, "out_dir": str(tmp_path / "o")})
         assert main(["erase-demo", s, *flags]) == 3
         assert "cv_level" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("level, code", [(53, 0), (54, 2), (63, 2)])
+    @pytest.mark.parametrize("where", ["key", "flag"])
+    def test_max_level_above_53_exit_2(self, tmp_path, capsys, where, level, code):
+        # past 53 a cell edge k 2^-level is not exact in a float
+        scenario, flags = {"pairs": [], "out_dir": str(tmp_path / "o")}, []
+        if where == "key":
+            scenario["max_level"] = level
+        else:
+            flags = ["--max-level", str(level)]
+        s = write_scenario(tmp_path, "s.json", scenario)
+        assert main(["erase-demo", s, *flags]) == code
+        if code:
+            field = "max_level" if where == "key" else "--max-level"
+            assert capsys.readouterr().err == f"error: {field}: must be <= 53, got {level}\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_grid_samples_past_the_budget_exit_3(self, tmp_path, capsys):
+        # a 2^40-sample grid is refused before anything is allocated
+        grid = {"window": [-2.0, 2.0], "n": 1 << 40}
+        scenario = {"backend": "grid", "grid": grid, "pairs": [], "out_dir": str(tmp_path / "o")}
+        assert main(["erase-demo", write_scenario(tmp_path, "s.json", scenario)]) == 3
+        assert capsys.readouterr().err.startswith("error: grid.n:")
         assert not (tmp_path / "o").exists()
 
     def test_grid_erase_demo_rejects_cv_level(self, tmp_path, capsys):
@@ -348,9 +377,11 @@ class TestProcessorCommand:
             assert m["step"] == i
             assert m["ancilla_residual"] == 0.0
             assert m["cv_level"] == i
+            assert m["entries"] == 1 and m["joint_cells"] == 1
             assert abs(m["norm2"] - 1.0) <= 1e-12
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cv_level"] == 10
+        assert summary["entries"] == 1
         assert summary["entangled_final_cv"] is False
 
     def test_program_file_reference(self, tmp_path):
@@ -407,13 +438,15 @@ class TestProcessorCommand:
         total = sum(float(r.split(",")[4]) for r in rows) * 0.5  # level-1 cells
         assert abs(total - 1.0) <= 1e-12
 
-    def test_resource_limit_exit_3(self, tmp_path):
+    def test_resource_limit_exit_3(self, tmp_path, capsys):
         s = write_scenario(
             tmp_path,
             "s.json",
             {"program": and_program(30), "data_basis": 3, "out_dir": str(tmp_path / "o")},
         )
         assert main(["processor", s, "--max-level", "8"]) == 3
+        # refused before the first step, with resource's rule and message
+        assert capsys.readouterr().err.startswith("error: max_level: cv_level 0 plus 30 cleans")
 
 
     def test_oversized_register_exit_3(self, tmp_path):
@@ -477,9 +510,9 @@ class TestProcessorCommand:
     @pytest.mark.parametrize(
         "prog, max_level",
         [
-            pytest.param({"data": 1, "ancilla": 0, "cv_level": 23, "steps": []}, None, id="cv-level"),
+            pytest.param({"data": 1, "ancilla": 0, "cv_level": 25, "steps": []}, None, id="cv-level"),
             pytest.param({"data": 16, "ancilla": 1, "steps": []}, None, id="data-density"),
-            # the processor stops mid-run, at the erase from max_level
+            # five cleans would pass max_level 3
             pytest.param(x_clean_program(5), 3, id="max-level"),
         ],
     )
@@ -489,6 +522,52 @@ class TestProcessorCommand:
             scenario["max_level"] = max_level
         assert main([kind, write_scenario(tmp_path, "s.json", scenario)]) == 3
         assert not (tmp_path / "o").exists()
+
+
+class TestHistoryDepth:
+    """Deep histories: the cost follows the stored entries, not the hull."""
+
+    @pytest.mark.parametrize("lifts", [22, 30, 50])
+    def test_entangled_program_matches_closed_form(self, tmp_path, monkeypatch, capsys, lifts):
+        # the benchmark's entangled program, built with `lifts` cleans: 8
+        # entries on a hull of about 2^lifts cells
+        monkeypatch.syspath_prepend(PERFBENCH)
+        workloads = importlib.import_module("workloads")
+        monkeypatch.setattr(workloads, "ENT_LIFTS", lifts)
+        scenario = workloads.entangled_scenario(1234)
+        out = tmp_path / "out"
+        s = write_scenario(tmp_path, "s.json", dict(scenario, out_dir=str(out)))
+        tracemalloc.start()
+        try:
+            assert main(["processor", s]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workloads.check_entangled(scenario, str(out), capsys.readouterr().out)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["entries"] == 8 and summary["joint_cells"] > 1 << (lifts - 1)
+        rows = (out / "final_wave.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(workloads.entangled_density(scenario))
+        assert peak < 4 << 20  # one row over the hull would take 2^(lifts + 4) bytes
+
+    def test_far_apart_product_writes_two_rows(self, tmp_path):
+        # 50 X-cleans record cell 2^50 - 1; the H-clean then puts half the
+        # wave 2^50 cells further: a product of two cells at level 51
+        x_clean = {"op": {"gate": "X", "targets": [1]}, "clean": [1]}
+        h_clean = {"op": {"gate": "H", "targets": [1]}, "clean": [1]}
+        prog = {"data": 1, "ancilla": 1, "steps": [x_clean] * 50 + [h_clean]}
+        out = tmp_path / "out"
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(out)})
+        assert main(["processor", s]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["entangled_final_cv"] is False
+        assert (summary["cv_level"], summary["entries"]) == (51, 2)
+        assert summary["joint_cells"] == (1 << 50) + 1
+        rows = [r.split(",") for r in (out / "final_wave.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for r, k in zip(rows, [(1 << 50) - 1, (1 << 51) - 1]):
+            assert float(r[0]) * 2.0**51 == k and float(r[1]) * 2.0**51 == k + 1
+            assert abs(float(r[2]) - 2.0**25) <= 1e-12 * 2.0**25 and float(r[3]) == 0.0
 
 
 class TestResourceCommand:
@@ -529,10 +608,12 @@ class TestResourceCommand:
     @pytest.mark.parametrize(
         "prog, max_level, code",
         [
-            # 23 cleans: the processor stops at the erase from level 22,
-            # whose translate needs 2^22 + 1 cells; 5 cleans pass max_level 3
+            # max_level is the one level rule: 53 cleans reach the default,
+            # the erase from level 53 would squeeze past it; likewise 5
+            # cleans pass max_level 3
             pytest.param(x_clean_program(22), None, 0, id="22-None-0"),
-            pytest.param(x_clean_program(23), None, 3, id="23-None-3"),
+            pytest.param(x_clean_program(53), None, 0, id="53-None-0"),
+            pytest.param(x_clean_program(54), None, 3, id="54-None-3"),
             pytest.param(x_clean_program(3), 3, 0, id="3-3-0"),
             pytest.param(x_clean_program(5), 3, 3, id="5-3-3"),
             # 2 entries on a hull of 2^18 cells and 2^11 rows
@@ -547,9 +628,9 @@ class TestResourceCommand:
                 0,
                 id="wide-hull-0",
             ),
-            # the level-23 indicator is past the 2^22-cell row limit
+            # the level-25 indicator of 2^25 cells is past the byte budget
             pytest.param(
-                {"data": 1, "ancilla": 0, "cv_level": 23, "steps": []}, None, 3, id="cv-level-23-3"
+                {"data": 1, "ancilla": 0, "cv_level": 25, "steps": []}, None, 3, id="cv-level-25-3"
             ),
         ],
     )
@@ -562,7 +643,8 @@ class TestResourceCommand:
         assert main(["resource", s]) == code
         if code:
             err = capsys.readouterr().err.splitlines()
-            field = "cv_level" if max_level is None else "max_level"
+            field = "max_level" if prog["steps"] else "cv_level"
+            assert len(err) == 2 and err[0] == err[1]
             assert err[-1].startswith(f"error: {field}:")
 
 

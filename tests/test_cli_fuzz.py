@@ -26,11 +26,13 @@ junk = st.one_of(
     st.lists(st.integers(-2, 9), max_size=3),
     st.fixed_dictionaries({"n_in": st.integers(-1, 2), "m_out": st.integers(0, 2)}),
 )
-# past a start check: data >= 15 for the 2^28-amplitude data density,
-# ancilla >= 29 for the joint table, cv_level >= 23 for the 2^22-cell row
-# limit
-far_level = st.one_of(st.integers(40, 80), st.integers(10**4, 10**12))
-far_data = st.one_of(st.integers(17, 80), st.integers(10**4, 10**12))
+# past a check made before anything is allocated, each against the
+# 2^28-byte budget unless stated: data >= 13 for the data density;
+# ancilla >= 24 for the joint table; cv_level >= 25 for the indicator (and
+# >= 54 past max_level once a step cleans); for erase-demo, a final level
+# >= 25 for its dense wave
+far_level = st.one_of(st.integers(25, 80), st.integers(10**4, 10**12))
+far_data = st.one_of(st.integers(13, 80), st.integers(10**4, 10**12))
 
 
 @st.composite
@@ -89,14 +91,14 @@ kinds = {
         {"program": programs()},
         data_basis=st.integers(0, 7),
         variant=variant,
-        max_level=st.integers(0, 30),
+        max_level=st.integers(0, 60),
     ),
-    "resource": scenario("resource", {"program": programs()}, max_level=st.integers(0, 30)),
+    "resource": scenario("resource", {"program": programs()}, max_level=st.integers(0, 60)),
     "erase-demo": st.one_of(
         scenario(
             "erase-demo",
             {"pairs": pair_list, "cv_level": st.one_of(st.integers(0, 3), far_level)},
-            max_level=st.integers(0, 30),
+            max_level=st.integers(0, 60),
             variant=variant,
         ),
         scenario("erase-demo", {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options}),

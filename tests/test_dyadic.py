@@ -93,8 +93,11 @@ class TestRefine:
             refine(indicator_unit(2), 1)
 
     def test_cell_limit(self):
-        with pytest.raises(ResourceLimitError):
-            refine(indicator_unit(0), 23)
+        # 2^25 cells take 2^29 bytes, past the budget; a far level is
+        # refused without building its power of two
+        for target in (25, 10**9):
+            with pytest.raises(ResourceLimitError, match="byte budget"):
+                refine(indicator_unit(0), target)
 
     @given(waves_strategy, st.integers(min_value=0, max_value=3))
     @settings(max_examples=50, deadline=None)
@@ -273,3 +276,10 @@ class TestAlignedPair:
         assert level == 1 and lo == 0
         assert np.array_equal(c1, [1, 1, 0, 0])
         assert np.array_equal(c2, [0, 0, 1, 1])
+
+    def test_hull_past_the_budget_refused(self):
+        # two one-cell waves 2^40 cells apart: the hull is refused before
+        # the two 16 TiB arrays are allocated
+        far = DyadicWave(40, 1 << 40, [1.0])
+        with pytest.raises(ResourceLimitError, match="byte budget"):
+            aligned_pair(DyadicWave(40, 0, [1.0]), far)

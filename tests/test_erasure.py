@@ -31,10 +31,11 @@ from cvhistory.erasure import (
     tensor_oracle,
     unfold,
 )
-from cvhistory import erasure, qubits, validation
+from cvhistory import dyadic, qubits, validation
 from cvhistory.grid import sample_function
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 from dense_reference import (
+    hull_wave,
     ref_apply_basis_permutation,
     ref_apply_qubit_gate,
     ref_apply_row_phases,
@@ -203,25 +204,36 @@ class TestCondTranslate:
         assert abs(cond_translate(h, 1, 3).norm2() - h.norm2()) <= 1e-15
 
     def test_cell_limit(self):
+        # a translate has no cell limit: its cost is the entries, whatever
+        # the hull; only the int64 cells bound the shift
         h = lift(basis_state(1, 1), indicator_unit(4))
-        with pytest.raises(ResourceLimitError):
-            cond_translate(h, 0, 1 << 18)
+        out = cond_translate(h, 0, 1 << 40)
+        assert out.n_cells == 16 and out.offset == 1 << 44
+        assert out.amps.size == 16
+        # a shift that would wrap the cells around past 2^63 - 1
+        with pytest.raises(DomainError, match="int64"):
+            cond_translate(cond_translate(h, 0, 1 << 58), 0, 1 << 58)
 
     def test_refused_before_allocating(self):
-        # both rows occupied, so the hull would span the whole shift
+        # both rows occupied, so the hull spans the whole shift: 2^44 + 16
+        # cells, past the byte budget, yet the translate allocates nothing
+        # hull-wide; a gate then puts both far-apart cell runs on each row,
+        # and the dense view of that row is refused before it is allocated
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(4))
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError):
-                cond_translate(h, 0, 1 << 18)
+            out = apply_qubit_gate(cond_translate(h, 0, 1 << 40), 0, qubits.H)
+            with pytest.raises(ResourceLimitError, match="row 0"):
+                out.row_wave(0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20  # one row over the 2^22-cell hull would take 64 MiB
+        assert out.n_cells == (1 << 44) + 16 and out.amps.size == 64
+        assert peak < 1 << 20  # the dense row would take 256 TiB
 
     def test_wide_hull_translates(self):
         # 256 rows by a hull of 2^20 + 2^10 cells would be a table above the
-        # 2^28-amplitude budget, but the state stores only its 2^18 entries
+        # 2^28-byte budget, but the state stores only its 2^18 entries
         amps = np.full((1 << 8, 1 << 10), 1.0 / (1 << 4), dtype=np.complex128)
         h = HybridState.from_table(8, 10, 0, amps)
         out = cond_translate(h, 0, 1 << 10)
@@ -520,7 +532,7 @@ class TestHybridReducedDensity:
         assert peak < 40 << 20
 
     def test_block_refused_before_allocating(self):
-        # 2^20 rows by 512 occupied cells exceed the 2^28-amplitude budget,
+        # 2^20 rows by 512 occupied cells exceed the 2^28-byte budget,
         # although the state stores only 512 entries
         h = HybridState(20, 9, np.arange(512) << 11, np.arange(512), np.ones(512))
         tracemalloc.start()
@@ -570,8 +582,8 @@ class TestCvFactor:
         h = lift(reg, w)
         res = cv_factor(h)
         assert res is not None
-        got_reg, got_wave = res
-        rebuilt = np.outer(got_reg.amps, got_wave.coeffs)
+        got_reg, cells, values = res
+        rebuilt = np.outer(got_reg.amps, hull_wave(h, cells, values))
         assert np.allclose(rebuilt, table(h), atol=1e-12)
         lead = got_reg.amps[np.flatnonzero(np.abs(got_reg.amps) > 1e-12)[0]]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
@@ -580,16 +592,29 @@ class TestCvFactor:
         h = HybridState.from_table(2, 1, 0, [[0, 0], [0, 0], [0.5, -0.5j], [0, 0]])
         res = cv_factor(h)
         assert res is not None
-        got_reg, got_wave = res
+        got_reg, cells, values = res
         assert np.array_equal(got_reg.amps, [0, 0, 1, 0])
-        assert got_wave == DyadicWave(1, 0, [0.5, -0.5j])
+        assert np.array_equal(cells, [0, 1]) and np.array_equal(values, [0.5, -0.5j])
+
+    def test_wave_on_occupied_cells_only(self):
+        # one row with two cells 2^40 apart: two values, no hull-wide wave
+        h = HybridState(1, 41, [1, 1], [3, 3 + (1 << 40)], [0.5, -0.5j])
+        tracemalloc.start()
+        try:
+            got_reg, cells, values = cv_factor(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got_reg.amps, [0, 1])
+        assert np.array_equal(cells, [3, 3 + (1 << 40)]) and np.array_equal(values, [0.5, -0.5j])
+        assert peak < 1 << 20
 
     def test_entangled_returns_none(self):
         h = HybridState.from_table(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
     def test_block_refused_before_allocating(self):
-        # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-amplitude
+        # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
         # budget, although the state stores only 2^15 entries
         n = 1 << 15
         h = HybridState(15, 14, np.arange(n), np.arange(n) >> 1, np.full(n, 1 / 2**0.5))
@@ -639,9 +664,10 @@ class TestCvFactor:
         got = cv_factor(h)
         assert (got is None) == (ref is None) == (rank == 2 or tiny_row == 1e-7)
         if got is not None:
-            reg, wave = got
-            full_wave = np.zeros(h.n_cells, dtype=np.complex128)
-            full_wave[wave.offset - h.offset :][: wave.n_cells] = wave.coeffs
+            reg, cells, values = got
+            # the block's wave is given on every occupied cell
+            assert np.array_equal(cells, np.unique(h.cells))
+            full_wave = hull_wave(h, cells, values)
             assert np.max(np.abs(np.outer(reg.amps, full_wave) - table(h))) <= 1e-12
             # exact-zero rows and columns of the table factor to exact zeros
             assert np.all(reg.amps[~table(h).any(axis=1)] == 0)
@@ -658,11 +684,11 @@ class TestRegisterOpsOnHybrid:
         assert out == lift(basis_state(1, 1), indicator_unit(0))
 
     def test_gate_refused_past_the_budget(self, monkeypatch):
-        # four (row without q, cell) pairs become eight amplitudes
+        # four (row without q, cell) pairs become eight amplitudes, 128 bytes
         h = lift(basis_state(1, 0), indicator_unit(2))
-        monkeypatch.setattr(erasure, "MAX_AMPLITUDES", 8)
+        monkeypatch.setattr(dyadic, "MAX_BYTES", 128)
         assert apply_qubit_gate(h, 0, qubits.H).amps.size == 8
-        monkeypatch.setattr(erasure, "MAX_AMPLITUDES", 7)
+        monkeypatch.setattr(dyadic, "MAX_BYTES", 127)
         with pytest.raises(ResourceLimitError, match="single-qubit gate"):
             apply_qubit_gate(h, 0, qubits.H)
 
@@ -927,4 +953,4 @@ class TestDenseReference:
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert np.array_equal(got[0].amps, want[0])
-                    assert got[1] == DyadicWave(k.level, k.offset, want[1])
+                    assert np.array_equal(hull_wave(k, got[1], got[2]), want[1])

@@ -363,12 +363,17 @@ class TestResourceReport:
 
     def test_refuses_what_the_processor_refuses(self):
         x_clean = ProgramStep(op=GateOp("X", (1,)), clean=(1,))
-        # the erase from level 22 needs a translate of 2^22 + 1 cells
-        assert resource_report([x_clean] * 22).cv_final_level == 22
-        with pytest.raises(ResourceLimitError, match="^cv_level: .*from level 22"):
-            resource_report([x_clean] * 23)
-        with pytest.raises(ResourceLimitError, match="^cv_level: .*from level 30"):
-            resource_report([x_clean], cv_level=30)
+        # the default max_level is the only level rule: 53 cleans run, and
+        # the erase from level 53 would squeeze past it, in both
+        assert resource_report([x_clean] * 53).cv_final_level == 53
+        ps, _ = run_program(init(1, 1, basis_state(1, 0)), [x_clean] * 53)
+        assert ps.hybrid.level == 53 and ps.hybrid.amps.size == 1
+        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 53"):
+            resource_report([x_clean] * 54)
+        with pytest.raises(ResourceLimitError, match="squeeze would exceed max level 53"):
+            run_step(ps, x_clean)
+        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 60"):
+            resource_report([x_clean], cv_level=60)
         # the erase from level max_level squeezes past it
         assert resource_report([x_clean] * 3, max_level=3).cv_final_level == 3
         with pytest.raises(ResourceLimitError, match="^max_level: .*from level 3"):
@@ -506,6 +511,7 @@ class TestEntangledHistoryStaysSparse:
         assert ps.hybrid.level == 16
         assert ps.hybrid.amps.size == 8
         assert trace[-1].joint_cells == ps.hybrid.n_cells == 1 << 16
+        assert trace[-1].entries == 8
         w = ps.hybrid.row_wave(0)  # branch 0 recorded all zeros: cell 0
         assert w.offset == 0 and w.n_cells == 1
         assert abs(w.coeffs[0] - 2.0**8 / np.sqrt(8)) <= 1e-12 * 2.0**8
@@ -516,4 +522,5 @@ class TestMetricsFields:
         ps = init(1, 1, basis_state(1, 0), cv_level=2)
         ps, m = run_step(ps, ProgramStep(op=GateOp("X", (1,)), clean=(1,)))
         assert m.joint_cells == ps.hybrid.n_cells
+        assert m.entries == ps.hybrid.amps.size == 4  # the level-2 indicator's cells
         assert m.cv_level == 3

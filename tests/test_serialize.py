@@ -9,7 +9,6 @@ from cvhistory.serialize import (
     CSV_CHUNK_ROWS,
     WAVE_CSV_HEADER,
     dyadic_cells,
-    dyadic_edges,
     format_float,
     grid_cells,
     write_cells_csv,
@@ -65,10 +64,13 @@ def test_extreme_values_match_reference(tmp_path):
     special = [-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e-310, 1e300, -1.7e300,
                9.999999999999999e299, 1.7976931348623157e308, 1.0 / 3.0, -1.0]
     rng = np.random.default_rng(7)
-    edges = np.sort(rng.choice(special + [0.5, 2.0, 1e300], size=13))
-    re, im, abs2 = (rng.choice(special, size=12) for _ in range(3))
-    rows = zip(edges[:-1], edges[1:], re, im, abs2)
-    assert written(tmp_path, write_wave_csv, edges, re, im, abs2) == reference_csv(rows)
+    # subnormal, huge and non-dyadic edges, on cells with gaps
+    for origin, step in ((0.0, tiny), (-1.7e300, 1e299), (1.0 / 3.0, 1e-310)):
+        cells = np.sort(rng.choice(np.arange(-20, 20), size=12, replace=False))
+        re, im, abs2 = (rng.choice(special, size=12) for _ in range(3))
+        left, right = origin + cells * step, origin + (cells + 1) * step
+        got = written(tmp_path, write_wave_csv, cells, origin, step, re, im, abs2)
+        assert got == reference_csv(zip(left, right, re, im, abs2))
 
 
 def test_signed_zero_and_subnormal_values_match_reference(tmp_path):
@@ -83,12 +85,19 @@ def test_grid_with_non_dyadic_step_matches_reference(tmp_path):
 
 
 def test_marginal_with_zero_re_im_matches_reference(tmp_path):
-    density = np.random.default_rng(6).random(100) ** 4
+    rng = np.random.default_rng(6)
+    n = 2 * CSV_CHUNK_ROWS + 3
+    density = rng.random(n) ** 4
     level, offset = 9, 37
-    edges = dyadic_edges(level, offset, density.size)
     width = 2.0 ** -level
-    rows = (((offset + k) * width, (offset + k + 1) * width, 0.0, 0.0, p) for k, p in enumerate(density))
-    assert written(tmp_path, write_wave_csv, edges, 0.0, 0.0, density) == reference_csv(rows)
+    # contiguous cells, cells with gaps, and contiguous runs split by one
+    # gap, over three chunks: one row per given cell each time
+    gapped = np.sort(rng.choice(1 << 20, size=n, replace=False))
+    runs = offset + np.arange(n) + (np.arange(n) >= CSV_CHUNK_ROWS + 5)
+    for cells in (offset + np.arange(n), gapped, runs):
+        rows = ((k * width, (k + 1) * width, 0.0, 0.0, p) for k, p in zip(cells, density))
+        got = written(tmp_path, write_wave_csv, cells, 0.0, width, 0.0, 0.0, density)
+        assert got == reference_csv(rows)
 
 
 @pytest.mark.parametrize("n", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3])
@@ -98,30 +107,39 @@ def test_chunk_boundaries_match_reference(tmp_path, n):
 
 
 def test_zero_rows_writes_header(tmp_path):
-    assert written(tmp_path, write_wave_csv, [0.5], [], [], []) == reference_csv([])
+    assert written(tmp_path, write_wave_csv, [], 0.5, 0.25, [], [], []) == reference_csv([])
 
 
 @pytest.mark.parametrize("column", range(4))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_writes_no_file(tmp_path, column, bad):
-    cols = [np.linspace(0.0, 1.0, 5), np.ones(4), np.zeros(4), np.full(4, 0.25)]
-    cols[column] = cols[column].copy()
-    cols[column][2] = bad
+    # column 0 is the edges: a NaN origin, or a finite step whose last edge
+    # overflows
+    origin, step = 0.0, 0.25
+    cols = [np.ones(4), np.zeros(4), np.full(4, 0.25)]
+    if column:
+        cols[column - 1][2] = bad
+    elif np.isnan(bad):
+        origin = bad
+    else:
+        step = np.copysign(1e308, bad)
     path = tmp_path / "wave.csv"
     with pytest.raises(ValidationError, match="non-finite"):
-        write_wave_csv(str(path), *cols)
+        write_wave_csv(str(path), [0, 1, 2, 3], origin, step, *cols)
     assert not path.exists()
 
 
 def test_non_finite_scalar_column_writes_no_file(tmp_path):
     path = tmp_path / "wave.csv"
     with pytest.raises(ValidationError, match="non-finite"):
-        write_wave_csv(str(path), [0.0, 0.5, 1.0], np.nan, 0.0, [1.0, 1.0])
+        write_wave_csv(str(path), [0, 1], 0.0, 0.5, np.nan, 0.0, [1.0, 1.0])
     assert not path.exists()
 
 
 def test_mismatched_columns_rejected(tmp_path):
     path = tmp_path / "wave.csv"
-    with pytest.raises(ValidationError, match="cell edges"):
-        write_wave_csv(str(path), [0.0, 0.5, 1.0], [1.0], 0.0, [1.0, 1.0])
+    with pytest.raises(ValidationError, match="do not match 2 cells"):
+        write_wave_csv(str(path), [0, 1], 0.0, 0.5, [1.0], 0.0, [1.0, 1.0])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        write_wave_csv(str(path), [1, 1], 0.0, 0.5, 0.0, 0.0, [1.0, 1.0])
     assert not path.exists()
