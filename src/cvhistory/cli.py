@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +81,7 @@ _COMMON_KEYS = {"kind", "backend", "seed", "max_level", "out_dir", "grid"}
 _KIND_KEYS = {
     "erase-demo": {"pairs", "cv_level", "variant"},
     "validate": {"tolerance", "tolerances"},
-    "processor": {"program", "data_basis", "variant"},
+    "processor": {"program", "data_basis"},
     "resource": {"program"},
 }
 
@@ -215,7 +215,7 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
             raise ValidationError("pairs: required for erase-demo")
         cfg.pairs = _parse_pairs(raw["pairs"], "pairs")
         cfg.cv_level = _expect_int(raw.get("cv_level", 0), "cv_level", minimum=0)
-    if kind in ("erase-demo", "processor") and "variant" in raw:
+    if "variant" in raw:
         try:
             cfg.variant = FlipVariant(raw["variant"])
         except ValueError:
@@ -252,12 +252,10 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
                     raise ValidationError(f"tolerances.{name}: unknown suite")
                 cfg.tolerances[name] = _require_tolerance(tol, f"tolerances.{name}")
 
-    # flags override the file
+    # flags override the file; --backend grid takes the default grid
+    # options when the file has none
     if args.backend is not None:
-        if args.backend == "dyadic":
-            cfg.backend = "dyadic"
-        else:
-            cfg.backend = "grid"  # window/N fall back to defaults if absent
+        cfg.backend = args.backend
     if args.seed is not None:
         cfg.seed = _expect_int(args.seed, "--seed", minimum=0)
     if args.max_level is not None:
@@ -270,6 +268,10 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
     if kind == "validate" and cfg.seed is None:
         raise ValidationError("seed: required for validate (set in the scenario or via --seed)")
     if kind == "erase-demo":
+        # only the grid's flip acts on its spectral residue, outside [0,2);
+        # on the dyadic backend both variants give the same erase
+        if "variant" in raw and cfg.backend != "grid":
+            raise ValidationError("variant: only valid with backend 'grid'")
         _check_erase_demo_bounds(cfg)
     return cfg
 
@@ -313,7 +315,7 @@ def _dyadic_erase_pair(
     cfg: ScenarioConfig, w: DyadicWave, level: int, a: complex, b: complex
 ) -> Tuple[DyadicWave, int, float, float]:
     h = lift(RegisterState(1, np.array([a, b], dtype=np.complex128)), w)
-    erased, (st,) = erase_sequence(h, [0], cfg.variant, max_level=cfg.max_level)
+    erased, (st,) = erase_sequence(h, [0])
     if cv_factor(erased) is None:
         raise ContractError(
             f"level {st.level}: state is entangled; erase-demo expects product input"
@@ -406,23 +408,12 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     # resource's level rule, so the two commands refuse alike and up front
     resource_report(program.steps, program.cv_level, cfg.max_level)
     ps = init_from_program(program, data_basis=cfg.data_basis)
-    ps, trace = run_program(ps, program.steps, cfg.variant, max_level=cfg.max_level)
+    ps, trace = run_program(ps, program.steps)
     h = ps.hybrid
     factored = cv_factor(h)
     # only a run that finished leaves out_dir behind
     os.makedirs(cfg.out_dir, exist_ok=True)
-    lines = [
-        {
-            "step": i,
-            "ancilla_residual": m.ancilla_residual,
-            "data_purity": m.data_purity,
-            "cv_level": m.cv_level,
-            "joint_cells": m.joint_cells,
-            "entries": m.entries,
-            "norm2": m.norm2,
-        }
-        for i, m in enumerate(trace, start=1)
-    ]
+    lines = [{"step": i, **asdict(m)} for i, m in enumerate(trace, start=1)]
     write_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), lines)
     path = os.path.join(cfg.out_dir, "final_wave.csv")
     # one row per stored cell, whatever the width of the hull

@@ -146,11 +146,11 @@ def project(w: DyadicWave, a: int, b: int) -> DyadicWave:
     return DyadicWave(w.level, w.offset, np.where(keep, w.coeffs, 0.0))
 
 
-def squeeze(w: DyadicWave, max_level: int = MAX_LEVEL_DEFAULT) -> DyadicWave:
+def squeeze(w: DyadicWave) -> DyadicWave:
     """The dilation psi(x) -> sqrt(2)*psi(2x): one level finer, same offset,
     coefficients scaled by sqrt(2).  Norm-preserving and exact."""
-    if w.level + 1 > max_level:
-        raise ResourceLimitError(f"squeeze would exceed max level {max_level}")
+    if w.level + 1 > MAX_LEVEL_DEFAULT:
+        raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
     return DyadicWave(w.level + 1, w.offset, w.coeffs * SQRT2)
 
 

@@ -45,6 +45,11 @@ from .qubits import (
     trace_out,
 )
 
+# A row holding less than this share of the weight, or a singular value
+# below this share of the largest, counts as zero when cv_factor splits a
+# state into register and wave.
+FACTOR_TOL = 1e-10
+
 # The two reset-flip conventions.  OUTSIDE_UNIT flips the qubit on every
 # cell not inside [0,1); INSIDE_ONE_TWO flips only on cells inside [1,2).
 # They agree on any state supported in [0,2).
@@ -231,10 +236,10 @@ def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE
     return HybridState(h.n_qubits, h.level, rows, h.cells, h.amps)
 
 
-def squeeze_all(h: HybridState, max_level: int = MAX_LEVEL_DEFAULT) -> HybridState:
+def squeeze_all(h: HybridState) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
-    if h.level + 1 > max_level:
-        raise ResourceLimitError(f"squeeze would exceed max level {max_level}")
+    if h.level + 1 > MAX_LEVEL_DEFAULT:
+        raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
     # scaling by sqrt(2) cannot zero a cell; the constructor refuses one
     # that overflowed
     return HybridState(h.n_qubits, h.level + 1, h.rows, h.cells, h.amps * SQRT2)
@@ -264,19 +269,14 @@ def require_unit_support(h: HybridState, op_name: str) -> None:
         )
 
 
-def erase(
-    h: HybridState,
-    q: int,
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    max_level: int = MAX_LEVEL_DEFAULT,
-) -> HybridState:
+def erase(h: HybridState, q: int) -> HybridState:
     """Reset qubit q to |0>, recording its amplitudes in the CV:
     (a|0> + b|1>) (x) psi  ->  |0> (x) sqrt(2)(a psi(2x) + b psi(2x-1)).
 
-    Requires every row's CV support inside [0,1); raises otherwise."""
+    Requires every row's CV support inside [0,1); raises otherwise.  There
+    the translated support lies in [0,2), where both flip variants agree."""
     require_unit_support(h, "erase")
-    out = unfold(h, q, variant)
-    return squeeze_all(out, max_level=max_level)
+    return squeeze_all(unfold(h, q))
 
 
 def residual_weight(h: HybridState, q: int) -> float:
@@ -298,12 +298,7 @@ class EraseStep:
     ancilla_residual: float
 
 
-def erase_sequence(
-    h: HybridState,
-    qubits: Sequence[int],
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    max_level: int = MAX_LEVEL_DEFAULT,
-) -> Tuple[HybridState, List[EraseStep]]:
+def erase_sequence(h: HybridState, qubits: Sequence[int]) -> Tuple[HybridState, List[EraseStep]]:
     """Erase the listed qubits in order into the shared CV mode.
 
     The trace carries metrics only, so a long sequence does not pin
@@ -312,7 +307,7 @@ def erase_sequence(
     trace: List[EraseStep] = []
     state = h
     for i, q in enumerate(qubits, start=1):
-        state = erase(state, q, variant, max_level=max_level)
+        state = erase(state, q)
         trace.append(
             EraseStep(
                 step=i,
@@ -369,9 +364,7 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     return DensityMatrix._adopt(rho.dim, rho.entries * h.width)
 
 
-def cv_factor(
-    h: HybridState, tol: float = 1e-10
-) -> Optional[Tuple[RegisterState, np.ndarray, np.ndarray]]:
+def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.ndarray]]:
     """Split a product state into (register, cells, values), the wave
     being values[i] on cell cells[i] at h.level; None if entangled.  The
     cells are the occupied ones, increasing, whatever the hull's width.
@@ -386,7 +379,7 @@ def cv_factor(
         nz_rows = h.rows[:1]
     else:
         row_weight = np.bincount(h.rows, weights=a.real**2 + a.imag**2)
-        nz_rows = np.flatnonzero(row_weight > tol * np.sum(row_weight))
+        nz_rows = np.flatnonzero(row_weight > FACTOR_TOL * np.sum(row_weight))
     reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
     if nz_rows.size == 1:
         q = int(nz_rows[0])
@@ -401,7 +394,7 @@ def cv_factor(
     block = np.zeros((rows.size, cols.size), dtype=np.complex128)
     block[row_slot, col_slot] = a
     u, s, vh = np.linalg.svd(block, full_matrices=False)
-    if s.size > 1 and s[1] > tol * s[0]:
+    if s.size > 1 and s[1] > FACTOR_TOL * s[0]:
         return None
     reg[rows] = u[:, 0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
@@ -572,23 +565,13 @@ def grid_squeeze_all(gh: GridHybrid) -> GridHybrid:
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out)
 
 
-def grid_unfold(
-    gh: GridHybrid,
-    q: int,
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    method: str = "spectral",
-) -> GridHybrid:
-    out = grid_cond_translate(gh, q, 1, method)
+def grid_unfold(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
+    out = grid_cond_translate(gh, q, 1)
     out = grid_cond_flip(out, q, variant)
-    return grid_cond_translate(out, q, -1, method)
+    return grid_cond_translate(out, q, -1)
 
 
-def grid_erase(
-    gh: GridHybrid,
-    q: int,
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    method: str = "spectral",
-) -> GridHybrid:
+def grid_erase(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
     """Grid-backend erasure; support detection uses a relative threshold
     because spectral translation leaves O(1e-16) residue everywhere."""
     mags = np.max(np.abs(gh.amps), axis=0)
@@ -601,4 +584,4 @@ def grid_erase(
             raise ContractError(
                 f"grid erase requires CV support inside [0,1); significant samples at x = {where}"
             )
-    return grid_squeeze_all(grid_unfold(gh, q, variant, method))
+    return grid_squeeze_all(grid_unfold(gh, q, variant))

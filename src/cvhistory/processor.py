@@ -19,7 +19,6 @@ import numpy as np
 from . import qubits
 from .dyadic import MAX_LEVEL_DEFAULT, check_bytes, indicator_unit
 from .erasure import (
-    FlipVariant,
     HybridState,
     apply_basis_permutation,
     apply_qubit_gate,
@@ -154,18 +153,24 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
     )
 
 
+def _check_gate_shape(name: str, targets: Tuple[int, ...]) -> None:
+    """A single-qubit gate takes one target, a two-qubit gate two distinct
+    ones."""
+    if name in SINGLE_QUBIT_GATES and len(targets) != 1:
+        raise ValidationError(f"gate {name} takes one target, got {targets}")
+    if name in TWO_QUBIT_GATES and (len(targets) != 2 or targets[0] == targets[1]):
+        raise ValidationError(f"gate {name} takes two distinct targets, got {targets}")
+
+
 def _apply_gate(h: HybridState, op: GateOp, n_total: int) -> HybridState:
     name = op.name
     if any(not 0 <= q < n_total for q in op.targets):
         raise ValidationError(f"gate {name} targets {op.targets} outside [0, {n_total})")
-    if name in SINGLE_QUBIT_GATES:
-        if len(op.targets) != 1:
-            raise ValidationError(f"gate {name} takes one target, got {op.targets}")
-        return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[name])
-    if name not in TWO_QUBIT_GATES:
+    if name not in SINGLE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
         raise ValidationError(f"unknown gate {name!r}")
-    if len(op.targets) != 2 or op.targets[0] == op.targets[1]:
-        raise ValidationError(f"gate {name} takes two distinct targets, got {op.targets}")
+    _check_gate_shape(name, op.targets)
+    if name in SINGLE_QUBIT_GATES:
+        return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[name])
     a, b = op.targets
     idx = np.arange(1 << n_total)
     if name == "CNOT":
@@ -212,12 +217,7 @@ def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
     )
 
 
-def run_step(
-    ps: ProcessorState,
-    step: ProgramStep,
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    max_level: int = MAX_LEVEL_DEFAULT,
-) -> Tuple[ProcessorState, StepMetrics]:
+def run_step(ps: ProcessorState, step: ProgramStep) -> Tuple[ProcessorState, StepMetrics]:
     """Apply the step's operation, then erase its listed ancillas."""
     n_total = ps.data_count + ps.anc_count
     anc_lo = ps.data_count
@@ -233,7 +233,7 @@ def run_step(
     else:
         raise ValidationError(f"unknown op type {type(step.op).__name__}")
     for q in sorted(step.clean):
-        h = erase(h, q, variant, max_level=max_level)
+        h = erase(h, q)
         leftover = residual_weight(h, q)
         if leftover > 1e-12:
             raise ContractError(
@@ -258,14 +258,16 @@ def run_step(
 
 
 def run_program(
-    ps: ProcessorState,
-    steps: Sequence[ProgramStep],
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-    max_level: int = MAX_LEVEL_DEFAULT,
+    ps: ProcessorState, steps: Sequence[ProgramStep]
 ) -> Tuple[ProcessorState, List[StepMetrics]]:
+    """Run the steps in order; a resource limit met mid-run names its step
+    as steps[i], the path of the step in the program."""
     trace: List[StepMetrics] = []
-    for step in steps:
-        ps, metrics = run_step(ps, step, variant, max_level=max_level)
+    for i, step in enumerate(steps):
+        try:
+            ps, metrics = run_step(ps, step)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"steps[{i}]: {exc}") from exc
         trace.append(metrics)
     return ps, trace
 
@@ -344,13 +346,17 @@ def _parse_op(obj, path: str, n_total: int, base_dir: str) -> Union[GateOp, Tabl
         name = name.upper()
         if name not in SINGLE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
             raise ValidationError(f"{path}.gate: unknown gate {name!r}")
-        targets = _expect_int_list(obj.get("targets"), f"{path}.targets")
+        targets = tuple(_expect_int_list(obj.get("targets"), f"{path}.targets"))
         for i, q in enumerate(targets):
             if not 0 <= q < n_total:
                 raise ValidationError(
                     f"{path}.targets[{i}]: qubit {q} outside [0, {n_total})"
                 )
-        return GateOp(name, tuple(targets))
+        try:
+            _check_gate_shape(name, targets)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}.targets: {exc}") from exc
+        return GateOp(name, targets)
     if "table" in obj:
         try:
             table = _parse_table_ref(obj["table"], f"{path}.table", base_dir)

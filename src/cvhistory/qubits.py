@@ -80,19 +80,20 @@ class DensityMatrix:
         object.__setattr__(rho, "entries", entries)
         return rho
 
-    def validate(self, tol: float = NORM_TOL, eig_floor: float = -1e-10) -> None:
-        """Raise unless Hermitian, unit trace, and positive within tolerances."""
+    def validate(self) -> None:
+        """Raise unless Hermitian and of unit trace within NORM_TOL, and with
+        no eigenvalue below -1e-10."""
         rho = self.entries
         if not np.all(np.isfinite(rho.view(np.float64))):
             raise ValidationError("density matrix has non-finite entries")
         herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm_err > tol:
+        if herm_err > NORM_TOL:
             raise ValidationError(f"density matrix not Hermitian (error {herm_err:.3e})")
         trace_err = abs(complex(np.trace(rho)) - 1.0)
-        if trace_err > tol:
+        if trace_err > NORM_TOL:
             raise ValidationError(f"density matrix trace deviates from 1 by {trace_err:.3e}")
         eig_min = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-        if eig_min < eig_floor:
+        if eig_min < -1e-10:
             raise ValidationError(f"density matrix has negative eigenvalue {eig_min:.3e}")
 
 
@@ -108,11 +109,11 @@ def basis_state(n_qubits: int, index: int) -> RegisterState:
     return RegisterState(n_qubits, amps)
 
 
-def is_unitary(u: np.ndarray, tol: float = NORM_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= NORM_TOL)
 
 
 def _apply_single_qubit_kernel(amps: np.ndarray, n_qubits: int, q: int, u: np.ndarray) -> np.ndarray:

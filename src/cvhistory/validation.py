@@ -79,7 +79,7 @@ class SuiteResult:
 
 # quoted: evaluating np.random.Generator here would import numpy.random
 # into every command, not only validate
-SuiteFn = Callable[["np.random.Generator", float], Tuple[int, float]]
+SuiteFn = Callable[["np.random.Generator"], Tuple[int, float]]
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +114,10 @@ def _random_wave(rng: np.random.Generator) -> DyadicWave:
     return DyadicWave(level, offset, c)
 
 
-def _random_hybrid(
-    rng: np.random.Generator, max_qubits: int = 4, max_level: int = 6, unit: bool = False
-) -> HybridState:
-    n = int(rng.integers(1, max_qubits + 1))
-    level = int(rng.integers(1, max_level + 1))
+def _random_hybrid(rng: np.random.Generator, unit: bool = False) -> HybridState:
+    """1 to 4 qubits at level 1 to 6; with ``unit``, dense over [0,1)."""
+    n = int(rng.integers(1, 5))
+    level = int(rng.integers(1, 7))
     if unit:
         offset, n_cells = 0, 1 << level
     else:
@@ -153,7 +152,7 @@ def _overlay(w1: DyadicWave, w2: DyadicWave) -> DyadicWave:
 # ---------------------------------------------------------------------------
 
 
-def suite_qubit_norm_preservation(rng, tol):
+def suite_qubit_norm_preservation(rng):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 7))
@@ -166,7 +165,7 @@ def suite_qubit_norm_preservation(rng, tol):
     return 100, worst
 
 
-def suite_qubit_permutation_inverse(rng, tol):
+def suite_qubit_permutation_inverse(rng):
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 7))
@@ -177,7 +176,7 @@ def suite_qubit_permutation_inverse(rng, tol):
     return 50, worst
 
 
-def suite_qubit_full_density_projector(rng, tol):
+def suite_qubit_full_density_projector(rng):
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -194,7 +193,7 @@ def suite_qubit_full_density_projector(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def suite_dyadic_norm_rules(rng, tol):
+def suite_dyadic_norm_rules(rng):
     worst = 0.0
     for _ in range(100):
         w = _random_wave(rng)
@@ -210,7 +209,7 @@ def suite_dyadic_norm_rules(rng, tol):
     return 100, worst
 
 
-def suite_dyadic_translate_inverse(rng, tol):
+def suite_dyadic_translate_inverse(rng):
     bad = 0
     for _ in range(100):
         w = _random_wave(rng)
@@ -220,7 +219,7 @@ def suite_dyadic_translate_inverse(rng, tol):
     return 100, float(bad)
 
 
-def suite_dyadic_refine_commutes(rng, tol):
+def suite_dyadic_refine_commutes(rng):
     worst = 0.0
     for _ in range(100):
         w = _random_wave(rng)
@@ -242,7 +241,7 @@ def suite_dyadic_refine_commutes(rng, tol):
     return 100, worst
 
 
-def suite_dyadic_project_idempotent(rng, tol):
+def suite_dyadic_project_idempotent(rng):
     bad = 0
     for _ in range(100):
         w = _random_wave(rng)
@@ -254,7 +253,7 @@ def suite_dyadic_project_idempotent(rng, tol):
     return 100, float(bad)
 
 
-def suite_dyadic_squeeze_halves_support(rng, tol):
+def suite_dyadic_squeeze_halves_support(rng):
     bad = 0
     for _ in range(100):
         w = _random_wave(rng)
@@ -283,7 +282,7 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / (ref if ref else 1.0))
 
 
-def suite_grid_spectral_roundtrip(rng, tol):
+def suite_grid_spectral_roundtrip(rng):
     worst = 0.0
     for _ in range(20):
         g = _band_limited(rng, -2.0, 4.0 / 1024, 1024)
@@ -293,7 +292,7 @@ def suite_grid_spectral_roundtrip(rng, tol):
     return 20, worst
 
 
-def suite_grid_spectral_matches_shift(rng, tol):
+def suite_grid_spectral_matches_shift(rng):
     worst = 0.0
     for _ in range(5):
         center = float(rng.uniform(-0.9, -0.3))
@@ -316,7 +315,7 @@ def _times(vals: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
-def suite_grid_pipeline_cross_check(rng, tol):
+def suite_grid_pipeline_cross_check(rng):
     n, x_min, h = 4096, -2.0, 4.0 / 1024.0
     positions = x_min + h * np.arange(n)
     worst = 0.0
@@ -336,7 +335,7 @@ def suite_grid_pipeline_cross_check(rng, tol):
     return 3, worst
 
 
-def suite_grid_dilation_generator(rng, tol):
+def suite_grid_dilation_generator(rng):
     n, x_min = 512, -12.0
     h = 24.0 / n
     g = sample_function(lambda x: np.pi**-0.25 * np.exp(-(x**2) / 2.0), x_min, h, n)
@@ -351,7 +350,7 @@ def suite_grid_dilation_generator(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def suite_hybrid_unitarity(rng, tol):
+def suite_hybrid_unitarity(rng):
     worst = 0.0
     for _ in range(100):
         h = _random_hybrid(rng)
@@ -370,7 +369,7 @@ def suite_hybrid_unitarity(rng, tol):
     return 100, worst
 
 
-def suite_hybrid_flip_involution(rng, tol):
+def suite_hybrid_flip_involution(rng):
     bad = 0
     for _ in range(100):
         h = _random_hybrid(rng)
@@ -381,7 +380,7 @@ def suite_hybrid_flip_involution(rng, tol):
     return 100, float(bad)
 
 
-def suite_hybrid_translate_inverse(rng, tol):
+def suite_hybrid_translate_inverse(rng):
     bad = 0
     for _ in range(100):
         h = _random_hybrid(rng)
@@ -392,7 +391,7 @@ def suite_hybrid_translate_inverse(rng, tol):
     return 100, float(bad)
 
 
-def suite_unfold_superposition_contract(rng, tol):
+def suite_unfold_superposition_contract(rng):
     worst = 0.0
     for _ in range(100):
         alpha, beta = _random_pair(rng)
@@ -408,7 +407,7 @@ def suite_unfold_superposition_contract(rng, tol):
     return 100, worst
 
 
-def suite_erase_contract(rng, tol):
+def suite_erase_contract(rng):
     worst = 0.0
     for _ in range(100):
         alpha, beta = _random_pair(rng)
@@ -425,7 +424,7 @@ def suite_erase_contract(rng, tol):
     return 100, worst
 
 
-def suite_flip_variant_agreement(rng, tol):
+def suite_flip_variant_agreement(rng):
     bad = 0
     for _ in range(100):
         level = int(rng.integers(1, 6))
@@ -453,7 +452,7 @@ def _product_register(pairs) -> RegisterState:
     return RegisterState(len(pairs), amps)
 
 
-def suite_erase_oracle_equivalence(rng, tol):
+def suite_erase_oracle_equivalence(rng):
     worst = 0.0
     trials = 0
     for n in (3, 6, 9, 12):
@@ -470,7 +469,7 @@ def suite_erase_oracle_equivalence(rng, tol):
     return trials, worst
 
 
-def suite_history_branch_orthogonality(rng, tol):
+def suite_history_branch_orthogonality(rng):
     worst = 0.0
     n_bits = 4
     waves = []
@@ -487,7 +486,7 @@ def suite_history_branch_orthogonality(rng, tol):
     return count, worst
 
 
-def suite_decoherence_branch_overlap(rng, tol):
+def suite_decoherence_branch_overlap(rng):
     worst = 0.0
     for _ in range(20):
         alpha, beta = _random_pair(rng)
@@ -517,7 +516,7 @@ def suite_decoherence_branch_overlap(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def suite_revcomp_involution(rng, tol):
+def suite_revcomp_involution(rng):
     bad = 0
     trials = 0
     for _ in range(10):
@@ -543,7 +542,7 @@ def suite_revcomp_involution(rng, tol):
     return trials, float(bad)
 
 
-def suite_revcomp_forward_agreement(rng, tol):
+def suite_revcomp_forward_agreement(rng):
     bad = 0
     trials = 0
     for _ in range(10):
@@ -560,7 +559,7 @@ def suite_revcomp_forward_agreement(rng, tol):
     return trials, float(bad)
 
 
-def suite_revcomp_uncompute_identity(rng, tol):
+def suite_revcomp_uncompute_identity(rng):
     worst = 0.0
     for _ in range(20):
         n_in = int(rng.integers(1, 5))
@@ -577,7 +576,7 @@ def suite_revcomp_uncompute_identity(rng, tol):
     return 20, worst
 
 
-def suite_revcomp_clean_evaluation(rng, tol):
+def suite_revcomp_clean_evaluation(rng):
     bad = 0
     trials = 0
     for _ in range(10):
@@ -599,7 +598,8 @@ def suite_revcomp_clean_evaluation(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def _random_program_run(rng, n_data=2, n_steps=4):
+def _random_program_run(rng, n_steps=4):
+    n_data = 2
     data_basis = int(rng.integers(0, 1 << n_data))
     ps = init(n_data, 1, basis_state(n_data, data_basis), cv_level=0)
     bits = []
@@ -617,7 +617,7 @@ def _random_program_run(rng, n_data=2, n_steps=4):
     return ps, bits, metrics, data_basis
 
 
-def suite_processor_ancilla_exactness(rng, tol):
+def suite_processor_ancilla_exactness(rng):
     worst = 0.0
     trials = 0
     for _ in range(10):
@@ -628,7 +628,7 @@ def suite_processor_ancilla_exactness(rng, tol):
     return trials, worst
 
 
-def suite_processor_level_accounting(rng, tol):
+def suite_processor_level_accounting(rng):
     bad = 0
     for _ in range(10):
         n_steps = int(rng.integers(1, 6))
@@ -643,7 +643,7 @@ def suite_processor_level_accounting(rng, tol):
     return 10, float(bad)
 
 
-def suite_processor_history_fidelity(rng, tol):
+def suite_processor_history_fidelity(rng):
     worst = 0.0
     for _ in range(10):
         ps, bits, _, data_basis = _random_program_run(rng, n_steps=5)
@@ -654,7 +654,7 @@ def suite_processor_history_fidelity(rng, tol):
     return 10, worst
 
 
-def suite_processor_purity_monotone(rng, tol):
+def suite_processor_purity_monotone(rng):
     """Checks a purity recomputed from the state at every step, so a step
     that reports a carried value is held to the state too."""
     worst = 0.0
@@ -682,7 +682,7 @@ def suite_processor_purity_monotone(rng, tol):
     return 10, worst
 
 
-def suite_processor_norm_stability(rng, tol):
+def suite_processor_norm_stability(rng):
     worst = 0.0
     for _ in range(10):
         _, _, metrics, _ = _random_program_run(rng)
@@ -696,7 +696,7 @@ def suite_processor_norm_stability(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def suite_float_roundtrip_17g(rng, tol):
+def suite_float_roundtrip_17g(rng):
     bad = 0
     vals = np.concatenate(
         [
@@ -759,7 +759,7 @@ def run_suite(name: str, seed: int, tolerance: Optional[float] = None) -> SuiteR
         if n == name:
             tol = default_tol if tolerance is None else tolerance
             rng = np.random.default_rng([seed, idx])
-            trials, max_error = fn(rng, tol)
+            trials, max_error = fn(rng)
             return SuiteResult(name, trials, float(max_error), tol, max_error <= tol)
     raise KeyError(f"unknown suite {name!r}")
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cvhistory
+from cvhistory import dyadic
 from cvhistory.cli import build_parser, main
 from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
@@ -242,6 +243,30 @@ class TestScenarioSchema:
         assert main(["validate", s]) == 2
 
 
+    @pytest.mark.parametrize(
+        "kind, fields, flags",
+        [
+            pytest.param("processor", {"program": and_program(1)}, [], id="processor"),
+            pytest.param("erase-demo", {"pairs": [[0.6, 0.8]]}, [], id="dyadic-default"),
+            pytest.param(
+                "erase-demo", {"pairs": [[0.6, 0.8]], "backend": "dyadic"}, [], id="dyadic-key"
+            ),
+            # the flag overrides a grid file: the variant would go unused
+            pytest.param(
+                "erase-demo",
+                {"pairs": [[0.6, 0.8]], "backend": "grid", "grid": {"n": 64}},
+                ["--backend", "dyadic"],
+                id="dyadic-flag",
+            ),
+        ],
+    )
+    def test_variant_only_on_grid_erase_demo(self, tmp_path, capsys, kind, fields, flags):
+        # on the dyadic backend both flips give the same erase
+        scenario = {**fields, "variant": "inside_one_two", "out_dir": str(tmp_path / "o")}
+        assert main([kind, write_scenario(tmp_path, "s.json", scenario), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: variant:")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["processor", "resource", "validate"])
     def test_grid_backend_only_for_erase_demo(self, tmp_path, capsys, kind):
         fields = {"seed": 1} if kind == "validate" else {"program": and_program(1)}
@@ -359,6 +384,23 @@ class TestEraseDemo:
         inside = [r for r in grid_rows if 0.0 <= float(r.split(",")[0]) < 1.0]
         for r in inside:
             assert abs(float(r.split(",")[4]) - 1.0) < 1e-9
+
+
+    def test_grid_runs_each_variant(self, tmp_path):
+        # the flips differ only outside [0,2), where the grid holds the
+        # spectral translation's residue: the dumps differ in their last digits
+        dumps = []
+        for variant in ("outside_unit", "inside_one_two"):
+            out = tmp_path / variant
+            grid = {"window": [-2.0, 2.0], "n": 256}
+            scenario = {"backend": "grid", "grid": grid, "pairs": [[0.6, 0.8]] * 2}
+            scenario.update(variant=variant, out_dir=str(out))
+            assert main(["erase-demo", write_scenario(tmp_path, "s.json", scenario)]) == 0
+            trace = json.loads((out / "trace.json").read_text())
+            assert [t["level"] for t in trace] == [0, 1, 2]
+            assert max(t["ancilla_residual"] for t in trace) <= 1e-20
+            dumps.append((out / "step_01.csv").read_bytes())
+        assert dumps[0] != dumps[1]
 
 
 class TestProcessorCommand:
@@ -606,16 +648,16 @@ class TestResourceCommand:
         assert capsys.readouterr().err.startswith("error: cv_level:")
 
     @pytest.mark.parametrize(
-        "prog, max_level, code",
+        "prog, max_level, code, field",
         [
             # max_level is the one level rule: 53 cleans reach the default,
             # the erase from level 53 would squeeze past it; likewise 5
             # cleans pass max_level 3
-            pytest.param(x_clean_program(22), None, 0, id="22-None-0"),
-            pytest.param(x_clean_program(53), None, 0, id="53-None-0"),
-            pytest.param(x_clean_program(54), None, 3, id="54-None-3"),
-            pytest.param(x_clean_program(3), 3, 0, id="3-3-0"),
-            pytest.param(x_clean_program(5), 3, 3, id="5-3-3"),
+            pytest.param(x_clean_program(22), None, 0, None, id="22-None-0"),
+            pytest.param(x_clean_program(53), None, 0, None, id="53-None-0"),
+            pytest.param(x_clean_program(54), None, 3, "max_level", id="54-None-3"),
+            pytest.param(x_clean_program(3), 3, 0, None, id="3-3-0"),
+            pytest.param(x_clean_program(5), 3, 3, "max_level", id="5-3-3"),
             # 2 entries on a hull of 2^18 cells and 2^11 rows
             pytest.param(
                 {
@@ -626,15 +668,34 @@ class TestResourceCommand:
                 },
                 None,
                 0,
+                None,
                 id="wide-hull-0",
             ),
             # the level-25 indicator of 2^25 cells is past the byte budget
             pytest.param(
-                {"data": 1, "ancilla": 0, "cv_level": 25, "steps": []}, None, 3, id="cv-level-25-3"
+                {"data": 1, "ancilla": 0, "cv_level": 25, "steps": []},
+                None,
+                3,
+                "cv_level",
+                id="cv-level-25-3",
+            ),
+            # a gate of the wrong shape is refused at parse time, before
+            # step 0 runs
+            pytest.param(
+                {
+                    "data": 1,
+                    "ancilla": 1,
+                    "steps": x_clean_program(1)["steps"]
+                    + [{"op": {"gate": "CNOT", "targets": [0]}}],
+                },
+                None,
+                2,
+                "steps[1].op.targets",
+                id="cnot-one-target-2",
             ),
         ],
     )
-    def test_agrees_with_processor(self, tmp_path, capsys, prog, max_level, code):
+    def test_agrees_with_processor(self, tmp_path, capsys, prog, max_level, code, field):
         scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
         if max_level is not None:
             scenario["max_level"] = max_level
@@ -643,9 +704,33 @@ class TestResourceCommand:
         assert main(["resource", s]) == code
         if code:
             err = capsys.readouterr().err.splitlines()
-            field = "max_level" if prog["steps"] else "cv_level"
             assert len(err) == 2 and err[0] == err[1]
             assert err[-1].startswith(f"error: {field}:")
+
+    def test_mid_run_budget_refusal_names_its_step(self, tmp_path, monkeypatch, capsys):
+        # resource models the start checks only: at a 2^16-byte budget the
+        # start fits, and step 1's erase doubles the occupied cells of the
+        # 2^3-row density block past the budget
+        monkeypatch.setattr(dyadic, "MAX_BYTES", 1 << 16)
+        prog = {
+            "data": 2,
+            "ancilla": 1,
+            "cv_level": 9,
+            "steps": [
+                {"op": {"gate": "H", "targets": [0]}},
+                {"op": {"gate": "CNOT", "targets": [0, 2]}, "clean": [2]},
+            ],
+        }
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        assert main(["resource", s]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p"
+        assert main(["processor", s, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: steps[1]: reduced density: a block of 2^3 rows by 1024 occupied cells "
+            "exceeds the 65536-byte budget\n"
+        )
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -90,7 +90,6 @@ kinds = {
         "processor",
         {"program": programs()},
         data_basis=st.integers(0, 7),
-        variant=variant,
         max_level=st.integers(0, 60),
     ),
     "resource": scenario("resource", {"program": programs()}, max_level=st.integers(0, 60)),
@@ -99,9 +98,12 @@ kinds = {
             "erase-demo",
             {"pairs": pair_list, "cv_level": st.one_of(st.integers(0, 3), far_level)},
             max_level=st.integers(0, 60),
+        ),
+        scenario(
+            "erase-demo",
+            {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options},
             variant=variant,
         ),
-        scenario("erase-demo", {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options}),
     ),
 }
 

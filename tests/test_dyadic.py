@@ -163,8 +163,10 @@ class TestSqueeze:
         assert out == DyadicWave(1, 0, np.array([0.6, 0.8]) * SQRT2)
 
     def test_level_limit(self):
-        with pytest.raises(ResourceLimitError):
-            squeeze(indicator_unit(0), max_level=0)
+        # 53 is the last level at which a cell edge is exact in a float
+        assert squeeze(DyadicWave(52, 0, [1.0])).level == 53
+        with pytest.raises(ResourceLimitError, match="max level 53"):
+            squeeze(DyadicWave(53, 0, [1.0]))
 
     @given(waves_strategy)
     @settings(max_examples=50, deadline=None)

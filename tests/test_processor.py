@@ -423,6 +423,29 @@ class TestParseProgram:
         assert isinstance(prog.steps[1].op, GateOp)
         assert prog.steps[1].op.name == "CNOT"
 
+    @pytest.mark.parametrize(
+        "gate, targets, message",
+        [
+            pytest.param("CNOT", [0], "gate CNOT takes two distinct targets, got (0,)", id="CNOT-0"),
+            pytest.param(
+                "CNOT", [1, 1], "gate CNOT takes two distinct targets, got (1, 1)", id="CNOT-1-1"
+            ),
+            pytest.param("X", [0, 1], "gate X takes one target, got (0, 1)", id="X-0-1"),
+        ],
+    )
+    def test_gate_shape_names_path(self, gate, targets, message):
+        # refused at parse time, naming the field; a hand-built op meets the
+        # same rule when it is applied
+        obj = self.good()
+        obj["steps"].append({"op": {"gate": gate, "targets": targets}})
+        with pytest.raises(ValidationError) as exc:
+            parse_program(obj)
+        assert str(exc.value) == f"steps[1].op.targets: {message}"
+        h = lift(basis_state(3, 0), indicator_unit(0))
+        with pytest.raises(ValidationError) as exc:
+            _apply_gate(h, GateOp(gate, tuple(targets)), 3)
+        assert str(exc.value) == message
+
     def test_clean_data_qubit_names_path(self):
         obj = self.good()
         obj["steps"][0]["clean"] = [0]
