@@ -11,22 +11,21 @@ Four subcommands, each reading one scenario JSON file:
 
 Exit codes: 0 success, 1 validation failure (a numeric check failed),
 2 input or schema error, 3 resource limit.  All state comes from the
-scenario file and flags; no environment variables are consulted.
+scenario file, plus --out-dir; no environment variables are consulted.
 Output is deterministic byte-for-byte for a fixed scenario and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL_DEFAULT, DyadicWave, check_bytes, indicator_unit
+from .dyadic import DyadicWave, check_bytes, check_level, indicator_unit
 from .dyadic import norm2 as wave_norm2
 from .erasure import (
     FlipVariant,
@@ -65,7 +64,7 @@ from .serialize import (
     write_jsonl,
     write_wave_csv,
 )
-from .validation import SUITE_NAMES, run_all
+from .validation import run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,14 +74,12 @@ EXIT_RESOURCE = 3
 DEFAULT_GRID_WINDOW = (-2.0, 2.0)
 DEFAULT_GRID_N = 4096
 
-KINDS = ("erase-demo", "validate", "processor", "resource")
-
-_COMMON_KEYS = {"kind", "backend", "seed", "max_level", "out_dir", "grid"}
-_KIND_KEYS = {
-    "erase-demo": {"pairs", "cv_level", "variant"},
-    "validate": {"tolerance", "tolerances"},
-    "processor": {"program", "data_basis"},
-    "resource": {"program"},
+# The scenario keys each command reads; any other key exits 2.
+SCENARIO_KEYS = {
+    "erase-demo": ("kind", "backend", "grid", "variant", "pairs", "cv_level", "out_dir"),
+    "validate": ("kind", "seed", "out_dir"),
+    "processor": ("kind", "program", "data_basis", "out_dir"),
+    "resource": ("kind", "program", "out_dir"),
 }
 
 
@@ -91,12 +88,9 @@ class ScenarioConfig:
     kind: str
     backend: str = "dyadic"
     seed: Optional[int] = None
-    max_level: int = MAX_LEVEL_DEFAULT
     out_dir: str = "out"
     grid_window: Tuple[float, float] = DEFAULT_GRID_WINDOW
     grid_n: int = DEFAULT_GRID_N
-    tolerance: Optional[float] = None
-    tolerances: Dict[str, float] = field(default_factory=dict)
     pairs: List[Tuple[complex, complex]] = field(default_factory=list)
     cv_level: int = 0
     variant: FlipVariant = FlipVariant.OUTSIDE_UNIT
@@ -108,13 +102,6 @@ def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     return float(value)
-
-
-def _require_tolerance(value, path: str) -> float:
-    tol = _require_number(value, path)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"{path}: must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def _parse_amplitude(value, path: str) -> complex:
@@ -147,7 +134,9 @@ def _parse_pairs(value, path: str) -> List[Tuple[complex, complex]]:
     return pairs
 
 
-def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioConfig:
+def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> ScenarioConfig:
+    """The scenario file at path, read as a ``kind`` run; ``out_dir``, from
+    --out-dir, replaces the file's when given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -158,28 +147,24 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
 
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
     for key in raw:
-        if key not in allowed:
+        if key not in SCENARIO_KEYS[kind]:
             raise ValidationError(f"{key}: unknown scenario key for kind {kind!r}")
 
     declared = raw.get("kind", kind)
     if declared != kind:
         raise ValidationError(f"kind: scenario declares {declared!r} but command is {kind!r}")
 
-    backend = raw.get("backend", "dyadic")
-    if backend not in ("dyadic", "grid"):
-        raise ValidationError(f"backend: expected 'dyadic' or 'grid', got {backend!r}")
-    # only erase-demo has a grid implementation; elsewhere it would be ignored
-    if kind != "erase-demo" and "grid" in (backend, args.backend):
-        raise ValidationError(f"backend: the grid backend runs only erase-demo, not {kind}")
-    # grid options go with the grid backend, never with the dyadic one
-    if backend == "dyadic" and "grid" in raw:
-        raise ValidationError("grid: options are only valid with backend 'grid'")
-    if backend == "grid" and "grid" not in raw:
-        raise ValidationError("grid: backend 'grid' requires a grid options object")
-
-    cfg = ScenarioConfig(kind=kind, backend=backend)
+    cfg = ScenarioConfig(kind=kind)
+    if kind == "erase-demo":
+        cfg.backend = raw.get("backend", "dyadic")
+        if cfg.backend not in ("dyadic", "grid"):
+            raise ValidationError(f"backend: expected 'dyadic' or 'grid', got {cfg.backend!r}")
+        # grid options go with the grid backend, never with the dyadic one
+        if cfg.backend == "dyadic" and "grid" in raw:
+            raise ValidationError("grid: options are only valid with backend 'grid'")
+        if cfg.backend == "grid" and "grid" not in raw:
+            raise ValidationError("grid: backend 'grid' requires a grid options object")
 
     if "grid" in raw:
         gopts = raw["grid"]
@@ -201,14 +186,16 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
         cfg.grid_window = (lo, hi)
         cfg.grid_n = n
 
-    if "seed" in raw:
+    if kind == "validate":
+        if "seed" not in raw:
+            raise ValidationError("seed: required for validate")
         cfg.seed = _expect_int(raw["seed"], "seed", minimum=0)
-    if "max_level" in raw:
-        cfg.max_level = _expect_int(raw["max_level"], "max_level", 0, MAX_LEVEL_DEFAULT)
     if "out_dir" in raw:
         if not isinstance(raw["out_dir"], str):
             raise ValidationError(f"out_dir: expected a string, got {raw['out_dir']!r}")
         cfg.out_dir = raw["out_dir"]
+    if out_dir is not None:
+        cfg.out_dir = out_dir
 
     if kind == "erase-demo":
         if "pairs" not in raw:
@@ -222,6 +209,10 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
             raise ValidationError(
                 f"variant: expected 'outside_unit' or 'inside_one_two', got {raw['variant']!r}"
             ) from None
+        # only the grid's flip acts on its spectral residue, outside [0,2);
+        # on the dyadic backend both variants give the same erase
+        if cfg.backend != "grid":
+            raise ValidationError("variant: only valid with backend 'grid'")
     if kind in ("processor", "resource"):
         if "program" not in raw:
             raise ValidationError(f"program: required for {kind}")
@@ -240,59 +231,24 @@ def load_scenario(path: str, kind: str, args: argparse.Namespace) -> ScenarioCon
             raise ValidationError(
                 f"data_basis: {cfg.data_basis} outside [0, 2^{cfg.program.data})"
             )
-    if kind == "validate":
-        if "tolerance" in raw:
-            cfg.tolerance = _require_tolerance(raw["tolerance"], "tolerance")
-        if "tolerances" in raw:
-            tols = raw["tolerances"]
-            if not isinstance(tols, dict):
-                raise ValidationError("tolerances: expected an object of suite: tolerance")
-            for name, tol in tols.items():
-                if name not in SUITE_NAMES:
-                    raise ValidationError(f"tolerances.{name}: unknown suite")
-                cfg.tolerances[name] = _require_tolerance(tol, f"tolerances.{name}")
-
-    # flags override the file; --backend grid takes the default grid
-    # options when the file has none
-    if args.backend is not None:
-        cfg.backend = args.backend
-    if args.seed is not None:
-        cfg.seed = _expect_int(args.seed, "--seed", minimum=0)
-    if args.max_level is not None:
-        cfg.max_level = _expect_int(args.max_level, "--max-level", 0, MAX_LEVEL_DEFAULT)
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    if args.tolerance is not None:
-        cfg.tolerance = _require_tolerance(args.tolerance, "--tolerance")
-
-    if kind == "validate" and cfg.seed is None:
-        raise ValidationError("seed: required for validate (set in the scenario or via --seed)")
     if kind == "erase-demo":
-        # only the grid's flip acts on its spectral residue, outside [0,2);
-        # on the dyadic backend both variants give the same erase
-        if "variant" in raw and cfg.backend != "grid":
-            raise ValidationError("variant: only valid with backend 'grid'")
         _check_erase_demo_bounds(cfg)
     return cfg
 
 
 def _check_erase_demo_bounds(cfg: ScenarioConfig) -> None:
-    """Refuse, before anything is allocated, a run that would pass
-    max_level or whose dense wave, the grid's samples or the 2^level cells
-    of the last dyadic wave, would not fit the byte budget."""
+    """Refuse, before anything is allocated, a run that would pass the last
+    exact level or whose dense wave, the grid's samples or the 2^level
+    cells of the last dyadic wave, would not fit the byte budget."""
     if cfg.backend == "grid" and cfg.cv_level != 0:
         raise ValidationError(
             f"cv_level: the grid backend starts at level 0, got {cfg.cv_level}"
         )
-    final = cfg.cv_level + len(cfg.pairs)
-    prefix = f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs"
-    if final > cfg.max_level:
-        raise ResourceLimitError(
-            f"{prefix} reaches level {final}, above max_level {cfg.max_level}"
-        )
+    final = check_level(cfg.cv_level, len(cfg.pairs), "pairs")
     if cfg.backend == "grid":
         check_bytes(f"grid.n: a wave of {cfg.grid_n} samples", 0, cfg.grid_n)
     else:
+        prefix = f"cv_level: {cfg.cv_level} plus {len(cfg.pairs)} pairs"
         check_bytes(f"{prefix}: the level-{final} wave of 2^{final} cells", final, 1)
 
 
@@ -379,7 +335,7 @@ def cmd_erase_demo(cfg: ScenarioConfig) -> int:
 
 def cmd_validate(cfg: ScenarioConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    results = run_all(cfg.seed, overrides=cfg.tolerances, global_tolerance=cfg.tolerance)
+    results = run_all(cfg.seed)
     report = [
         {
             "suite": r.suite,
@@ -406,7 +362,7 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
 def cmd_processor(cfg: ScenarioConfig) -> int:
     program = cfg.program
     # resource's level rule, so the two commands refuse alike and up front
-    resource_report(program.steps, program.cv_level, cfg.max_level)
+    resource_report(program.steps, program.cv_level)
     ps = init_from_program(program, data_basis=cfg.data_basis)
     ps, trace = run_program(ps, program.steps)
     h = ps.hybrid
@@ -446,7 +402,7 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
 
 def cmd_resource(cfg: ScenarioConfig) -> int:
     program = cfg.program
-    rep = resource_report(program.steps, program.cv_level, cfg.max_level)
+    rep = resource_report(program.steps, program.cv_level)
     _check_joint_table(program.data, program.ancilla, program.cv_level)
     os.makedirs(cfg.out_dir, exist_ok=True)
     obj = {
@@ -477,13 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvhistory",
         description="Simulate erasing ancilla qubits into one continuous history variable.",
     )
-    parser.add_argument("command", choices=KINDS, help="the scenario kind to run")
+    parser.add_argument("command", choices=SCENARIO_KEYS, help="the scenario kind to run")
     parser.add_argument("scenario", help="path to the scenario JSON file")
-    parser.add_argument("--backend", choices=("dyadic", "grid"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--max-level", type=int, default=None)
-    parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--out-dir", default=None, help="replaces the scenario's out_dir")
     return parser
 
 
@@ -491,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_scenario(args.scenario, args.command, args)
+        cfg = load_scenario(args.scenario, args.command, args.out_dir)
         return _HANDLERS[args.command](cfg)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,18 @@ def check_bytes(what: str, row_bits: int, cols: int) -> None:
         raise ResourceLimitError(f"{what} exceeds the {MAX_BYTES}-byte budget")
 
 
+def check_level(cv_level: int, erasures: int, what: str) -> int:
+    """Refuse a run that starts at cv_level and gains one level per erasure
+    (``what`` names them) past MAX_LEVEL_DEFAULT; return its final level."""
+    final = cv_level + erasures
+    if final > MAX_LEVEL_DEFAULT:
+        raise ResourceLimitError(
+            f"cv_level: {cv_level} plus {erasures} {what} reaches level {final}, "
+            f"above max level {MAX_LEVEL_DEFAULT}"
+        )
+    return final
+
+
 @dataclass(frozen=True, eq=False)
 class DyadicWave:
     """Canonical piecewise-constant complex wave on dyadic cells."""

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import qubits
-from .dyadic import MAX_LEVEL_DEFAULT, check_bytes, indicator_unit
+from .dyadic import check_bytes, check_level, indicator_unit
 from .erasure import (
     HybridState,
     apply_basis_permutation,
@@ -272,23 +272,15 @@ def run_program(
     return ps, trace
 
 
-def resource_report(
-    steps: Sequence[ProgramStep], cv_level: int = 0, max_level: int = MAX_LEVEL_DEFAULT
-) -> ResourceReport:
+def resource_report(steps: Sequence[ProgramStep], cv_level: int = 0) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead.  An erase from level
-    max_level or above would squeeze past it, so a program reaching one is
-    refused; both commands run this first and ``_check_joint_table`` next."""
+    pool and pays one CV level per erasure instead.  A program whose final
+    level would pass the last exact level is refused; both commands run
+    this first and ``_check_joint_table`` next."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
-    final_level = cv_level + total_cleans
-    stop = max(cv_level, max_level)
-    if stop < final_level:
-        raise ResourceLimitError(
-            f"max_level: cv_level {cv_level} plus {total_cleans} cleans: the erase from "
-            f"level {stop} would squeeze past max level {max_level}"
-        )
+    final_level = check_level(cv_level, total_cleans, "cleans")
     return ResourceReport(
         plain_reversible_ancillas=total_cleans,
         cv_scheme_qubits=pool,

@@ -9,7 +9,7 @@ tests both run through this registry so they cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -754,22 +754,14 @@ SUITES: List[Tuple[str, SuiteFn, float]] = [
 SUITE_NAMES = [name for name, _, _ in SUITES]
 
 
-def run_suite(name: str, seed: int, tolerance: Optional[float] = None) -> SuiteResult:
-    for idx, (n, fn, default_tol) in enumerate(SUITES):
+def run_suite(name: str, seed: int) -> SuiteResult:
+    for idx, (n, fn, tol) in enumerate(SUITES):
         if n == name:
-            tol = default_tol if tolerance is None else tolerance
             rng = np.random.default_rng([seed, idx])
             trials, max_error = fn(rng)
             return SuiteResult(name, trials, float(max_error), tol, max_error <= tol)
     raise KeyError(f"unknown suite {name!r}")
 
 
-def run_all(
-    seed: int, overrides: Optional[Dict[str, float]] = None, global_tolerance: Optional[float] = None
-) -> List[SuiteResult]:
-    overrides = overrides or {}
-    results = []
-    for name, _, _ in SUITES:
-        tol = overrides.get(name, global_tolerance)
-        results.append(run_suite(name, seed, tol))
-    return results
+def run_all(seed: int) -> List[SuiteResult]:
+    return [run_suite(name, seed) for name, _, _ in SUITES]

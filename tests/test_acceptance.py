@@ -48,8 +48,8 @@ def report(num, desc, max_error, tol, ok):
     assert ok, f"criterion {num} failed: {desc} (max_error={max_error:.3e} > {tol:.1e})"
 
 
-def suite_error(name, tol=None):
-    r = run_suite(name, SEED, tol)
+def suite_error(name):
+    r = run_suite(name, SEED)
     return r.max_error, r.tolerance, r.passed
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import cvhistory
-from cvhistory import dyadic
-from cvhistory.cli import build_parser, main
+from cvhistory import dyadic, validation
+from cvhistory.cli import SCENARIO_KEYS, build_parser, main
 from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
 from cvhistory.validation import SUITE_NAMES
@@ -48,6 +48,33 @@ def x_clean_program(n_cleans):
     return {"data": 1, "ancilla": 1, "steps": [step] * n_cleans}
 
 
+# A scenario each command runs, and a value that each key's own command
+# accepts; max_level is a key that no command reads.
+RUNS = {
+    "erase-demo": {"backend": "grid", "grid": {"n": 64}, "pairs": [[0.6, 0.8]]},
+    "validate": {"seed": 1},
+    "processor": {"program": and_program(1)},
+    "resource": {"program": and_program(1)},
+}
+VALUES = {
+    "backend": "dyadic",
+    "grid": {"n": 64},
+    "variant": "outside_unit",
+    "pairs": [],
+    "cv_level": 0,
+    "seed": 1,
+    "program": and_program(1),
+    "data_basis": 0,
+    "max_level": 53,
+}
+FOREIGN_KEYS = [
+    (kind, key)
+    for kind, keys in SCENARIO_KEYS.items()
+    for key in sorted(set().union(*SCENARIO_KEYS.values()) | {"max_level"})
+    if key not in keys
+]
+
+
 def read_tree(root):
     """All regular files under root as {relative name: bytes}."""
     out = {}
@@ -61,9 +88,8 @@ def read_tree(root):
 class TestEntryPoint:
     @pytest.mark.parametrize("kind", ["erase-demo", "validate", "processor", "resource"])
     def test_each_command_parses(self, kind):
-        args = build_parser().parse_args([kind, "s.json", "--seed", "3", "--out-dir", "o"])
-        assert (args.command, args.scenario, args.seed, args.out_dir) == (kind, "s.json", 3, "o")
-        assert args.backend is args.max_level is args.tolerance is None
+        args = build_parser().parse_args([kind, "s.json", "--out-dir", "o"])
+        assert vars(args) == {"command": kind, "scenario": "s.json", "out_dir": "o"}
 
     @pytest.mark.parametrize("argv", [[], ["foo"], ["foo", "s.json"]])
     def test_unknown_or_missing_command_exits_2(self, capsys, argv):
@@ -152,45 +178,26 @@ class TestScenarioSchema:
         s = write_scenario(tmp_path, "s.json", {})
         assert main(["validate", s]) == 2
 
-    def test_unknown_suite_tolerance_rejected(self, tmp_path):
-        s = write_scenario(
-            tmp_path, "s.json", {"seed": 1, "tolerances": {"no_such_suite": 1e-9}}
-        )
-        assert main(["validate", s]) == 2
-
     @pytest.mark.parametrize(
         "scenario, flags",
         [
+            # past level 53 a cell edge k 2^-level is not exact in a float
             ({"pairs": [], "cv_level": 60}, []),
+            ({"pairs": [[1.0, 0.0]] * 4, "cv_level": 50}, ["--out-dir", "flag"]),
+            # below 53, but the level-25 wave of 2^25 cells takes 2^29
+            # bytes, past the budget
             ({"pairs": [[1.0, 0.0]] * 5, "cv_level": 20}, []),
-            ({"pairs": [[1.0, 0.0]] * 4, "cv_level": 5}, ["--max-level", "8"]),
-            ({"pairs": [], "cv_level": 30, "max_level": 40}, []),
-            # within max_level, but the level-25 wave of 2^25 cells takes
-            # 2^29 bytes, past the budget
-            ({"pairs": [[1.0, 0.0]] * 25, "cv_level": 0, "max_level": 30}, []),
+            ({"pairs": [], "cv_level": 30}, []),
+            ({"pairs": [[1.0, 0.0]] * 25, "cv_level": 0}, ["--out-dir", "flag"]),
         ],
     )
-    def test_erase_demo_level_bounds_exit_3(self, tmp_path, capsys, scenario, flags):
-        s = write_scenario(tmp_path, "s.json", {**scenario, "out_dir": str(tmp_path / "o")})
+    def test_erase_demo_level_bounds_exit_3(self, tmp_path, monkeypatch, capsys, scenario, flags):
+        # refused before the output directory is made, whichever names it
+        monkeypatch.chdir(tmp_path)
+        s = write_scenario(tmp_path, "s.json", {**scenario, "out_dir": "o"})
         assert main(["erase-demo", s, *flags]) == 3
-        assert "cv_level" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("level, code", [(53, 0), (54, 2), (63, 2)])
-    @pytest.mark.parametrize("where", ["key", "flag"])
-    def test_max_level_above_53_exit_2(self, tmp_path, capsys, where, level, code):
-        # past 53 a cell edge k 2^-level is not exact in a float
-        scenario, flags = {"pairs": [], "out_dir": str(tmp_path / "o")}, []
-        if where == "key":
-            scenario["max_level"] = level
-        else:
-            flags = ["--max-level", str(level)]
-        s = write_scenario(tmp_path, "s.json", scenario)
-        assert main(["erase-demo", s, *flags]) == code
-        if code:
-            field = "max_level" if where == "key" else "--max-level"
-            assert capsys.readouterr().err == f"error: {field}: must be <= 53, got {level}\n"
-            assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(f"error: cv_level: {scenario['cv_level']} plus ")
+        assert sorted(os.listdir(tmp_path)) == ["s.json"]
 
     def test_grid_samples_past_the_budget_exit_3(self, tmp_path, capsys):
         # a 2^40-sample grid is refused before anything is allocated
@@ -218,6 +225,8 @@ class TestScenarioSchema:
     @pytest.mark.parametrize(
         "flag, value",
         [
+            # over a grid file, the backend flag would leave its grid unread
+            ("--backend", "dyadic"),
             ("--max-level", "-1"),
             ("--seed", "-5"),
             ("--tolerance", "nan"),
@@ -226,9 +235,14 @@ class TestScenarioSchema:
         ],
     )
     def test_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
-        s = write_scenario(tmp_path, "s.json", {"seed": 1, "out_dir": str(tmp_path / "o")})
-        assert main(["validate", s, f"{flag}={value}"]) == 2
-        assert flag in capsys.readouterr().err
+        # --out-dir is the only flag: any other exits 2 on every command
+        for kind, fields in RUNS.items():
+            s = write_scenario(tmp_path, "s.json", {**fields, "out_dir": str(tmp_path / "o")})
+            with pytest.raises(SystemExit) as exc:
+                main([kind, s, f"{flag}={value}"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "fields",
@@ -238,48 +252,33 @@ class TestScenarioSchema:
             {"tolerances": {"hybrid_unitarity": float("inf")}},
         ],
     )
-    def test_bad_tolerance_exit_2(self, tmp_path, fields):
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, fields):
+        # every suite runs at its registry tolerance: no key sets one
         s = write_scenario(tmp_path, "s.json", {"seed": 1, "out_dir": str(tmp_path / "o"), **fields})
         assert main(["validate", s]) == 2
+        (key,) = fields
+        assert capsys.readouterr().err == f"error: {key}: unknown scenario key for kind 'validate'\n"
 
-
-    @pytest.mark.parametrize(
-        "kind, fields, flags",
-        [
-            pytest.param("processor", {"program": and_program(1)}, [], id="processor"),
-            pytest.param("erase-demo", {"pairs": [[0.6, 0.8]]}, [], id="dyadic-default"),
-            pytest.param(
-                "erase-demo", {"pairs": [[0.6, 0.8]], "backend": "dyadic"}, [], id="dyadic-key"
-            ),
-            # the flag overrides a grid file: the variant would go unused
-            pytest.param(
-                "erase-demo",
-                {"pairs": [[0.6, 0.8]], "backend": "grid", "grid": {"n": 64}},
-                ["--backend", "dyadic"],
-                id="dyadic-flag",
-            ),
-        ],
-    )
-    def test_variant_only_on_grid_erase_demo(self, tmp_path, capsys, kind, fields, flags):
-        # on the dyadic backend both flips give the same erase
-        scenario = {**fields, "variant": "inside_one_two", "out_dir": str(tmp_path / "o")}
-        assert main([kind, write_scenario(tmp_path, "s.json", scenario), *flags]) == 2
-        assert capsys.readouterr().err.startswith("error: variant:")
+    @pytest.mark.parametrize("kind, key", FOREIGN_KEYS)
+    def test_foreign_key_exit_2(self, tmp_path, capsys, kind, key):
+        # a key that only another command reads, or none, is refused whole
+        scenario = {**RUNS[kind], key: VALUES[key], "out_dir": str(tmp_path / "o")}
+        assert main([kind, write_scenario(tmp_path, "s.json", scenario)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: unknown scenario key for kind {kind!r}\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("kind", ["processor", "resource", "validate"])
-    def test_grid_backend_only_for_erase_demo(self, tmp_path, capsys, kind):
-        fields = {"seed": 1} if kind == "validate" else {"program": and_program(1)}
-        out = str(tmp_path / "o")
-        plain = write_scenario(tmp_path, "plain.json", {**fields, "out_dir": out})
-        grid = write_scenario(
-            tmp_path,
-            "grid.json",
-            {**fields, "backend": "grid", "grid": {"window": [-2.0, 2.0], "n": 64}, "out_dir": out},
-        )
-        for argv in ([kind, plain, "--backend", "grid"], [kind, grid]):
-            assert main(argv) == 2
-            assert "backend" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"pairs": [[0.6, 0.8]]}, id="dyadic-default"),
+            pytest.param({"pairs": [[0.6, 0.8]], "backend": "dyadic"}, id="dyadic-key"),
+        ],
+    )
+    def test_variant_only_on_grid_erase_demo(self, tmp_path, capsys, fields):
+        # on the dyadic backend both flips give the same erase
+        scenario = {**fields, "variant": "inside_one_two", "out_dir": str(tmp_path / "o")}
+        assert main(["erase-demo", write_scenario(tmp_path, "s.json", scenario)]) == 2
+        assert capsys.readouterr().err.startswith("error: variant:")
         assert not (tmp_path / "o").exists()
 
 
@@ -484,11 +483,13 @@ class TestProcessorCommand:
         s = write_scenario(
             tmp_path,
             "s.json",
-            {"program": and_program(30), "data_basis": 3, "out_dir": str(tmp_path / "o")},
+            {"program": and_program(54), "data_basis": 3, "out_dir": str(tmp_path / "o")},
         )
-        assert main(["processor", s, "--max-level", "8"]) == 3
+        assert main(["processor", s]) == 3
         # refused before the first step, with resource's rule and message
-        assert capsys.readouterr().err.startswith("error: max_level: cv_level 0 plus 30 cleans")
+        assert capsys.readouterr().err == (
+            "error: cv_level: 0 plus 54 cleans reaches level 54, above max level 53\n"
+        )
 
 
     def test_oversized_register_exit_3(self, tmp_path):
@@ -550,18 +551,16 @@ class TestProcessorCommand:
 
     @pytest.mark.parametrize("kind", ["processor", "resource"])
     @pytest.mark.parametrize(
-        "prog, max_level",
+        "prog",
         [
-            pytest.param({"data": 1, "ancilla": 0, "cv_level": 25, "steps": []}, None, id="cv-level"),
-            pytest.param({"data": 16, "ancilla": 1, "steps": []}, None, id="data-density"),
-            # five cleans would pass max_level 3
-            pytest.param(x_clean_program(5), 3, id="max-level"),
+            pytest.param({"data": 1, "ancilla": 0, "cv_level": 25, "steps": []}, id="cv-level"),
+            pytest.param({"data": 16, "ancilla": 1, "steps": []}, id="data-density"),
+            # 54 cleans would pass the max level, 53
+            pytest.param(x_clean_program(54), id="max-level"),
         ],
     )
-    def test_refused_run_leaves_no_out_dir(self, tmp_path, kind, prog, max_level):
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, kind, prog):
         scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
-        if max_level is not None:
-            scenario["max_level"] = max_level
         assert main([kind, write_scenario(tmp_path, "s.json", scenario)]) == 3
         assert not (tmp_path / "o").exists()
 
@@ -648,16 +647,16 @@ class TestResourceCommand:
         assert capsys.readouterr().err.startswith("error: cv_level:")
 
     @pytest.mark.parametrize(
-        "prog, max_level, code, field",
+        "prog, code, field",
         [
-            # max_level is the one level rule: 53 cleans reach the default,
-            # the erase from level 53 would squeeze past it; likewise 5
-            # cleans pass max_level 3
-            pytest.param(x_clean_program(22), None, 0, None, id="22-None-0"),
-            pytest.param(x_clean_program(53), None, 0, None, id="53-None-0"),
-            pytest.param(x_clean_program(54), None, 3, "max_level", id="54-None-3"),
-            pytest.param(x_clean_program(3), 3, 0, None, id="3-3-0"),
-            pytest.param(x_clean_program(5), 3, 3, "max_level", id="5-3-3"),
+            # ids read cleans-cv_level-code; the max level, 53, is the one
+            # level rule: the cleans reach it from any cv_level, and the
+            # erase from level 53 would squeeze past it
+            pytest.param(x_clean_program(22), 0, None, id="22-None-0"),
+            pytest.param(x_clean_program(53), 0, None, id="53-None-0"),
+            pytest.param(x_clean_program(54), 3, "cv_level", id="54-None-3"),
+            pytest.param(dict(x_clean_program(50), cv_level=3), 0, None, id="50-3-0"),
+            pytest.param(dict(x_clean_program(51), cv_level=3), 3, "cv_level", id="51-3-3"),
             # 2 entries on a hull of 2^18 cells and 2^11 rows
             pytest.param(
                 {
@@ -666,7 +665,6 @@ class TestResourceCommand:
                     "steps": [{"op": {"gate": "H", "targets": [0]}}]
                     + [{"op": {"gate": "CNOT", "targets": [0, 10]}, "clean": [10]}] * 18,
                 },
-                None,
                 0,
                 None,
                 id="wide-hull-0",
@@ -674,7 +672,6 @@ class TestResourceCommand:
             # the level-25 indicator of 2^25 cells is past the byte budget
             pytest.param(
                 {"data": 1, "ancilla": 0, "cv_level": 25, "steps": []},
-                None,
                 3,
                 "cv_level",
                 id="cv-level-25-3",
@@ -688,18 +685,14 @@ class TestResourceCommand:
                     "steps": x_clean_program(1)["steps"]
                     + [{"op": {"gate": "CNOT", "targets": [0]}}],
                 },
-                None,
                 2,
                 "steps[1].op.targets",
                 id="cnot-one-target-2",
             ),
         ],
     )
-    def test_agrees_with_processor(self, tmp_path, capsys, prog, max_level, code, field):
-        scenario = {"program": prog, "out_dir": str(tmp_path / "o")}
-        if max_level is not None:
-            scenario["max_level"] = max_level
-        s = write_scenario(tmp_path, "s.json", scenario)
+    def test_agrees_with_processor(self, tmp_path, capsys, prog, code, field):
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
         assert main(["processor", s]) == code
         assert main(["resource", s]) == code
         if code:
@@ -744,30 +737,20 @@ class TestValidateCommand:
             assert set(r) == {"suite", "trials", "max_error", "pass"}
             assert r["pass"] is True
 
-    def test_lowered_tolerance_fails(self, tmp_path):
+    def test_lowered_tolerance_fails(self, tmp_path, monkeypatch):
+        # one registry entry lowered below its suite's error: that suite
+        # alone fails, and validate exits 1
+        suites = [
+            (name, fn, 1e-18 if name == "hybrid_unitarity" else tol)
+            for name, fn, tol in validation.SUITES
+        ]
+        monkeypatch.setattr(validation, "SUITES", suites)
         out = tmp_path / "out"
         s = write_scenario(tmp_path, "s.json", {"seed": 1234, "out_dir": str(out)})
-        assert main(["validate", s, "--tolerance", "1e-18"]) == 1
-        report = json.loads((out / "validation_report.json").read_text())
-        by_name = {r["suite"]: r for r in report}
-        assert by_name["hybrid_unitarity"]["pass"] is False
-
-    def test_per_suite_override(self, tmp_path):
-        out = tmp_path / "out"
-        s = write_scenario(
-            tmp_path,
-            "s.json",
-            {
-                "seed": 1234,
-                "tolerances": {"hybrid_unitarity": 1e-18},
-                "out_dir": str(out),
-            },
-        )
         assert main(["validate", s]) == 1
         report = json.loads((out / "validation_report.json").read_text())
-        by_name = {r["suite"]: r for r in report}
-        assert by_name["hybrid_unitarity"]["pass"] is False
-        assert by_name["qubit_norm_preservation"]["pass"] is True
+        passed = {r["suite"]: r["pass"] for r in report}
+        assert passed == {name: name != "hybrid_unitarity" for name in SUITE_NAMES}
 
 
 class TestDeterminism:

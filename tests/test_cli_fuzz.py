@@ -5,8 +5,9 @@ Each scenario starts valid.  Sizes are drawn either small enough to run
 in milliseconds (data + ancilla <= 6, cv_level <= 3, <= 3 steps) or far
 past a bound, so that no example allocates more than a few MiB.  Some
 scenarios then get one field replaced by a wrong type, a bad name or an
-out-of-range value.  Every generated program, run as both a processor
-and a resource scenario, must get the same exit code from both.
+out-of-range value.  A scenario that also holds a key only another
+command reads must exit 2.  Every generated program, run as both a
+processor and a resource scenario, must get the same exit code from both.
 """
 import copy
 import json
@@ -15,7 +16,7 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvhistory.cli import main
+from cvhistory.cli import SCENARIO_KEYS, main
 
 junk = st.one_of(
     st.none(),
@@ -29,7 +30,7 @@ junk = st.one_of(
 # past a check made before anything is allocated, each against the
 # 2^28-byte budget unless stated: data >= 13 for the data density;
 # ancilla >= 24 for the joint table; cv_level >= 25 for the indicator (and
-# >= 54 past max_level once a step cleans); for erase-demo, a final level
+# a final level >= 54 past the max level); for erase-demo, a final level
 # >= 25 for its dense wave
 far_level = st.one_of(st.integers(25, 80), st.integers(10**4, 10**12))
 far_data = st.one_of(st.integers(13, 80), st.integers(10**4, 10**12))
@@ -90,14 +91,12 @@ kinds = {
         "processor",
         {"program": programs()},
         data_basis=st.integers(0, 7),
-        max_level=st.integers(0, 60),
     ),
-    "resource": scenario("resource", {"program": programs()}, max_level=st.integers(0, 60)),
+    "resource": scenario("resource", {"program": programs()}),
     "erase-demo": st.one_of(
         scenario(
             "erase-demo",
             {"pairs": pair_list, "cv_level": st.one_of(st.integers(0, 3), far_level)},
-            max_level=st.integers(0, 60),
         ),
         scenario(
             "erase-demo",
@@ -136,6 +135,16 @@ def scenarios(draw):
     return kind, obj
 
 
+@st.composite
+def foreign_key_scenarios(draw):
+    """A generated scenario given one more key, one that only another
+    command reads."""
+    kind, obj = draw(scenarios())
+    foreign = set().union(*SCENARIO_KEYS.values()) - set(SCENARIO_KEYS[kind])
+    obj[draw(st.sampled_from(sorted(foreign)))] = draw(junk)
+    return kind, obj
+
+
 @given(scenarios())
 @settings(
     max_examples=150,
@@ -150,6 +159,23 @@ def test_cli_exits_with_a_documented_code(tmp_path, kind_and_scenario):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
     assert main([kind, path]) in (0, 1, 2, 3)
+
+
+@given(foreign_key_scenarios())
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_foreign_key_exits_2(tmp_path, kind_and_scenario):
+    kind, obj = kind_and_scenario
+    out = os.path.join(str(tmp_path), "out")
+    path = os.path.join(str(tmp_path), "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(obj, out_dir=out), fh)
+    assert main([kind, path]) == 2
+    assert not os.path.exists(out)
 
 
 @given(programs())

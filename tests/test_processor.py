@@ -363,23 +363,19 @@ class TestResourceReport:
 
     def test_refuses_what_the_processor_refuses(self):
         x_clean = ProgramStep(op=GateOp("X", (1,)), clean=(1,))
-        # the default max_level is the only level rule: 53 cleans run, and
-        # the erase from level 53 would squeeze past it, in both
+        # the max level, 53, is the only level rule: 53 cleans run, and the
+        # erase from level 53 would squeeze past it, in both
         assert resource_report([x_clean] * 53).cv_final_level == 53
         ps, _ = run_program(init(1, 1, basis_state(1, 0)), [x_clean] * 53)
         assert ps.hybrid.level == 53 and ps.hybrid.amps.size == 1
-        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 53"):
+        with pytest.raises(ResourceLimitError, match="^cv_level: 0 plus 54 cleans reaches level 54"):
             resource_report([x_clean] * 54)
         with pytest.raises(ResourceLimitError, match="squeeze would exceed max level 53"):
             run_step(ps, x_clean)
-        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 60"):
-            resource_report([x_clean], cv_level=60)
-        # the erase from level max_level squeezes past it
-        assert resource_report([x_clean] * 3, max_level=3).cv_final_level == 3
-        with pytest.raises(ResourceLimitError, match="^max_level: .*from level 3"):
-            resource_report([x_clean] * 5, max_level=3)
-        # with no clean there is no erase to refuse
-        assert resource_report([], cv_level=20, max_level=3).cv_final_level == 20
+        # the cleans count from the starting level
+        assert resource_report([x_clean] * 3, cv_level=50).cv_final_level == 53
+        with pytest.raises(ResourceLimitError, match="^cv_level: 53 plus 1 cleans reaches level 54"):
+            resource_report([x_clean], cv_level=53)
 
     def test_empty_program(self):
         rep = resource_report([], cv_level=5)
