@@ -259,6 +259,13 @@ class TestScenarioSchema:
         (key,) = fields
         assert capsys.readouterr().err == f"error: {key}: unknown scenario key for kind 'validate'\n"
 
+    def test_unknown_suite_tolerance_rejected(self, tmp_path, capsys):
+        # a suite name no registry entry has is refused with the key, before any run
+        scenario = {"seed": 1, "tolerances": {"no_such_suite": 1e-9}, "out_dir": str(tmp_path / "o")}
+        assert main(["validate", write_scenario(tmp_path, "s.json", scenario)]) == 2
+        assert capsys.readouterr().err == "error: tolerances: unknown scenario key for kind 'validate'\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, key", FOREIGN_KEYS)
     def test_foreign_key_exit_2(self, tmp_path, capsys, kind, key):
         # a key that only another command reads, or none, is refused whole
@@ -738,8 +745,20 @@ class TestValidateCommand:
             assert r["pass"] is True
 
     def test_lowered_tolerance_fails(self, tmp_path, monkeypatch):
-        # one registry entry lowered below its suite's error: that suite
-        # alone fails, and validate exits 1
+        # every registry entry lowered to 1e-18: a suite with a nonzero
+        # error fails, and validate exits 1
+        suites = [(name, fn, min(tol, 1e-18)) for name, fn, tol in validation.SUITES]
+        monkeypatch.setattr(validation, "SUITES", suites)
+        out = tmp_path / "out"
+        s = write_scenario(tmp_path, "s.json", {"seed": 1234, "out_dir": str(out)})
+        assert main(["validate", s]) == 1
+        report = json.loads((out / "validation_report.json").read_text())
+        by_name = {r["suite"]: r for r in report}
+        assert by_name["hybrid_unitarity"]["pass"] is False
+
+    def test_per_suite_override(self, tmp_path, monkeypatch):
+        # each suite runs at its own registry tolerance: one entry lowered
+        # below its suite's error fails that suite alone
         suites = [
             (name, fn, 1e-18 if name == "hybrid_unitarity" else tol)
             for name, fn, tol in validation.SUITES
