@@ -440,8 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or the help (code 0)
+        return exc.code
     try:
         cfg = load_scenario(args.scenario, args.command, args.out_dir)
         return _HANDLERS[args.command](cfg)

@@ -353,15 +353,16 @@ def tensor_oracle(
 
 def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix:
     """Trace out the CV mode and the complement qubits.  Only the occupied
-    cells enter the partial trace.  Each cell weighs width = 2^-level, a
-    power of two, so scaling afterwards is exact."""
+    cells enter the partial trace, and the result keeps trace_out's
+    occupied support.  Each cell weighs width = 2^-level, a power of two,
+    so scaling the block afterwards is exact."""
     cols, slot = np.unique(h.cells, return_inverse=True)
     what = f"reduced density: a block of 2^{h.n_qubits} rows by {cols.size} occupied cells"
     check_bytes(what, h.n_qubits, cols.size)
     block = np.zeros((1 << h.n_qubits, max(cols.size, 1)), dtype=np.complex128)
     block[h.rows, slot] = h.amps
     rho = trace_out(block, h.n_qubits, keep)
-    return DensityMatrix._adopt(rho.dim, rho.entries * h.width)
+    return DensityMatrix._adopt(rho.dim, rho.support, rho.block * h.width)
 
 
 def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.ndarray]]:

@@ -56,37 +56,66 @@ class RegisterState:
         return float(np.real(np.vdot(self.amps, self.amps)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix:
-    """Reduced density matrix over a subset of qubits."""
+    """Reduced density matrix over a subset of qubits, stored as its block
+    on the occupied support.
+
+    ``support`` holds, increasing, the basis indices whose rows and columns
+    may be nonzero; ``block`` is the matrix on them, ``block[i, j]`` being
+    the entry at (support[i], support[j]); every entry outside is zero.
+    ``entries`` is the dense dim x dim view, built on demand and read-only.
+    ``DensityMatrix(dim, entries)`` copies a dense matrix as full support.
+    """
 
     dim: int
-    entries: np.ndarray
+    support: np.ndarray
+    block: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.shape != (self.dim, self.dim):
-            raise ValidationError(f"entries shape {arr.shape} does not match dim {self.dim}")
+    def __init__(self, dim: int, entries):
+        arr = np.array(entries, dtype=np.complex128)
+        if arr.shape != (dim, dim):
+            raise ValidationError(f"entries shape {arr.shape} does not match dim {dim}")
+        support = np.arange(dim)
+        support.setflags(write=False)
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "block", arr)
 
     @classmethod
-    def _adopt(cls, dim: int, entries: np.ndarray) -> "DensityMatrix":
-        """Wrap a freshly computed complex128 (dim, dim) array that no one
-        else holds, without copying it; the array becomes read-only."""
-        entries.setflags(write=False)
+    def _adopt(cls, dim: int, support: np.ndarray, block: np.ndarray) -> "DensityMatrix":
+        """Wrap a freshly computed increasing int64 support and complex128
+        block that no one else holds, without copying them; both become
+        read-only."""
+        support.setflags(write=False)
+        block.setflags(write=False)
         rho = object.__new__(cls)
         object.__setattr__(rho, "dim", dim)
-        object.__setattr__(rho, "entries", entries)
+        object.__setattr__(rho, "support", support)
+        object.__setattr__(rho, "block", block)
         return rho
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix, read-only: the block itself on full
+        support, otherwise a fresh array with the block at its support."""
+        if self.support.size == self.dim:
+            return self.block
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out[np.ix_(self.support, self.support)] = self.block
+        out.setflags(write=False)
+        return out
 
     def validate(self) -> None:
         """Raise unless Hermitian and of unit trace within NORM_TOL, and with
-        no eigenvalue below -1e-10."""
-        rho = self.entries
+        no eigenvalue below -1e-10.  Read on the block: the entries outside
+        it are zeros, Hermitian and traceless, and add only zero
+        eigenvalues, which the -1e-10 floor passes."""
+        rho = self.block
         if not np.all(np.isfinite(rho.view(np.float64))):
             raise ValidationError("density matrix has non-finite entries")
-        herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+        herm_err = float(np.max(np.abs(rho - rho.conj().T), initial=0.0))
         if herm_err > NORM_TOL:
             raise ValidationError(f"density matrix not Hermitian (error {herm_err:.3e})")
         trace_err = abs(complex(np.trace(rho)) - 1.0)
@@ -167,12 +196,14 @@ def apply_permutation(state: RegisterState, perm: Sequence[int] | np.ndarray) ->
 
 
 def trace_out(amps: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density of a pure amplitude array on the qubits in ``keep``.
+    """Reduced density of a pure amplitude array on the qubits in ``keep``,
+    held on its occupied support.
 
     The leading axis of ``amps`` is the 2^n basis index; the unkept qubits
     and every trailing axis are traced out.  The reduced basis index uses
     the kept qubits in ascending order, the smallest kept qubit being its
-    least significant bit.
+    least significant bit.  The support is the kept indices that carry
+    weight: the matrix product runs over those rows and columns only.
     """
     keep_sorted = sorted(set(keep))
     if not keep_sorted:
@@ -182,14 +213,19 @@ def trace_out(amps: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMa
     # axis n-1-q holds qubit q; the last axis gathers the trailing axes
     psi = np.asarray(amps, dtype=np.complex128).reshape((2,) * n_qubits + (-1,))
     kept = set(keep_sorted)
+    kept_axes = tuple(n_qubits - 1 - q for q in reversed(keep_sorted))
     traced = tuple(n_qubits - 1 - q for q in range(n_qubits) if q not in kept) + (n_qubits,)
-    rho = np.tensordot(psi, psi.conj(), axes=(traced, traced))
     d = 1 << len(keep_sorted)
-    return DensityMatrix._adopt(d, rho.reshape(d, d))
+    # kept index by traced index; both factors C-contiguous, as
+    # np.tensordot would pass them to np.dot
+    a = psi.transpose(kept_axes + traced).reshape(d, -1)
+    support = np.flatnonzero(a.any(axis=1))
+    a = a[support]
+    return DensityMatrix._adopt(d, support, np.dot(a, np.ascontiguousarray(a.conj().T)))
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state.
-    Taken as sum_ij rho_ij rho_ji, with no matrix product."""
-    e = rho.entries
-    return float(np.real(np.sum(e * e.T)))
+    Taken as sum_ij rho_ij rho_ji over the block, with no matrix product."""
+    b = rho.block
+    return float(np.real(np.sum(b * b.T)))

@@ -93,14 +93,30 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("argv", [[], ["foo"], ["foo", "s.json"]])
     def test_unknown_or_missing_command_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         if argv:
             assert "argument command: invalid choice: 'foo'" in err
         else:
             assert "the following arguments are required: command" in err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_module_run_exits_2_on_unknown_command(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvhistory.cli", "foo", "x.json"],
+            cwd=tmp_path,
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "argument command: invalid choice: 'foo'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_import_leaves_scipy_and_numpy_random_out(self):
         # only validate needs numpy.random, at its first generator
@@ -238,9 +254,7 @@ class TestScenarioSchema:
         # --out-dir is the only flag: any other exits 2 on every command
         for kind, fields in RUNS.items():
             s = write_scenario(tmp_path, "s.json", {**fields, "out_dir": str(tmp_path / "o")})
-            with pytest.raises(SystemExit) as exc:
-                main([kind, s, f"{flag}={value}"])
-            assert exc.value.code == 2
+            assert main([kind, s, f"{flag}={value}"]) == 2
             assert f"unrecognized arguments: {flag}={value}" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
 

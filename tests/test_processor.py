@@ -315,6 +315,24 @@ class TestPurityCarry:
         assert abs(m.data_purity - 0.5) <= 1e-12
 
 
+class TestDataDensityOnSupport:
+    def test_recompute_builds_no_dense_density(self):
+        # the 2^10 x 2^10 data density would take 16 MiB; data q9 in |+>
+        # occupies two of its rows, so the purity reads a 2 x 2 block
+        amps = np.zeros(1 << 10, dtype=np.complex128)
+        amps[[5, 5 | 1 << 9]] = INV_SQRT2
+        ps = init(10, 1, RegisterState(10, amps))
+        step = ProgramStep(op=GateOp("CNOT", (9, 10)), clean=(10,))
+        tracemalloc.start()
+        try:
+            ps, m = run_step(ps, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(m.data_purity - 0.5) <= 1e-12
+        assert peak < 1 << 20
+
+
 class TestRunProgram:
     def test_empty_program_is_identity(self):
         ps = init(2, 1, basis_state(2, 2), cv_level=3)

@@ -14,8 +14,20 @@ from cvhistory.qubits import (
     purity,
     trace_out,
 )
+from dense_reference import ref_trace_out
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
+
+# trace_out inputs: (qubits, keep, cells, occupied kept indices, None for all)
+SUPPORT_CASES = {
+    "zero-state": (3, {0, 1}, 1, []),
+    "one-index": (4, {1, 3}, 2, [2]),
+    "partial": (4, {0, 1, 2}, 3, [0, 3, 5, 6]),
+    "full": (3, {0, 1, 2}, 1, None),
+    "gapped-keep": (5, {0, 2, 4}, 2, [1, 4, 7]),
+}
+# blocks on support [1, 4, 6] of dim 8 that validate must refuse
+BAD_BLOCKS = {"non-hermitian": "not Hermitian", "negative-eigenvalue": "negative eigenvalue"}
 
 
 def random_unitary2(rng: np.random.Generator) -> np.ndarray:
@@ -212,6 +224,61 @@ class TestDensityMatrix:
         assert not np.shares_memory(arr, rho.entries)
         arr[0, 0] = 1.0
         assert rho.entries[0, 0] == 0.5
+
+
+def kept_index(rows: np.ndarray, keep) -> np.ndarray:
+    """Reduced basis index of each row: the kept qubits' bits, the
+    smallest kept qubit least significant."""
+    return sum(((rows >> q) & 1) << j for j, q in enumerate(sorted(keep)))
+
+
+def verdict(rho: DensityMatrix):
+    """validate's message without its number, or None if it passes."""
+    try:
+        rho.validate()
+    except ValidationError as exc:
+        return str(exc).rsplit(" ", 1)[0]
+    return None
+
+
+class TestSupportForm:
+    @pytest.mark.parametrize("case", [*SUPPORT_CASES, *BAD_BLOCKS])
+    def test_matches_dense_reference(self, case):
+        rng = np.random.default_rng(29)
+        if case in SUPPORT_CASES:
+            n, keep, cells, occupied = SUPPORT_CASES[case]
+            amps = rng.normal(size=(1 << n, cells)) + 1j * rng.normal(size=(1 << n, cells))
+            idx = kept_index(np.arange(1 << n), keep)
+            if occupied is not None:
+                amps[~np.isin(idx, occupied)] = 0.0
+            if occupied != []:
+                amps /= np.linalg.norm(amps)
+            rho = trace_out(amps, n, keep)
+            dense = ref_trace_out(amps, n, keep)
+            support = np.unique(idx[np.any(amps != 0, axis=1)])
+            assert not rho.support.flags.writeable and not rho.block.flags.writeable
+        else:
+            support = np.array([1, 4, 6])
+            block = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            block /= np.linalg.norm(block)
+            if case == "negative-eigenvalue":
+                q, _ = np.linalg.qr(block)
+                block = (q * [1.2, -0.2, 0.0]) @ q.conj().T
+                block = (block + block.conj().T) / 2
+            rho = DensityMatrix._adopt(8, support.copy(), block)
+            dense = np.zeros((8, 8), dtype=np.complex128)
+            for i, r in enumerate(support):
+                for j, c in enumerate(support):
+                    dense[r, c] = block[i, j]
+        assert np.array_equal(rho.support, support)
+        assert np.max(np.abs(rho.entries - dense)) <= 1e-15
+        assert abs(purity(rho) - float(np.real(np.sum(dense * dense.T)))) <= 1e-15
+        got = verdict(rho)
+        assert got == verdict(DensityMatrix(rho.dim, dense))
+        if case in BAD_BLOCKS:
+            assert BAD_BLOCKS[case] in got
+        else:
+            assert (got is None) == (case != "zero-state")
 
 
 class TestPurity:
