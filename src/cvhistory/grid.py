@@ -3,11 +3,11 @@
 Approximate backend for the continuous variable.  Translation is realized
 both as an index shift and in its momentum-exponential form through the
 discrete Fourier transform.  The squeeze is realized here through the
-spectral exponential of the Hermitian dilation generator (x p + p x)/2,
-taken from its eigendecomposition (accurate on smooth input); its
-even-index decimation form (exact on piecewise-constant input) is
-``erasure.grid_squeeze_all``.  Used to cross-validate the exact
-dyadic backend.
+exponential of the Hermitian dilation generator (x p + p x)/2, applied
+to the wave as a Chebyshev series of FFT products without building any
+matrix (accurate on smooth input); its even-index decimation form (exact
+on piecewise-constant input) is ``erasure.grid_squeeze_all``.  Used to
+cross-validate the exact dyadic backend.
 """
 from __future__ import annotations
 
@@ -97,22 +97,68 @@ def translate_spectral(g: GridWave, a: float) -> GridWave:
     return GridWave(g.x_min, g.h, shifted)
 
 
+def _chebyshev_coefficients(z: float) -> np.ndarray:
+    """c_0 = J_0(z) and c_j = 2 i^j J_j(z), so that exp(i z y) =
+    sum_j c_j T_j(y) on [-1, 1], cut past order z where the coefficients
+    fall below 1e-15, so the series is exact to rounding.
+
+    J_j(z) comes from Miller's backward recurrence J_{j-1} = (2j/z) J_j -
+    J_{j+1}, started well past the cut, rescaled before it overflows and
+    normalised by J_0 + 2 sum_k J_2k = 1.
+    """
+    top = int(z + 20.0 * np.cbrt(z)) + 64
+    bessel = np.zeros(top + 2)
+    bessel[top] = 1.0
+    for j in range(top, 0, -1):
+        bessel[j - 1] = (2.0 * j / z) * bessel[j] - bessel[j + 1]
+        if abs(bessel[j - 1]) > 1e250:
+            bessel[j - 1 :] *= 1e-250
+    bessel /= bessel[0] + 2.0 * np.sum(bessel[2::2])
+    order = np.arange(top + 2)
+    coeffs = 2.0 * np.array([1.0, 1j, -1.0, -1j])[order % 4] * bessel
+    coeffs[0] = bessel[0]
+    return coeffs[: np.flatnonzero((order > z) & (np.abs(coeffs) < 1e-15))[0]]
+
+
 def dilation_generator(g: GridWave) -> GridWave:
     """sqrt(2)*psi(2x) via the exponential of i*ln2/2*(XP + PX).
 
-    X is the diagonal of sample positions and P the spectral derivative
-    matrix.  The generator G = XP + PX is Hermitian, so with G = V diag(w)
-    V^H the propagator applies as V (exp(i*ln2/2*w) * (V^H psi)), which is
-    unitary up to rounding.  Accurate for smooth waves supported well
-    inside the window; accuracy degrades silently on discontinuous input.
+    X multiplies by the sample positions x and P is the spectral
+    derivative, P v = ifft(k * fft(v)), so G v = x*(P v) + P(x*v) costs
+    one batched pair of FFTs and no matrix is built.  G is Hermitian with
+    ||G|| <= rho = 2 max|x| max|k|, and exp(i*theta*G) psi, theta = ln2/2,
+    is summed as the Chebyshev series sum_j c_j T_j(G/rho) psi with the
+    Bessel coefficients of ``_chebyshev_coefficients(theta*rho)``
+    (Tal-Ezer and Kosloff), which is unitary up to rounding.  The series
+    has about theta*rho = ln2*pi*max|x|/h terms, so a window reaching |x|
+    beyond twice its length n*h is refused with DomainError.  Accurate for smooth waves supported well inside the
+    window; accuracy degrades silently on discontinuous input.
     """
     n = g.n
     x = g.positions()
+    reach = float(np.max(np.abs(x)))
+    if reach > 2.0 * n * g.h:
+        raise DomainError(
+            f"dilation_generator: the window x_min={g.x_min}, h={g.h}, n={n} reaches |x| = {reach}, "
+            f"beyond twice its length {n * g.h}; the Chebyshev series would need about "
+            f"{int(np.log(2.0) * np.pi * reach / g.h)} terms"
+        )
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.h)
-    f = np.fft.fft(np.eye(n), axis=0)
-    p = np.fft.ifft(k[:, None] * f, axis=0)
-    xp = x[:, None] * p
-    gen = xp + xp.conj().T  # PX = (XP)^dagger since X real diagonal, P Hermitian
-    w, v = np.linalg.eigh(gen)
-    coeffs = np.exp(1j * (np.log(2.0) / 2.0) * w) * (v.conj().T @ g.samples)
-    return GridWave(g.x_min, g.h, v @ coeffs)
+    rho = 2.0 * reach * float(np.max(np.abs(k)))
+    coeffs = _chebyshev_coefficients(np.log(2.0) / 2.0 * rho)
+    k_scaled = k / rho
+    pair = np.empty((2, n), dtype=np.complex128)
+
+    def scaled_generator(v: np.ndarray) -> np.ndarray:
+        pair[0] = v
+        np.multiply(x, v, out=pair[1])
+        deriv = np.fft.ifft(k_scaled * np.fft.fft(pair, axis=1), axis=1)
+        return x * deriv[0] + deriv[1]
+
+    prev = g.samples
+    cur = scaled_generator(prev)
+    out = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, 2.0 * scaled_generator(cur) - prev
+        out += c * cur
+    return GridWave(g.x_min, g.h, out)

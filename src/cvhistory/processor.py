@@ -129,6 +129,11 @@ def _check_joint_table(n_data: int, n_anc: int, cv_level: int) -> None:
     n_total = n_data + n_anc
     joint = f"data + ancilla + cv_level: a joint table of 2^{n_total} rows by 2^{cv_level} cells"
     check_bytes(joint, n_total + cv_level, 1)
+    # The density is held on its occupied support, but qubits.trace_out
+    # builds that support x support block with no check of its own, and
+    # once every data row carries weight (H on each data qubit) it is the
+    # full 2^data x 2^data: without this check the run would end in a late
+    # out-of-memory error, not exit 3.
     check_bytes(f"data: a 2^{n_data} x 2^{n_data} density matrix", 2 * n_data, 1)
 
 

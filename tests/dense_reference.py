@@ -8,6 +8,9 @@ sparse operations must agree with them: bit for bit where an operation
 only relocates or scales values, and within rounding where a sum over the
 cells runs in another order.  ``ref_value_at`` is the one-position wave
 lookup, in exact integer cell arithmetic, that ``value_at`` must match.
+``ref_dilation_generator`` is the grid squeeze through the dense
+eigendecomposition of the dilation generator, which the matrix-free
+Chebyshev series of ``grid.dilation_generator`` must match to rounding.
 """
 from typing import Optional, Tuple
 
@@ -15,6 +18,7 @@ import numpy as np
 
 from cvhistory.dyadic import SQRT2, DyadicWave
 from cvhistory.erasure import FlipVariant, HybridState
+from cvhistory.grid import GridWave
 from cvhistory.qubits import RegisterState, _apply_permutation_kernel, _apply_single_qubit_kernel
 
 
@@ -134,3 +138,24 @@ def ref_value_at(w: DyadicWave, x: float) -> complex:
     """The value of w at one position: half-open cells, zero outside."""
     k = int(np.floor(x * (1 << w.level))) - w.offset
     return complex(w.coeffs[k]) if 0 <= k < w.n_cells else 0j
+
+
+def ref_dilation_generator(g: GridWave) -> GridWave:
+    """sqrt(2)*psi(2x) via the exponential of i*ln2/2*(XP + PX).
+
+    X is the diagonal of sample positions and P the spectral derivative
+    matrix.  The generator G = XP + PX is Hermitian, so with G = V diag(w)
+    V^H the propagator applies as V (exp(i*ln2/2*w) * (V^H psi)), which is
+    unitary up to rounding.  Accurate for smooth waves supported well
+    inside the window; accuracy degrades silently on discontinuous input.
+    """
+    n = g.n
+    x = g.positions()
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=g.h)
+    f = np.fft.fft(np.eye(n), axis=0)
+    p = np.fft.ifft(k[:, None] * f, axis=0)
+    xp = x[:, None] * p
+    gen = xp + xp.conj().T  # PX = (XP)^dagger since X real diagonal, P Hermitian
+    w, v = np.linalg.eigh(gen)
+    coeffs = np.exp(1j * (np.log(2.0) / 2.0) * w) * (v.conj().T @ g.samples)
+    return GridWave(g.x_min, g.h, v @ coeffs)

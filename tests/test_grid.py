@@ -1,4 +1,7 @@
 """Sampled-grid backend: spectral translation, decimation, dilation generator."""
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from cvhistory.grid import (
     translate_shift,
     translate_spectral,
 )
+from dense_reference import ref_dilation_generator
 
 SQRT2 = np.sqrt(2.0)
 
@@ -22,7 +26,7 @@ def indicator01(x: float) -> float:
 
 def band_limited_random(rng: np.random.Generator, n: int, x_min: float, h: float) -> GridWave:
     spectrum = np.zeros(n, dtype=np.complex128)
-    low = n // 8
+    low = max(1, n // 8)
     spectrum[:low] = rng.normal(size=low) + 1j * rng.normal(size=low)
     spectrum[-low:] = rng.normal(size=low) + 1j * rng.normal(size=low)
     s = np.fft.ifft(spectrum)
@@ -197,3 +201,51 @@ class TestDilationGenerator:
             g = GridWave(g.x_min, g.h, s / np.sqrt(g.norm2()))
             assert abs(dilation_generator(g).norm2() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 16, 64, 256, 512])
+    @pytest.mark.parametrize("wave", ["gaussian", "band_limited", "white_noise"])
+    def test_matches_dense_reference(self, wave, n):
+        rng = np.random.default_rng(23 + n)
+        h = 24.0 / n
+        if wave == "gaussian":
+            g = sample_function(lambda x: np.exp(-(x**2) / 2) / np.pi**0.25, -12.0, h, n)
+        elif wave == "band_limited":
+            g = band_limited_random(rng, n, -12.0, h)
+        else:
+            g = GridWave(-1.0, 4.0 / n, rng.normal(size=n) + 1j * rng.normal(size=n))
+        want = ref_dilation_generator(g).samples
+        got = dilation_generator(g).samples
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_peak_memory_stays_below_one_mib(self):
+        # the suite's Gaussian; the dense generator and its eigenvectors
+        # took 24 MiB here
+        n = 512
+        g = sample_function(lambda x: np.pi**-0.25 * np.exp(-(x**2) / 2.0), -12.0, 24.0 / n, n)
+        tracemalloc.start()
+        try:
+            dilation_generator(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "x_min, h, n",
+        [(-12.0, 24.0 / 512, 512), (-4.0, 1 / 8, 64)]
+        + [(-1.0, 4.0 / n, n) for n in (2, 16, 64, 256, 512)]
+        + [(-2.0, 1 / 16, 16), (0.0, 1 / 16, 16)],
+    )
+    def test_windows_within_twice_their_length_run(self, x_min, h, n):
+        # every window the tests and suites use, and the edge |x| = 2 n h
+        g = GridWave(x_min, h, np.ones(n))
+        g = GridWave(x_min, h, g.samples / np.sqrt(g.norm2()))
+        assert abs(dilation_generator(g).norm2() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("x_min, h", [(-2.0625, 1 / 16), (1e4, 1 / 64)])
+    def test_far_window_refused_before_the_series(self, x_min, h):
+        # 1e4 would need about 1.4 million terms
+        g = GridWave(x_min, h, np.ones(16))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"x_min=.*h=.*n=16"):
+            dilation_generator(g)
+        assert time.perf_counter() - start < 1.0
