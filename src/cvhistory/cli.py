@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from .errors import (
 from .grid import GridWave
 from .processor import (
     Program,
+    StepMetrics,
     _check_joint_table,
     _expect_int,
     init_from_program,
@@ -369,7 +370,9 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
     factored = cv_factor(h)
     # only a run that finished leaves out_dir behind
     os.makedirs(cfg.out_dir, exist_ok=True)
-    lines = [{"step": i, **asdict(m)} for i, m in enumerate(trace, start=1)]
+    # a shallow dict of the fields in order; asdict would deep-copy each
+    names = [f.name for f in fields(StepMetrics)]
+    lines = [{"step": i, **{k: getattr(m, k) for k in names}} for i, m in enumerate(trace, start=1)]
     write_jsonl(os.path.join(cfg.out_dir, "metrics.jsonl"), lines)
     path = os.path.join(cfg.out_dir, "final_wave.csv")
     # one row per stored cell, whatever the width of the hull

@@ -21,16 +21,18 @@ from .errors import DomainError, ResourceLimitError, ValidationError
 MAX_LEVEL_DEFAULT = 53
 
 # Every complex128 array the size rules cover holds at most this many bytes:
-# one 2^24-cell wave, the densest output erase-demo writes.
+# one 2^24-cell wave, the densest output erase-demo writes.  A program's
+# tables and lifts, int64 values all, share one such budget.
 MAX_BYTES = 1 << 28
 
 SQRT2 = float(np.sqrt(2.0))
 
 
-def check_bytes(what: str, row_bits: int, cols: int) -> None:
-    """Refuse, as ``what``, a complex128 array of 2^row_bits x cols entries
-    above MAX_BYTES, before it is allocated; never builds 2^row_bits."""
-    if row_bits >= MAX_BYTES.bit_length() or (cols << row_bits) * 16 > MAX_BYTES:
+def check_bytes(what: str, row_bits: int, cols: int, itemsize: int = 16) -> None:
+    """Refuse, as ``what``, an array of 2^row_bits x cols entries of
+    ``itemsize`` bytes (complex128 by default) above MAX_BYTES, before it
+    is allocated; never builds 2^row_bits."""
+    if row_bits >= MAX_BYTES.bit_length() or (cols << row_bits) * itemsize > MAX_BYTES:
         raise ResourceLimitError(f"{what} exceeds the {MAX_BYTES}-byte budget")
 
 

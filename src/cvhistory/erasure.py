@@ -40,7 +40,6 @@ from .qubits import (
     DensityMatrix,
     RegisterState,
     _apply_single_qubit_kernel,
-    _check_permutation,
     is_unitary,
     trace_out,
 )
@@ -260,7 +259,8 @@ def unfold(
 def require_unit_support(h: HybridState, op_name: str) -> None:
     bad = h.cells[(h.cells < 0) | (h.cells >= 1 << h.level)]
     if bad.size:
-        bad = np.unique(bad)
+        bad = np.sort(bad)
+        bad = bad[np.concatenate(([True], bad[1:] != bad[:-1]))]
         w = h.width
         cells = ", ".join(f"[{i * w:g},{(i + 1) * w:g})" for i in bad[:8])
         more = "" if bad.size <= 8 else f" and {bad.size - 8} more"
@@ -434,22 +434,47 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
     return HybridState(h.n_qubits, h.level, rows, np.concatenate([cells, cells]), out.ravel())
 
 
-def apply_basis_permutation(h: HybridState, perm: Sequence[int] | np.ndarray) -> HybridState:
-    """Permute qubit basis rows: row i moves to perm[i]."""
-    p = _check_permutation(perm, 1 << h.n_qubits)
-    return HybridState(h.n_qubits, h.level, p[h.rows], h.cells, h.amps)
+def apply_basis_permutation(h: HybridState, new_rows: Sequence[int] | np.ndarray) -> HybridState:
+    """Move every stored entry to the row new_rows[i], the image of its
+    row h.rows[i] under a basis permutation; one value per entry.
+
+    Only the occupied rows are checked, in memory of a few times the entry
+    count: every entry of one row must get the same image, and no two
+    occupied rows may share one.  The map on the other rows is not seen."""
+    new = np.asarray(new_rows, dtype=np.int64)
+    if new.shape != h.rows.shape:
+        raise ValidationError(
+            f"new rows have shape {new.shape}, expected one per stored entry, {h.rows.shape}"
+        )
+    # the entries are sorted by row: the entries of one row sit together
+    same = h.rows[1:] == h.rows[:-1]
+    split = np.flatnonzero(same & (new[1:] != new[:-1]))
+    if split.size:
+        raise ValidationError(f"map is not a function: row {int(h.rows[split[0]])} has two images")
+    head = np.ones(new.size, dtype=bool)
+    head[1:] = ~same
+    images = np.sort(new[head])
+    hit = np.flatnonzero(images[1:] == images[:-1])
+    if hit.size:
+        raise ValidationError(
+            f"map is not a bijection: two occupied rows map to {int(images[hit[0]])}"
+        )
+    return HybridState(h.n_qubits, h.level, new, h.cells, h.amps)
 
 
 def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
-    """Multiply each qubit basis row by a unit-modulus factor."""
+    """Multiply every stored entry by phases[i], the unit-modulus factor
+    of its row; one value per entry."""
     ph = np.asarray(phases, dtype=np.complex128)
-    if ph.shape != (1 << h.n_qubits,):
-        raise ValidationError(f"phase vector must have length {1 << h.n_qubits}")
+    if ph.shape != h.amps.shape:
+        raise ValidationError(
+            f"phase vector has shape {ph.shape}, expected one per stored entry, {h.amps.shape}"
+        )
     if not np.all(np.isfinite(ph.view(np.float64))):
         raise ValidationError("phase factors must be finite (no NaN/Inf)")
-    if np.max(np.abs(np.abs(ph) - 1.0)) > 1e-12:
+    if np.max(np.abs(np.abs(ph) - 1.0), initial=0.0) > 1e-12:
         raise ValidationError("phase factors must have unit modulus")
-    return HybridState(h.n_qubits, h.level, h.rows, h.cells, h.amps * ph[h.rows])
+    return HybridState(h.n_qubits, h.level, h.rows, h.cells, h.amps * ph)
 
 
 # ---------------------------------------------------------------------------

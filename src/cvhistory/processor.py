@@ -34,7 +34,6 @@ from .revcomp import (
     SubtractMode,
     TruthTable,
     as_register_permutation,
-    build_reversible,
     named_table,
     table_from_dict,
     table_from_json,
@@ -146,12 +145,10 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
     if n_anc < 0:
         raise ValidationError(f"ancilla count must be nonnegative, got {n_anc}")
     _check_joint_table(n_data, n_anc, cv_level)
-    n_total = n_data + n_anc
-    anc_zero = np.zeros(1 << n_anc, dtype=np.complex128)
-    anc_zero[0] = 1.0
-    full = np.kron(anc_zero, data_state.amps)  # ancillas in the high bits
+    h = lift(data_state, indicator_unit(cv_level))
+    # the zeroed ancillas are the high bits: widening keeps every row
     return ProcessorState(
-        hybrid=lift(RegisterState(n_total, full), indicator_unit(cv_level)),
+        hybrid=HybridState(n_data + n_anc, h.level, h.rows, h.cells, h.amps),
         data_count=n_data,
         anc_count=n_anc,
         step_index=0,
@@ -177,23 +174,20 @@ def _apply_gate(h: HybridState, op: GateOp, n_total: int) -> HybridState:
     if name in SINGLE_QUBIT_GATES:
         return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[name])
     a, b = op.targets
-    idx = np.arange(1 << n_total)
+    rows = h.rows
     if name == "CNOT":
-        perm = idx ^ (((idx >> a) & 1) << b)
-        return apply_basis_permutation(h, perm)
+        return apply_basis_permutation(h, rows ^ (((rows >> a) & 1) << b))
     if name == "SWAP":
-        bit_a, bit_b = (idx >> a) & 1, (idx >> b) & 1
-        perm = idx & ~((1 << a) | (1 << b)) | (bit_b << a) | (bit_a << b)
-        return apply_basis_permutation(h, perm)
-    phases = 1.0 - 2.0 * (((idx >> a) & 1) & ((idx >> b) & 1))
-    return apply_row_phases(h, phases)
+        differ = ((rows >> a) ^ (rows >> b)) & 1
+        return apply_basis_permutation(h, rows ^ (differ << a) ^ (differ << b))
+    return apply_row_phases(h, 1.0 - 2.0 * ((rows >> a) & (rows >> b) & 1))
 
 
 def _apply_table(h: HybridState, op: TableOp, n_total: int) -> HybridState:
-    perm = as_register_permutation(
-        build_reversible(op.table, op.mode), list(op.x_qubits), list(op.y_qubits), n_total
+    new_rows = as_register_permutation(
+        op.table.reversible(op.mode), op.x_qubits, op.y_qubits, n_total, h.rows
     )
-    return apply_basis_permutation(h, perm)
+    return apply_basis_permutation(h, new_rows)
 
 
 def _couples_data_to_ancillas(op: Union[GateOp, TableOp], n_data: int) -> bool:
@@ -320,20 +314,47 @@ def _expect_int_list(value, path: str) -> List[int]:
     return out
 
 
-def _parse_table_ref(value, path: str, base_dir: str) -> TruthTable:
+def _parse_table_ref(value, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) -> TruthTable:
+    """The table a step refers to.  ``tables`` holds one TruthTable per
+    distinct reference, a name, a file path or an inline object, so the
+    steps that share a reference share its table and its lifts."""
     if isinstance(value, str):
-        return named_table(value)
-    if isinstance(value, dict):
-        if "file" in value:
-            ref = value["file"]
-            if not isinstance(ref, str):
-                raise ValidationError(f"{path}.file: expected a path string, got {ref!r}")
-            return table_from_json(os.path.join(base_dir, ref))
-        return table_from_dict(value)
-    raise ValidationError(f"{path}: expected a name, inline table, or file reference")
+        key = ("name", value)
+    elif isinstance(value, dict) and "file" in value:
+        ref = value["file"]
+        if not isinstance(ref, str):
+            raise ValidationError(f"{path}.file: expected a path string, got {ref!r}")
+        key = ("file", os.path.join(base_dir, ref))
+    elif isinstance(value, dict):
+        key = ("inline", id(value))
+    else:
+        raise ValidationError(f"{path}: expected a name, inline table, or file reference")
+    if key not in tables:
+        kind, ref = key
+        if kind == "name":
+            tables[key] = named_table(ref)
+        elif kind == "file":
+            tables[key] = table_from_json(ref)
+        else:
+            tables[key] = table_from_dict(value)
+    return tables[key]
 
 
-def _parse_op(obj, path: str, n_total: int, base_dir: str) -> Union[GateOp, TableOp]:
+def _held_values(op: TableOp, held: set) -> int:
+    """The int64 values that op's table and its lift in op's mode add to
+    those already in ``held``: each table once, each lift once per mode."""
+    added = 0
+    lift_values = 1 << (op.table.n_in + op.table.m_out)
+    for key, values in ((op.table, op.table.outputs.size), ((op.table, op.mode), lift_values)):
+        if key not in held:
+            held.add(key)
+            added += values
+    return added
+
+
+def _parse_op(
+    obj, path: str, n_total: int, base_dir: str, tables: Dict[tuple, TruthTable]
+) -> Union[GateOp, TableOp]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected an object, got {obj!r}")
     if "gate" in obj:
@@ -356,7 +377,7 @@ def _parse_op(obj, path: str, n_total: int, base_dir: str) -> Union[GateOp, Tabl
         return GateOp(name, targets)
     if "table" in obj:
         try:
-            table = _parse_table_ref(obj["table"], f"{path}.table", base_dir)
+            table = _parse_table_ref(obj["table"], f"{path}.table", base_dir, tables)
         except ValidationError as exc:
             raise ValidationError(f"{path}.table: {exc}") from exc
         mode_raw = obj.get("mode", "xor")
@@ -388,7 +409,9 @@ def _parse_op(obj, path: str, n_total: int, base_dir: str) -> Union[GateOp, Tabl
 
 
 def parse_program(obj: dict, base_dir: str = ".") -> Program:
-    """Validate and build a Program from its JSON object form."""
+    """Validate and build a Program from its JSON object form.  The
+    tables, and the lifts their steps will build, must fit the byte
+    budget together; the first step past it is named."""
     if not isinstance(obj, dict):
         raise ValidationError(f"program: expected an object, got {type(obj).__name__}")
     data = _expect_int(obj.get("data"), "data", minimum=1)
@@ -399,11 +422,18 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
     if not isinstance(steps_raw, list):
         raise ValidationError(f"steps: expected a list, got {steps_raw!r}")
     steps = []
+    tables: Dict[tuple, TruthTable] = {}
+    held: set = set()
+    held_values = 0
     for i, s in enumerate(steps_raw):
         path = f"steps[{i}]"
         if not isinstance(s, dict):
             raise ValidationError(f"{path}: expected an object, got {s!r}")
-        op = _parse_op(s.get("op"), f"{path}.op", n_total, base_dir)
+        op = _parse_op(s.get("op"), f"{path}.op", n_total, base_dir, tables)
+        if isinstance(op, TableOp):
+            held_values += _held_values(op, held)
+            what = f"{path}.op.table: holding {8 * held_values} bytes of tables and lifts"
+            check_bytes(what, 0, held_values, itemsize=8)
         clean = _expect_int_list(s.get("clean", []), f"{path}.clean")
         for j, q in enumerate(clean):
             if not 0 <= q < n_total:

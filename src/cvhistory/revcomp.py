@@ -10,8 +10,8 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +27,17 @@ class SubtractMode(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TruthTable:
-    """f: [0, 2^n_in) -> [0, 2^m_out) as an output vector indexed by x."""
+    """f: [0, 2^n_in) -> [0, 2^m_out) as an output vector indexed by x.
+
+    The table keeps its lift per mode once ``reversible`` has built it, so
+    every step that shares the table shares the lift."""
 
     n_in: int
     m_out: int
     outputs: np.ndarray
+    _lifts: Dict[SubtractMode, ReversiblePermutation] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self):
         if self.n_in < 0:
@@ -56,6 +62,13 @@ class TruthTable:
         if not 0 <= x < 1 << self.n_in:
             raise DomainError(f"input {x} outside [0, {1 << self.n_in})")
         return int(self.outputs[x])
+
+    def reversible(self, mode: SubtractMode) -> ReversiblePermutation:
+        """The lift under mode, built by build_reversible on first use."""
+        p = self._lifts.get(mode)
+        if p is None:
+            p = self._lifts[mode] = build_reversible(self, mode)
+        return p
 
 
 def table_from_dict(d: dict) -> TruthTable:
@@ -200,11 +213,16 @@ def as_register_permutation(
     x_qubits: Sequence[int],
     y_qubits: Sequence[int],
     n_total: int,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Embed the pair map into an n_total-qubit basis permutation.
+    """The images of n_total-qubit basis rows under the embedded pair map.
 
     x_qubits[j] holds bit j of x (least significant first); likewise for
-    y.  Unlisted qubits are spectators.
+    y.  Unlisted qubits are spectators.  ``rows`` are the basis indices
+    to map, in any order and with repeats, and entry i of the result is
+    the image of rows[i]; the temporaries hold n_in + m_out values per
+    row.  Without ``rows`` every index 0 .. 2^n_total - 1 is mapped,
+    which gives the whole basis permutation.
     """
     x_qubits = [int(q) for q in x_qubits]
     y_qubits = [int(q) for q in y_qubits]
@@ -218,15 +236,18 @@ def as_register_permutation(
         raise ValidationError(f"x and y qubit lists overlap: {sorted(all_q)}")
     if any(q < 0 or q >= n_total for q in all_q):
         raise ValidationError(f"qubit index outside [0, {n_total}) in {sorted(all_q)}")
-    idx = np.arange(1 << n_total)
-    x = np.zeros_like(idx)
-    for j, q in enumerate(x_qubits):
-        x |= ((idx >> q) & 1) << j
-    y = np.zeros_like(idx)
-    for j, q in enumerate(y_qubits):
-        y |= ((idx >> q) & 1) << j
-    y2 = p.y_map[x, y]
-    out = idx
-    for j, q in enumerate(y_qubits):
-        out = (out & ~(1 << q)) | (((y2 >> j) & 1) << q)
-    return out
+    idx = np.arange(1 << n_total) if rows is None else np.asarray(rows, dtype=np.int64)
+    m = p.m_out
+    # qubit all_q[k] is bit to[k] of the flat index x * 2^m_out + y of y_map
+    at = np.array(all_q, dtype=np.int64)
+    to = np.array([m + j for j in range(p.n_in)] + list(range(m)), dtype=np.int64)
+    bits = idx[:, None] >> at
+    bits &= 1
+    bits <<= to
+    flat = bits.sum(axis=1)
+    # the low m_out bits of flat are y; y ^ y2 marks the y bits that flip
+    flips = (flat ^ p.y_map.ravel()[flat]) & ((1 << m) - 1)
+    bits = flips[:, None] >> to[p.n_in :]
+    bits &= 1
+    bits <<= at[p.n_in :]
+    return idx ^ bits.sum(axis=1)

@@ -11,6 +11,10 @@ lookup, in exact integer cell arithmetic, that ``value_at`` must match.
 ``ref_dilation_generator`` is the grid squeeze through the dense
 eigendecomposition of the dilation generator, which the matrix-free
 Chebyshev series of ``grid.dilation_generator`` must match to rounding.
+``ref_gate_vector`` and ``ref_register_permutation`` are the two-qubit
+gates and the table lift as whole vectors over all 2^n basis indices,
+which the processor's register ops on the stored rows must match bit
+for bit.
 """
 from typing import Optional, Tuple
 
@@ -19,7 +23,13 @@ import numpy as np
 from cvhistory.dyadic import SQRT2, DyadicWave
 from cvhistory.erasure import FlipVariant, HybridState
 from cvhistory.grid import GridWave
-from cvhistory.qubits import RegisterState, _apply_permutation_kernel, _apply_single_qubit_kernel
+from cvhistory.qubits import (
+    RegisterState,
+    _apply_permutation_kernel,
+    _apply_single_qubit_kernel,
+    _check_permutation,
+)
+from cvhistory.revcomp import ReversiblePermutation
 
 
 def table(h: HybridState) -> np.ndarray:
@@ -84,13 +94,52 @@ def ref_apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
 
 
 def ref_apply_basis_permutation(h: HybridState, perm: np.ndarray) -> HybridState:
-    out = _apply_permutation_kernel(table(h), np.asarray(perm, dtype=np.int64))
+    """Relocate the rows of the whole table after checking that perm is a
+    bijection on all 2^n basis indices."""
+    out = _apply_permutation_kernel(table(h), _check_permutation(perm, 1 << h.n_qubits))
     return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
 
 
 def ref_apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
     out = table(h) * np.asarray(phases, dtype=np.complex128)[:, None]
     return HybridState.from_table(h.n_qubits, h.level, h.offset, out)
+
+
+def ref_gate_vector(name: str, a: int, b: int, n_total: int) -> np.ndarray:
+    """The 2^n_total basis permutation of CNOT (control a, target b) or
+    SWAP, or the row phases of CZ."""
+    idx = np.arange(1 << n_total)
+    if name == "CNOT":
+        return idx ^ (((idx >> a) & 1) << b)
+    if name == "SWAP":
+        bit_a, bit_b = (idx >> a) & 1, (idx >> b) & 1
+        return idx & ~((1 << a) | (1 << b)) | (bit_b << a) | (bit_a << b)
+    return 1.0 - 2.0 * (((idx >> a) & 1) & ((idx >> b) & 1))
+
+
+def ref_apply_gate(h: HybridState, name: str, a: int, b: int) -> HybridState:
+    """A two-qubit gate by its whole vector on the whole table."""
+    vec = ref_gate_vector(name, a, b, h.n_qubits)
+    if name == "CZ":
+        return ref_apply_row_phases(h, vec)
+    return ref_apply_basis_permutation(h, vec)
+
+
+def ref_register_permutation(p: ReversiblePermutation, x_qubits, y_qubits, n_total: int) -> np.ndarray:
+    """The pair map embedded as a permutation of all 2^n_total basis
+    indices, one qubit at a time."""
+    idx = np.arange(1 << n_total)
+    x = np.zeros_like(idx)
+    for j, q in enumerate(x_qubits):
+        x |= ((idx >> q) & 1) << j
+    y = np.zeros_like(idx)
+    for j, q in enumerate(y_qubits):
+        y |= ((idx >> q) & 1) << j
+    y2 = p.y_map[x, y]
+    out = idx
+    for j, q in enumerate(y_qubits):
+        out = (out & ~(1 << q)) | (((y2 >> j) & 1) << q)
+    return out
 
 
 def ref_trace_out(amps: np.ndarray, n_qubits: int, keep) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cvhistory
-from cvhistory import dyadic, validation
+from cvhistory import dyadic, revcomp, validation
 from cvhistory.cli import SCENARIO_KEYS, build_parser, main
 from cvhistory.erasure import tensor_oracle
 from cvhistory.serialize import format_float, json_dumps
@@ -118,22 +118,54 @@ class TestEntryPoint:
         assert "argument command: invalid choice: 'foo'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_import_leaves_scipy_and_numpy_random_out(self):
-        # only validate needs numpy.random, at its first generator
+    def test_import_leaves_scipy_and_numpy_random_out(self, tmp_path):
+        # only validate needs numpy.random, at its first generator; and no
+        # command, nor an erase's support error, imports numpy.ma, which
+        # plain np.unique does on its first call
         src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
-        code = (
-            "import sys, cvhistory.cli; "
-            "print(sorted(m for m in ('scipy', 'numpy.random') if m in sys.modules))"
+        lift = {"table": "AND", "x_qubits": [0, 1], "y_qubits": [2]}
+        prog = {
+            "data": 2,
+            "ancilla": 1,
+            "steps": [{"op": {"gate": "H", "targets": [q]}} for q in (0, 1)]
+            + [{"op": lift, "clean": [2]}, {"op": {"gate": "CNOT", "targets": [0, 2]}, "clean": [2]}],
+        }
+        write_scenario(tmp_path, "p.json", {"program": prog})
+        write_scenario(tmp_path, "e.json", {"pairs": [[0.6, 0.8], [INV_SQRT2, INV_SQRT2]]})
+        code = "\n".join(
+            [
+                "import sys, cvhistory.cli",
+                "from cvhistory.erasure import HybridState, require_unit_support",
+                "from cvhistory.errors import ContractError",
+                "def loaded():",
+                "    mods = ('scipy', 'numpy.random', 'numpy.ma')",
+                "    print('loaded:', sorted(m for m in mods if m in sys.modules))",
+                "loaded()",
+                "for kind in ('processor', 'erase-demo'):",
+                "    scenario = {'processor': 'p.json', 'erase-demo': 'e.json'}[kind]",
+                "    assert cvhistory.cli.main([kind, scenario, '--out-dir', kind]) == 0",
+                "    loaded()",
+                "try:",
+                "    require_unit_support(HybridState(1, 0, [0, 0, 1], [1, 3, 1], [1, 1, 1]), 'erase')",
+                "except ContractError as exc:",
+                "    print(exc)",
+                "loaded()",
+            ]
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
+            cwd=tmp_path,
             env={"PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        lines = proc.stdout.splitlines()
+        assert [ln for ln in lines if ln.startswith("loaded:")] == ["loaded: []"] * 4
+        assert "erase requires CV support inside [0,1); nonzero cells at [1,2), [3,4)" in lines
+        assert (tmp_path / "processor" / "metrics.jsonl").exists()
+        assert (tmp_path / "erase-demo" / "trace.json").exists()
 
 
 class TestSerialize:
@@ -720,6 +752,38 @@ class TestResourceCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and err[0] == err[1]
             assert err[-1].startswith(f"error: {field}:")
+
+    def test_table_budget_refusal_names_its_step(self, tmp_path, monkeypatch, capsys):
+        # a 4096-byte budget holds 512 int64 values; each ADDER(2) step
+        # (16 outputs, a lift of 2^7 values) and the inline 4 -> 3 table
+        # count once per table and once per mode, so steps[1] adds nothing
+        # and steps[4] is the first past the budget on both commands
+        monkeypatch.setattr(dyadic, "MAX_BYTES", 1 << 12)
+        inline = {"n_in": 4, "m_out": 3, "outputs": list(range(8)) * 2}
+        (tmp_path / "t.json").write_text(json.dumps(inline))
+        qs = {"x_qubits": [0, 1, 2, 3], "y_qubits": [4, 5, 6]}
+        tables = [("ADDER(2)", "xor"), ("ADDER(2)", "xor"), ("ADDER(2)", "mod_sub"), (inline, "xor")]
+        steps = [{"op": {"table": t, "mode": m, **qs}} for t, m in tables]
+        fits = {"data": 4, "ancilla": 3, "steps": steps}
+        over = dict(fits, steps=steps + [{"op": {"table": {"file": "t.json"}, **qs}}])
+        refused = (
+            "error: steps[4].op.table: holding 4480 bytes of tables and lifts "
+            "exceeds the 4096-byte budget\n"
+        )
+        for prog, code, err in ((fits, 0, ""), (over, 3, refused)):
+            s = write_scenario(tmp_path, "s.json", {"program": prog})
+            for kind in ("processor", "resource"):
+                out = tmp_path / f"{kind}-{code}"
+                assert main([kind, s, "--out-dir", str(out)]) == code
+                assert out.exists() == (code == 0)
+                assert capsys.readouterr().err == err
+
+    def test_resource_builds_no_lift(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(revcomp, "build_reversible", lambda *args: built.append(args))
+        s = write_scenario(tmp_path, "s.json", {"program": and_program(10), "out_dir": str(tmp_path / "o")})
+        assert main(["resource", s]) == 0
+        assert built == []
 
     def test_mid_run_budget_refusal_names_its_step(self, tmp_path, monkeypatch, capsys):
         # resource models the start checks only: at a 2^16-byte budget the

@@ -549,7 +549,8 @@ class TestHybridReducedDensity:
         plus = np.kron([1.0, 0.0], [SQRT1_2, SQRT1_2])  # q0 = |+>, q1 = |0>
         reg = RegisterState(2, plus)
         h = lift(reg, indicator_unit(0))
-        h = apply_basis_permutation(h, [0, 3, 2, 1])  # CNOT: control q0, target q1
+        cnot = np.array([0, 3, 2, 1])  # control q0, target q1
+        h = apply_basis_permutation(h, cnot[h.rows])
         before = hybrid_reduced_density(h, {0, 1})
         assert abs(purity(before) - 1.0) <= 1e-12
         out = erase(h, 1)
@@ -695,22 +696,56 @@ class TestRegisterOpsOnHybrid:
 
     def test_permutation_moves_rows(self):
         h = lift(basis_state(2, 1), indicator_unit(0))
-        out = apply_basis_permutation(h, [1, 2, 3, 0])
+        out = apply_basis_permutation(h, np.array([1, 2, 3, 0])[h.rows])
         assert out == lift(basis_state(2, 2), indicator_unit(0))
 
     def test_row_phases(self):
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
-        out = apply_row_phases(h, np.array([1.0, -1.0]))
+        out = apply_row_phases(h, np.array([1.0, -1.0])[h.rows])
         assert np.allclose(table(out), [[SQRT1_2], [-SQRT1_2]], atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_row_phases_reject_non_finite(self, bad):
-        # row 1 holds no entry, so no stored amplitude would carry the value
-        h = lift(basis_state(1, 0), indicator_unit(0))
+        # both rows hold an entry, so each vector puts the value on one
+        h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
         with pytest.raises(ValidationError, match="finite"):
+            apply_row_phases(h, np.array([1.0, bad])[h.rows])
+        with pytest.raises(ValidationError, match="finite"):
+            apply_row_phases(h, np.array([bad, 1.0])[h.rows])
+
+    def test_map_merging_two_occupied_rows_refused(self):
+        # rows 1 and 2 occupied; rows 0 and 3 are free, so the map is one
+        # on the whole register only if the stored rows keep apart
+        h = lift(RegisterState(2, [0, SQRT1_2, SQRT1_2, 0]), indicator_unit(1))
+        assert h.rows.tolist() == [1, 1, 2, 2]
+        with pytest.raises(ValidationError, match="two occupied rows map to 3"):
+            apply_basis_permutation(h, [3, 3, 3, 3])
+        assert apply_basis_permutation(h, [3, 3, 0, 0]).rows.tolist() == [0, 0, 3, 3]
+
+    def test_map_splitting_one_row_refused(self):
+        h = lift(basis_state(2, 1), indicator_unit(1))
+        assert h.rows.tolist() == [1, 1]
+        with pytest.raises(ValidationError, match="row 1 has two images"):
+            apply_basis_permutation(h, [2, 3])
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 4])
+    def test_wrong_length_refused(self, size):
+        h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
+        with pytest.raises(ValidationError, match="one per stored entry"):
+            apply_basis_permutation(h, np.arange(size))
+        with pytest.raises(ValidationError, match="one per stored entry"):
+            apply_row_phases(h, np.ones(size))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.5j, 0.0, -1.0 + 1e-9])
+    def test_row_phases_reject_non_unit(self, bad):
+        h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
+        with pytest.raises(ValidationError, match="unit modulus"):
             apply_row_phases(h, np.array([1.0, bad]))
-        with pytest.raises(ValidationError, match="finite"):
-            apply_row_phases(h, np.array([bad, 1.0]))
+
+    def test_empty_state(self):
+        h = HybridState(3, 2, [], [], [])
+        assert apply_basis_permutation(h, []) == h
+        assert apply_row_phases(h, []) == h
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(37)
@@ -847,7 +882,7 @@ class TestAdoptedOutputs:
                 self.assert_adopted(cond_flip(h, q, variant), h)
             self.assert_adopted(squeeze_all(h), h)
             perm = rng.permutation(1 << h.n_qubits)
-            self.assert_adopted(apply_basis_permutation(h, perm), h)
+            self.assert_adopted(apply_basis_permutation(h, perm[h.rows]), h)
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 80), (0, 81), (1, 82)])
     def test_erase_outputs(self, zero_bit, seed):
@@ -920,10 +955,10 @@ class TestDenseReference:
             for u in gates + [random_unitary(rng)]:
                 assert apply_qubit_gate(h, q, u) == ref_apply_qubit_gate(h, q, u)
             perm = rng.permutation(1 << h.n_qubits)
-            assert apply_basis_permutation(h, perm) == ref_apply_basis_permutation(h, perm)
+            assert apply_basis_permutation(h, perm[h.rows]) == ref_apply_basis_permutation(h, perm)
             phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << h.n_qubits))
             phases[rng.random(phases.size) < 0.5] = -1.0
-            assert apply_row_phases(h, phases) == ref_apply_row_phases(h, phases)
+            assert apply_row_phases(h, phases[h.rows]) == ref_apply_row_phases(h, phases)
 
     @pytest.mark.parametrize("full, zero_bit", [(f, z) for u, f, z in DENSE_CASES if u])
     def test_erase_matches_dense_pipeline(self, full, zero_bit):

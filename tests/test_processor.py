@@ -25,9 +25,16 @@ from cvhistory.processor import (
     _apply_gate,
     _apply_table,
 )
+from cvhistory import revcomp
 from cvhistory.qubits import RegisterState, basis_state, purity
-from cvhistory.revcomp import SubtractMode, named_table
-from dense_reference import ref_lift, table
+from cvhistory.revcomp import SubtractMode, build_reversible, named_table
+from dense_reference import (
+    ref_apply_basis_permutation,
+    ref_apply_gate,
+    ref_lift,
+    ref_register_permutation,
+    table,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -67,6 +74,19 @@ class TestInit:
         joint[5] = 1.0
         assert ps.hybrid == ref_lift(RegisterState(7, joint), indicator_unit(14))
         assert ps.hybrid.amps.size == 1 << 14
+
+    def test_start_builds_no_joint_vector(self):
+        # 1 data qubit and 21 ancillas: a 2^22-entry start vector would
+        # take 64 MiB
+        tracemalloc.start()
+        try:
+            ps = init(1, 21, RegisterState(1, [0.6, 0.8]), cv_level=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert ps.hybrid.n_qubits == 22
+        assert ps.hybrid.rows.tolist() == [0, 0, 1, 1] and ps.hybrid.cells.tolist() == [0, 1, 0, 1]
 
     def test_wrong_data_width_rejected(self):
         with pytest.raises(ValidationError):
@@ -129,6 +149,138 @@ class TestGateOps:
         ps = init(1, 0, basis_state(1, 0))
         with pytest.raises(ValidationError, match="outside"):
             run_step(ps, ProgramStep(op=GateOp("X", (3,)), clean=()))
+
+
+def sparse_states(rng: np.random.Generator, n: int):
+    """Seeded states of n qubits holding 1, 2, 9 and 40 entries (fewer
+    where 2^n x 3 cells hold fewer) scattered over 3 cells, and the
+    empty state."""
+    for count in (1, 2, 9, 40):
+        a = np.zeros((1 << n) * 3, dtype=np.complex128)
+        at = rng.choice(a.size, size=min(count, a.size), replace=False)
+        a[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+        yield HybridState.from_table(n, 2, int(rng.integers(-2, 3)), a.reshape(-1, 3))
+    yield HybridState(n, 2, [], [], [])
+
+
+LIFT_TABLES = ["AND", "OR", "XOR", "ADDER(1)", "ADDER(2)", "ADDER(3)", "CONST(3,2,2)"]
+
+
+class TestRegisterOpsOnStoredRows:
+    """The two-qubit gates and table lifts act on the stored rows alone;
+    they must match, bit for bit, the whole 2^n vectors of
+    tests/dense_reference.py applied to the whole table."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_gates_match_dense_on_every_pair(self, n):
+        rng = np.random.default_rng([23, n])
+        for h in sparse_states(rng, n):
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    for name in ("CNOT", "SWAP", "CZ"):
+                        got = _apply_gate(h, GateOp(name, (a, b)), n)
+                        assert got == ref_apply_gate(h, name, a, b)
+
+    @pytest.mark.parametrize("mode", list(SubtractMode))
+    @pytest.mark.parametrize("name", LIFT_TABLES)
+    def test_lifts_match_dense(self, name, mode):
+        tt = named_table(name)
+        width = tt.n_in + tt.m_out
+        rng = np.random.default_rng([29, LIFT_TABLES.index(name)])
+        for n in sorted({width, 12}):
+            for _ in range(3):
+                qs = [int(q) for q in rng.permutation(n)[:width]]
+                op = TableOp(tt, mode, tuple(qs[: tt.n_in]), tuple(qs[tt.n_in :]))
+                perm = ref_register_permutation(build_reversible(tt, mode), op.x_qubits, op.y_qubits, n)
+                for h in sparse_states(rng, n):
+                    assert _apply_table(h, op, n) == ref_apply_basis_permutation(h, perm)
+
+    @staticmethod
+    def wide_state() -> HybridState:
+        # two entries on 22 qubits: every whole-register vector would
+        # hold 2^22 values, 32 MiB as int64
+        rows = [0b1011, (1 << 21) | (1 << 12) | 0b0110]
+        return HybridState(22, 0, rows, [0, 0], [0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            GateOp("CNOT", (1, 21)),
+            GateOp("SWAP", (0, 20)),
+            GateOp("CZ", (2, 21)),
+            TableOp(named_table("ADDER(3)"), SubtractMode.MOD_SUB, (0, 1, 2, 12, 13, 21), (3, 4, 5, 20)),
+        ],
+        ids=["CNOT", "SWAP", "CZ", "ADDER3"],
+    )
+    def test_wide_register_op_allocates_per_entry(self, op):
+        h = self.wide_state()
+        if isinstance(op, TableOp):
+            op.table.reversible(op.mode)  # the lift is the table's, not the step's
+        apply = _apply_table if isinstance(op, TableOp) else _apply_gate
+        tracemalloc.start()
+        try:
+            out = apply(h, op, 22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert out.amps.size == 2 and out.norm2() == h.norm2()
+
+
+class TestLiftOnce:
+    """Steps that share a table reference share one TruthTable, and it
+    builds its lift once per mode, at the first step that applies it."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        built = []
+
+        def counting(tt, mode):
+            built.append((tt, mode))
+            return build_reversible(tt, mode)
+
+        monkeypatch.setattr(revcomp, "build_reversible", counting)
+        return built
+
+    def test_one_table_per_name_and_one_lift_per_mode(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        step = {"x_qubits": [0, 1, 2, 3, 4, 5], "y_qubits": [6, 7, 8, 9]}
+        steps = [
+            {"op": {"table": "ADDER(3)", "mode": ("xor", "mod_sub")[i % 2], **step}}
+            for i in range(32)
+        ]
+        prog = parse_program({"data": 10, "ancilla": 1, "steps": steps})
+        assert len({id(st.op.table) for st in prog.steps}) == 1
+        assert built == []  # parsing builds no lift
+        ps, _ = run_program(init_from_program(prog, data_basis=300), prog.steps)
+        assert [mode for _, mode in built] == [SubtractMode.XOR, SubtractMode.MOD_SUB]
+        # the same 32 steps, each on a table of its own
+        fresh = [
+            ProgramStep(TableOp(named_table("ADDER(3)"), st.op.mode, st.op.x_qubits, st.op.y_qubits), ())
+            for st in prog.steps
+        ]
+        assert run_program(init_from_program(prog, data_basis=300), fresh)[0].hybrid == ps.hybrid
+        assert len(built) == 2 + 32
+
+    def test_files_share_and_inline_objects_do_not(self, tmp_path):
+        (tmp_path / "t.json").write_text(json.dumps({"n_in": 2, "m_out": 1, "outputs": [0, 1, 1, 1]}))
+        op = {"x_qubits": [0, 1], "y_qubits": [2]}
+        inline = {"n_in": 2, "m_out": 1, "outputs": [0, 1, 1, 1]}
+        steps = [
+            {"op": {"table": {"file": "t.json"}, **op}},
+            {"op": {"table": {"file": "t.json"}, **op}},
+            {"op": {"table": dict(inline), **op}},
+            {"op": {"table": dict(inline), **op}},
+            {"op": {"table": "OR", **op}},
+            {"op": {"table": "OR", **op}},
+        ]
+        prog = parse_program({"data": 2, "ancilla": 1, "steps": steps}, base_dir=str(tmp_path))
+        tables = [st.op.table for st in prog.steps]
+        assert tables[0] is tables[1] and tables[4] is tables[5]
+        assert tables[2] is not tables[3]
+        assert len({id(t) for t in tables}) == 4
 
 
 class TestCleanValidation:

@@ -20,6 +20,7 @@ from cvhistory.revcomp import (
     table_from_dict,
     table_from_json,
 )
+from dense_reference import ref_register_permutation
 
 AND = named_table("AND")
 
@@ -206,6 +207,35 @@ class TestRegisterEmbedding:
             state = apply_permutation(basis_state(3, x), perm)
             expect = x | (AND(x) << 2)
             assert np.array_equal(state.amps, basis_state(3, expect).amps)
+
+    @given(
+        truth_tables(max_pair_bits=6),
+        st.sampled_from(list(SubtractMode)),
+        st.integers(min_value=0, max_value=3),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_map_as_the_whole_permutation(self, tt, mode, spare, rnd):
+        # the images of some rows, in any order and with repeats, are the
+        # whole permutation's entries at those rows
+        n_total = tt.n_in + tt.m_out + spare
+        qs = list(range(n_total))
+        rnd.shuffle(qs)
+        x_qubits, y_qubits = qs[: tt.n_in], qs[tt.n_in : tt.n_in + tt.m_out]
+        p = build_reversible(tt, mode)
+        whole = ref_register_permutation(p, x_qubits, y_qubits, n_total)
+        assert np.array_equal(as_register_permutation(p, x_qubits, y_qubits, n_total), whole)
+        rows = np.array([rnd.randrange(1 << n_total) for _ in range(rnd.randrange(6))], dtype=np.int64)
+        got = as_register_permutation(p, x_qubits, y_qubits, n_total, rows)
+        assert np.array_equal(got, whole[rows])
+
+    def test_lift_built_once_per_mode(self):
+        tt = named_table("ADDER(2)")
+        for mode in SubtractMode:
+            p = tt.reversible(mode)
+            assert tt.reversible(mode) is p
+            assert np.array_equal(p.y_map, build_reversible(tt, mode).y_map)
+        assert tt.reversible(SubtractMode.XOR) is not tt.reversible(SubtractMode.MOD_SUB)
 
     @given(truth_tables(max_pair_bits=6), st.sampled_from(list(SubtractMode)))
     @settings(max_examples=30, deadline=None)
