@@ -165,7 +165,11 @@ def squeeze(w: DyadicWave) -> DyadicWave:
     coefficients scaled by sqrt(2).  Norm-preserving and exact."""
     if w.level + 1 > MAX_LEVEL_DEFAULT:
         raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
-    return DyadicWave(w.level + 1, w.offset, w.coeffs * SQRT2)
+    # the constructor refuses a coefficient that overflowed, so the
+    # overflow is not also warned of
+    with np.errstate(over="ignore"):
+        coeffs = w.coeffs * SQRT2
+    return DyadicWave(w.level + 1, w.offset, coeffs)
 
 
 def norm2(w: DyadicWave) -> float:

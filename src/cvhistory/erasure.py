@@ -35,7 +35,7 @@ import numpy as np
 from . import dyadic
 from .dyadic import MAX_LEVEL_DEFAULT, SQRT2, DyadicWave, check_bytes, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
-from .grid import SUPPORT_EPS, GridWave, translate_shift, translate_spectral
+from .grid import SUPPORT_EPS, GridWave, translate_spectral
 from .qubits import (
     DensityMatrix,
     RegisterState,
@@ -240,8 +240,10 @@ def squeeze_all(h: HybridState) -> HybridState:
     if h.level + 1 > MAX_LEVEL_DEFAULT:
         raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
     # scaling by sqrt(2) cannot zero a cell; the constructor refuses one
-    # that overflowed
-    return HybridState(h.n_qubits, h.level + 1, h.rows, h.cells, h.amps * SQRT2)
+    # that overflowed, so the overflow is not also warned of
+    with np.errstate(over="ignore"):
+        amps = h.amps * SQRT2
+    return HybridState(h.n_qubits, h.level + 1, h.rows, h.cells, amps)
 
 
 def unfold(
@@ -534,21 +536,14 @@ def grid_lift(reg: RegisterState, g: GridWave) -> GridHybrid:
     return GridHybrid(reg.n_qubits, g.x_min, g.h, np.outer(reg.amps, g.samples))
 
 
-def grid_cond_translate(gh: GridHybrid, q: int, t: int, method: str = "spectral") -> GridHybrid:
-    """Translate rows with qubit q = |1> by t x-units, spectrally or by
-    index shift."""
+def grid_cond_translate(gh: GridHybrid, q: int, t: int) -> GridHybrid:
+    """Translate rows with qubit q = |1> by t x-units, spectrally."""
     if not 0 <= q < gh.n_qubits:
         raise DomainError(f"qubit index {q} out of range for {gh.n_qubits} qubits")
-    if method not in ("spectral", "shift"):
-        raise DomainError(f"unknown translation method {method!r}")
     moved = _bit1_rows(gh.n_qubits, q)
     out = np.array(gh.amps)
     for r in np.flatnonzero(moved):
-        wave = GridWave(gh.x_min, gh.h, gh.amps[r])
-        if method == "spectral":
-            out[r] = translate_spectral(wave, float(t)).samples
-        else:
-            out[r] = translate_shift(wave, int(t)).samples
+        out[r] = translate_spectral(GridWave(gh.x_min, gh.h, gh.amps[r]), float(t)).samples
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out)
 
 

@@ -10,7 +10,13 @@ class DomainError(SimulationError, ValueError):
 
 
 class ValidationError(SimulationError, ValueError):
-    """Structured input (matrix, permutation, table, config) failed validation."""
+    """Structured input (matrix, permutation, table, config) failed validation.
+    ``field`` names the offending part, e.g. ``targets[1]``, relative to the
+    value checked; a parser prefixes its own path to it."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 class ContractError(SimulationError):

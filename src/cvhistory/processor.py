@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,9 +34,11 @@ from .revcomp import (
     SubtractMode,
     TruthTable,
     as_register_permutation,
+    check_fields,
     named_table,
     table_from_dict,
     table_from_json,
+    table_name_key,
 )
 
 SINGLE_QUBIT_GATES: Dict[str, np.ndarray] = {
@@ -57,6 +59,14 @@ class GateOp:
     name: str
     targets: Tuple[int, ...]
 
+    def __post_init__(self):
+        arity = 1 if self.name in SINGLE_QUBIT_GATES else 2 if self.name in TWO_QUBIT_GATES else 0
+        if not arity:
+            raise ValidationError(f"unknown gate {self.name!r}", "gate")
+        if len(self.targets) != arity or len(set(self.targets)) != arity:
+            shape = "one target" if arity == 1 else "two distinct targets"
+            raise ValidationError(f"gate {self.name} takes {shape}, got {self.targets}", "targets")
+
 
 @dataclass(frozen=True)
 class TableOp:
@@ -67,11 +77,23 @@ class TableOp:
     x_qubits: Tuple[int, ...]
     y_qubits: Tuple[int, ...]
 
+    def __post_init__(self):
+        check_fields(self.table.n_in, self.table.m_out, self.x_qubits, self.y_qubits)
+
 
 @dataclass(frozen=True)
 class ProgramStep:
+    """An op, then the erasure of each ``clean`` qubit, listed once."""
+
     op: Union[GateOp, TableOp]
     clean: Tuple[int, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.op, (GateOp, TableOp)):
+            raise ValidationError(f"unknown op type {type(self.op).__name__}", "op")
+        for j, q in enumerate(self.clean):
+            if q in self.clean[:j]:
+                raise ValidationError(f"qubit {q} is listed twice", f"clean[{j}]")
 
 
 @dataclass(frozen=True)
@@ -80,10 +102,6 @@ class Program:
     ancilla: int
     cv_level: int
     steps: Tuple[ProgramStep, ...]
-
-    @property
-    def n_total(self) -> int:
-        return self.data + self.ancilla
 
 
 @dataclass(frozen=True)
@@ -102,10 +120,7 @@ class ProcessorState:
     data_count: int
     anc_count: int
     step_index: int
-    history: Tuple[StepMetrics, ...] = field(default_factory=tuple)
-
-    def data_qubits(self) -> range:
-        return range(self.data_count)
+    data_purity: Optional[float] = None  # after the last step; None before the first
 
 
 @dataclass(frozen=True)
@@ -155,22 +170,23 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
     )
 
 
-def _check_gate_shape(name: str, targets: Tuple[int, ...]) -> None:
-    """A single-qubit gate takes one target, a two-qubit gate two distinct
-    ones."""
-    if name in SINGLE_QUBIT_GATES and len(targets) != 1:
-        raise ValidationError(f"gate {name} takes one target, got {targets}")
-    if name in TWO_QUBIT_GATES and (len(targets) != 2 or targets[0] == targets[1]):
-        raise ValidationError(f"gate {name} takes two distinct targets, got {targets}")
+def _check_step_qubits(step: ProgramStep, n_data: int, n_anc: int) -> None:
+    """Every qubit the step names is below n_data + n_anc, and it cleans
+    ancillas only; the error's field is relative to the step."""
+    n_total = n_data + n_anc
+    for label in ("targets",) if isinstance(step.op, GateOp) else ("x_qubits", "y_qubits"):
+        for i, q in enumerate(getattr(step.op, label)):
+            if not 0 <= q < n_total:
+                raise ValidationError(f"qubit {q} outside [0, {n_total})", f"op.{label}[{i}]")
+    for j, q in enumerate(step.clean):
+        if not n_data <= q < n_total:
+            raise ValidationError(
+                f"qubit {q} is not an ancilla (ancillas are [{n_data}, {n_total}))", f"clean[{j}]"
+            )
 
 
-def _apply_gate(h: HybridState, op: GateOp, n_total: int) -> HybridState:
+def _apply_gate(h: HybridState, op: GateOp) -> HybridState:
     name = op.name
-    if any(not 0 <= q < n_total for q in op.targets):
-        raise ValidationError(f"gate {name} targets {op.targets} outside [0, {n_total})")
-    if name not in SINGLE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
-        raise ValidationError(f"unknown gate {name!r}")
-    _check_gate_shape(name, op.targets)
     if name in SINGLE_QUBIT_GATES:
         return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[name])
     a, b = op.targets
@@ -183,9 +199,9 @@ def _apply_gate(h: HybridState, op: GateOp, n_total: int) -> HybridState:
     return apply_row_phases(h, 1.0 - 2.0 * ((rows >> a) & (rows >> b) & 1))
 
 
-def _apply_table(h: HybridState, op: TableOp, n_total: int) -> HybridState:
+def _apply_table(h: HybridState, op: TableOp) -> HybridState:
     new_rows = as_register_permutation(
-        op.table.reversible(op.mode), op.x_qubits, op.y_qubits, n_total, h.rows
+        op.table.reversible(op.mode), op.x_qubits, op.y_qubits, h.n_qubits, h.rows
     )
     return apply_basis_permutation(h, new_rows)
 
@@ -195,17 +211,16 @@ def _couples_data_to_ancillas(op: Union[GateOp, TableOp], n_data: int) -> bool:
     return any(q < n_data for q in qs) and any(q >= n_data for q in qs)
 
 
-def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
-    """Step metrics of ps; ``data_purity`` is recomputed when None."""
-    h = ps.hybrid
+def _metrics(h: HybridState, n_data: int, n_anc: int, data_purity: Optional[float]) -> StepMetrics:
+    """Step metrics of h; ``data_purity`` is recomputed when None."""
     residual = 0.0
-    if ps.anc_count:
-        a = h.amps[(h.rows >> ps.data_count) != 0]
+    if n_anc:
+        a = h.amps[(h.rows >> n_data) != 0]
         residual = float(np.sum(a.real**2 + a.imag**2)) * h.width
     if data_purity is None:
         data_purity = 1.0
-        if ps.data_count:
-            data_purity = purity(hybrid_reduced_density(h, set(ps.data_qubits())))
+        if n_data:
+            data_purity = purity(hybrid_reduced_density(h, set(range(n_data))))
     return StepMetrics(
         ancilla_residual=residual,
         data_purity=data_purity,
@@ -218,19 +233,11 @@ def _metrics(ps: ProcessorState, data_purity: Optional[float]) -> StepMetrics:
 
 def run_step(ps: ProcessorState, step: ProgramStep) -> Tuple[ProcessorState, StepMetrics]:
     """Apply the step's operation, then erase its listed ancillas."""
-    n_total = ps.data_count + ps.anc_count
-    anc_lo = ps.data_count
-    for q in step.clean:
-        if not anc_lo <= q < n_total:
-            raise ValidationError(
-                f"clean target {q} is not an ancilla (ancillas are [{anc_lo}, {n_total}))"
-            )
+    _check_step_qubits(step, ps.data_count, ps.anc_count)
     if isinstance(step.op, GateOp):
-        h = _apply_gate(ps.hybrid, step.op, n_total)
-    elif isinstance(step.op, TableOp):
-        h = _apply_table(ps.hybrid, step.op, n_total)
+        h = _apply_gate(ps.hybrid, step.op)
     else:
-        raise ValidationError(f"unknown op type {type(step.op).__name__}")
+        h = _apply_table(ps.hybrid, step.op)
     for q in sorted(step.clean):
         h = erase(h, q)
         leftover = residual_weight(h, q)
@@ -238,21 +245,12 @@ def run_step(ps: ProcessorState, step: ProgramStep) -> Tuple[ProcessorState, Ste
             raise ContractError(
                 f"erasure left residual {leftover:.3e} on qubit {q}; internal bug"
             )
-    ps2 = ProcessorState(
-        hybrid=h,
-        data_count=ps.data_count,
-        anc_count=ps.anc_count,
-        step_index=ps.step_index + 1,
-        history=ps.history,
-    )
     # Tr rho_data^2 is unchanged by a unitary on the data alone or on the
     # rest alone, and every erase acts on one ancilla and the CV; so only
     # an op that couples data to ancillas can change it.
-    carried = None
-    if ps.history and not _couples_data_to_ancillas(step.op, ps.data_count):
-        carried = ps.history[-1].data_purity
-    metrics = _metrics(ps2, carried)
-    ps2 = replace(ps2, history=ps.history + (metrics,))
+    carried = None if _couples_data_to_ancillas(step.op, ps.data_count) else ps.data_purity
+    metrics = _metrics(h, ps.data_count, ps.anc_count, carried)
+    ps2 = ProcessorState(h, ps.data_count, ps.anc_count, ps.step_index + 1, metrics.data_purity)
     return ps2, metrics
 
 
@@ -305,21 +303,24 @@ def _expect_int(
     return value
 
 
-def _expect_int_list(value, path: str) -> List[int]:
+def _expect_int_list(value, path: str) -> Tuple[int, ...]:
     if not isinstance(value, list):
         raise ValidationError(f"{path}: expected a list of integers, got {value!r}")
-    out = []
-    for i, v in enumerate(value):
-        out.append(_expect_int(v, f"{path}[{i}]"))
-    return out
+    return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _at(path: str, exc: ValidationError) -> ValidationError:
+    """exc as met at path, extended by the field exc names, if any."""
+    where = f"{path}.{exc.field}" if exc.field else path
+    return ValidationError(f"{where}: {exc}")
 
 
 def _parse_table_ref(value, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) -> TruthTable:
     """The table a step refers to.  ``tables`` holds one TruthTable per
-    distinct reference, a name, a file path or an inline object, so the
-    steps that share a reference share its table and its lifts."""
+    distinct reference, a name however spelled, a file path or an inline
+    object, so the steps that share a reference share its table and lifts."""
     if isinstance(value, str):
-        key = ("name", value)
+        key = ("name", table_name_key(value))
     elif isinstance(value, dict) and "file" in value:
         ref = value["file"]
         if not isinstance(ref, str):
@@ -332,7 +333,7 @@ def _parse_table_ref(value, path: str, base_dir: str, tables: Dict[tuple, TruthT
     if key not in tables:
         kind, ref = key
         if kind == "name":
-            tables[key] = named_table(ref)
+            tables[key] = named_table(value)
         elif kind == "file":
             tables[key] = table_from_json(ref)
         else:
@@ -352,29 +353,18 @@ def _held_values(op: TableOp, held: set) -> int:
     return added
 
 
-def _parse_op(
-    obj, path: str, n_total: int, base_dir: str, tables: Dict[tuple, TruthTable]
-) -> Union[GateOp, TableOp]:
+def _parse_op(obj, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) -> Union[GateOp, TableOp]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected an object, got {obj!r}")
     if "gate" in obj:
         name = obj["gate"]
         if not isinstance(name, str):
             raise ValidationError(f"{path}.gate: expected a string, got {name!r}")
-        name = name.upper()
-        if name not in SINGLE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
-            raise ValidationError(f"{path}.gate: unknown gate {name!r}")
-        targets = tuple(_expect_int_list(obj.get("targets"), f"{path}.targets"))
-        for i, q in enumerate(targets):
-            if not 0 <= q < n_total:
-                raise ValidationError(
-                    f"{path}.targets[{i}]: qubit {q} outside [0, {n_total})"
-                )
+        targets = _expect_int_list(obj.get("targets"), f"{path}.targets")
         try:
-            _check_gate_shape(name, targets)
+            return GateOp(name.upper(), targets)
         except ValidationError as exc:
-            raise ValidationError(f"{path}.targets: {exc}") from exc
-        return GateOp(name, targets)
+            raise _at(path, exc) from exc
     if "table" in obj:
         try:
             table = _parse_table_ref(obj["table"], f"{path}.table", base_dir, tables)
@@ -389,35 +379,23 @@ def _parse_op(
             ) from None
         x_qubits = _expect_int_list(obj.get("x_qubits"), f"{path}.x_qubits")
         y_qubits = _expect_int_list(obj.get("y_qubits"), f"{path}.y_qubits")
-        for label, lst in (("x_qubits", x_qubits), ("y_qubits", y_qubits)):
-            for i, q in enumerate(lst):
-                if not 0 <= q < n_total:
-                    raise ValidationError(
-                        f"{path}.{label}[{i}]: qubit {q} outside [0, {n_total})"
-                    )
-        if len(x_qubits) != table.n_in or len(y_qubits) != table.m_out:
-            raise ValidationError(
-                f"{path}: table needs {table.n_in} x-qubits and {table.m_out} "
-                f"y-qubits, got {len(x_qubits)} and {len(y_qubits)}"
-            )
-        if set(x_qubits) & set(y_qubits) or len(set(x_qubits)) != len(x_qubits) or len(
-            set(y_qubits)
-        ) != len(y_qubits):
-            raise ValidationError(f"{path}: x_qubits and y_qubits must be disjoint")
-        return TableOp(table, mode, tuple(x_qubits), tuple(y_qubits))
+        try:
+            return TableOp(table, mode, x_qubits, y_qubits)
+        except ValidationError as exc:
+            raise _at(path, exc) from exc
     raise ValidationError(f"{path}: op must contain either 'gate' or 'table'")
 
 
 def parse_program(obj: dict, base_dir: str = ".") -> Program:
-    """Validate and build a Program from its JSON object form.  The
-    tables, and the lifts their steps will build, must fit the byte
-    budget together; the first step past it is named."""
+    """Validate and build a Program from its JSON object form: the JSON
+    types here, each program rule where the op and step are built and in
+    _check_step_qubits.  The tables, and the lifts their steps will build,
+    must fit the byte budget together; the first step past it is named."""
     if not isinstance(obj, dict):
         raise ValidationError(f"program: expected an object, got {type(obj).__name__}")
     data = _expect_int(obj.get("data"), "data", minimum=1)
     ancilla = _expect_int(obj.get("ancilla"), "ancilla", minimum=0)
     cv_level = _expect_int(obj.get("cv_level", 0), "cv_level", minimum=0)
-    n_total = data + ancilla
     steps_raw = obj.get("steps")
     if not isinstance(steps_raw, list):
         raise ValidationError(f"steps: expected a list, got {steps_raw!r}")
@@ -429,22 +407,18 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
         path = f"steps[{i}]"
         if not isinstance(s, dict):
             raise ValidationError(f"{path}: expected an object, got {s!r}")
-        op = _parse_op(s.get("op"), f"{path}.op", n_total, base_dir, tables)
+        op = _parse_op(s.get("op"), f"{path}.op", base_dir, tables)
+        clean = _expect_int_list(s.get("clean", []), f"{path}.clean")
+        try:
+            step = ProgramStep(op, clean)
+            _check_step_qubits(step, data, ancilla)
+        except ValidationError as exc:
+            raise _at(path, exc) from exc
         if isinstance(op, TableOp):
             held_values += _held_values(op, held)
             what = f"{path}.op.table: holding {8 * held_values} bytes of tables and lifts"
             check_bytes(what, 0, held_values, itemsize=8)
-        clean = _expect_int_list(s.get("clean", []), f"{path}.clean")
-        for j, q in enumerate(clean):
-            if not 0 <= q < n_total:
-                raise ValidationError(f"{path}.clean[{j}]: qubit {q} outside [0, {n_total})")
-            if q < data:
-                raise ValidationError(
-                    f"{path}.clean[{j}]: qubit {q} is a data qubit and may not be erased"
-                )
-            if q in clean[:j]:
-                raise ValidationError(f"{path}.clean[{j}]: qubit {q} is listed twice")
-        steps.append(ProgramStep(op, tuple(clean)))
+        steps.append(step)
     return Program(data, ancilla, cv_level, tuple(steps))
 
 

@@ -105,10 +105,15 @@ _ADDER_RE = re.compile(r"^ADDER\((\d+)\)$")
 _CONST_RE = re.compile(r"^CONST\((\d+),(\d+),(\d+)\)$")
 
 
+def table_name_key(name: str) -> str:
+    """The spelling of a table name that named_table reads."""
+    return name.strip().upper().replace(" ", "")
+
+
 def named_table(name: str) -> TruthTable:
     """Library tables: AND, OR, XOR (two inputs, one output), ADDER(k)
     (two k-bit addends, k+1-bit sum), CONST(n_in,m_out,value)."""
-    key = name.strip().upper().replace(" ", "")
+    key = table_name_key(name)
     if key == "AND":
         return TruthTable(2, 1, np.array([0, 0, 0, 1]))
     if key == "OR":
@@ -208,6 +213,18 @@ def check_involution(p: ReversiblePermutation) -> Tuple[bool, Optional[Tuple[int
     return True, None
 
 
+def check_fields(n_in: int, m_out: int, x_qubits: Sequence[int], y_qubits: Sequence[int]) -> None:
+    """The x and y qubit fields of an n_in -> m_out pair map: one qubit per
+    x bit and per y bit, no qubit named twice."""
+    if len(x_qubits) != n_in or len(y_qubits) != m_out:
+        raise ValidationError(
+            f"table needs {n_in} x-qubits and {m_out} y-qubits, "
+            f"got {len(x_qubits)} and {len(y_qubits)}"
+        )
+    if len(set(x_qubits) | set(y_qubits)) != n_in + m_out:
+        raise ValidationError("x_qubits and y_qubits must be disjoint")
+
+
 def as_register_permutation(
     p: ReversiblePermutation,
     x_qubits: Sequence[int],
@@ -224,16 +241,8 @@ def as_register_permutation(
     row.  Without ``rows`` every index 0 .. 2^n_total - 1 is mapped,
     which gives the whole basis permutation.
     """
-    x_qubits = [int(q) for q in x_qubits]
-    y_qubits = [int(q) for q in y_qubits]
-    if len(x_qubits) != p.n_in or len(y_qubits) != p.m_out:
-        raise ValidationError(
-            f"need {p.n_in} x-qubits and {p.m_out} y-qubits, "
-            f"got {len(x_qubits)} and {len(y_qubits)}"
-        )
-    all_q = x_qubits + y_qubits
-    if len(set(all_q)) != len(all_q):
-        raise ValidationError(f"x and y qubit lists overlap: {sorted(all_q)}")
+    check_fields(p.n_in, p.m_out, x_qubits, y_qubits)
+    all_q = [int(q) for q in x_qubits] + [int(q) for q in y_qubits]
     if any(q < 0 or q >= n_total for q in all_q):
         raise ValidationError(f"qubit index outside [0, {n_total}) in {sorted(all_q)}")
     idx = np.arange(1 << n_total) if rows is None else np.asarray(rows, dtype=np.int64)

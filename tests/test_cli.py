@@ -14,6 +14,7 @@ import cvhistory
 from cvhistory import dyadic, revcomp, validation
 from cvhistory.cli import SCENARIO_KEYS, build_parser, main
 from cvhistory.erasure import tensor_oracle
+from cvhistory.processor import parse_program
 from cvhistory.serialize import format_float, json_dumps
 from cvhistory.validation import SUITE_NAMES
 
@@ -46,6 +47,99 @@ def x_clean_program(n_cleans):
     """One data qubit and one ancilla, set by X and cleaned n_cleans times."""
     step = {"op": {"gate": "X", "targets": [1]}, "clean": [1]}
     return {"data": 1, "ancilla": 1, "steps": [step] * n_cleans}
+
+
+def one_step_program(op, clean=()):
+    """Two data qubits and one ancilla (qubit 2), running op once."""
+    return {"data": 2, "ancilla": 1, "steps": [{"op": op, "clean": list(clean)}]}
+
+
+def and_op(x_qubits, y_qubits):
+    return {"table": "AND", "x_qubits": x_qubits, "y_qubits": y_qubits}
+
+
+# One program per program rule, each breaking that rule alone: both
+# commands exit 2 naming the same field, with the reason given where it
+# is pinned.  The two clean-range cases pin the field only.
+RULE_REFUSALS = [
+    pytest.param(
+        one_step_program({"gate": "FOO", "targets": [0]}),
+        2,
+        "steps[0].op.gate",
+        "unknown gate 'FOO'",
+        id="unknown-gate-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "H", "targets": [0, 1]}),
+        2,
+        "steps[0].op.targets",
+        "gate H takes one target, got (0, 1)",
+        id="wrong-arity-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "SWAP", "targets": [1, 1]}),
+        2,
+        "steps[0].op.targets",
+        "gate SWAP takes two distinct targets, got (1, 1)",
+        id="equal-targets-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "CNOT", "targets": [0, 5]}),
+        2,
+        "steps[0].op.targets[1]",
+        "qubit 5 outside [0, 3)",
+        id="target-out-of-range-2",
+    ),
+    pytest.param(
+        one_step_program(and_op([0], [2])),
+        2,
+        "steps[0].op",
+        "table needs 2 x-qubits and 1 y-qubits, got 1 and 1",
+        id="table-width-2",
+    ),
+    pytest.param(
+        one_step_program(and_op([0, 1], [1])),
+        2,
+        "steps[0].op",
+        "x_qubits and y_qubits must be disjoint",
+        id="x-y-overlap-2",
+    ),
+    pytest.param(
+        one_step_program(and_op([0, 0], [2])),
+        2,
+        "steps[0].op",
+        "x_qubits and y_qubits must be disjoint",
+        id="x-repeated-2",
+    ),
+    pytest.param(
+        one_step_program(and_op([0, 1], [3])),
+        2,
+        "steps[0].op.y_qubits[0]",
+        "qubit 3 outside [0, 3)",
+        id="table-qubit-out-of-range-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "X", "targets": [2]}, clean=[0]),
+        2,
+        "steps[0].clean[0]",
+        None,
+        id="clean-data-qubit-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "X", "targets": [2]}, clean=[3]),
+        2,
+        "steps[0].clean[0]",
+        None,
+        id="clean-out-of-range-2",
+    ),
+    pytest.param(
+        one_step_program({"gate": "X", "targets": [2]}, clean=[2, 2]),
+        2,
+        "steps[0].clean[1]",
+        "qubit 2 is listed twice",
+        id="clean-twice-2",
+    ),
+]
 
 
 # A scenario each command runs, and a value that each key's own command
@@ -700,16 +794,16 @@ class TestResourceCommand:
         assert capsys.readouterr().err.startswith("error: cv_level:")
 
     @pytest.mark.parametrize(
-        "prog, code, field",
+        "prog, code, field, reason",
         [
             # ids read cleans-cv_level-code; the max level, 53, is the one
             # level rule: the cleans reach it from any cv_level, and the
             # erase from level 53 would squeeze past it
-            pytest.param(x_clean_program(22), 0, None, id="22-None-0"),
-            pytest.param(x_clean_program(53), 0, None, id="53-None-0"),
-            pytest.param(x_clean_program(54), 3, "cv_level", id="54-None-3"),
-            pytest.param(dict(x_clean_program(50), cv_level=3), 0, None, id="50-3-0"),
-            pytest.param(dict(x_clean_program(51), cv_level=3), 3, "cv_level", id="51-3-3"),
+            pytest.param(x_clean_program(22), 0, None, None, id="22-None-0"),
+            pytest.param(x_clean_program(53), 0, None, None, id="53-None-0"),
+            pytest.param(x_clean_program(54), 3, "cv_level", None, id="54-None-3"),
+            pytest.param(dict(x_clean_program(50), cv_level=3), 0, None, None, id="50-3-0"),
+            pytest.param(dict(x_clean_program(51), cv_level=3), 3, "cv_level", None, id="51-3-3"),
             # 2 entries on a hull of 2^18 cells and 2^11 rows
             pytest.param(
                 {
@@ -720,6 +814,7 @@ class TestResourceCommand:
                 },
                 0,
                 None,
+                None,
                 id="wide-hull-0",
             ),
             # the level-25 indicator of 2^25 cells is past the byte budget
@@ -727,6 +822,7 @@ class TestResourceCommand:
                 {"data": 1, "ancilla": 0, "cv_level": 25, "steps": []},
                 3,
                 "cv_level",
+                None,
                 id="cv-level-25-3",
             ),
             # a gate of the wrong shape is refused at parse time, before
@@ -740,11 +836,13 @@ class TestResourceCommand:
                 },
                 2,
                 "steps[1].op.targets",
+                "gate CNOT takes two distinct targets, got (0,)",
                 id="cnot-one-target-2",
             ),
-        ],
+        ]
+        + RULE_REFUSALS,
     )
-    def test_agrees_with_processor(self, tmp_path, capsys, prog, code, field):
+    def test_agrees_with_processor(self, tmp_path, capsys, prog, code, field, reason):
         s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
         assert main(["processor", s]) == code
         assert main(["resource", s]) == code
@@ -752,19 +850,24 @@ class TestResourceCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and err[0] == err[1]
             assert err[-1].startswith(f"error: {field}:")
+            if reason is not None:
+                assert err[-1] == f"error: {field}: {reason}"
 
     def test_table_budget_refusal_names_its_step(self, tmp_path, monkeypatch, capsys):
         # a 4096-byte budget holds 512 int64 values; each ADDER(2) step
         # (16 outputs, a lift of 2^7 values) and the inline 4 -> 3 table
         # count once per table and once per mode, so steps[1] adds nothing
-        # and steps[4] is the first past the budget on both commands
+        # and steps[4] is the first past the budget on both commands.  The
+        # three spellings of ADDER(2) name one table, counted once
         monkeypatch.setattr(dyadic, "MAX_BYTES", 1 << 12)
         inline = {"n_in": 4, "m_out": 3, "outputs": list(range(8)) * 2}
         (tmp_path / "t.json").write_text(json.dumps(inline))
         qs = {"x_qubits": [0, 1, 2, 3], "y_qubits": [4, 5, 6]}
-        tables = [("ADDER(2)", "xor"), ("ADDER(2)", "xor"), ("ADDER(2)", "mod_sub"), (inline, "xor")]
+        tables = [("ADDER(2)", "xor"), ("adder(2)", "xor"), ("ADDER( 2 )", "mod_sub"), (inline, "xor")]
         steps = [{"op": {"table": t, "mode": m, **qs}} for t, m in tables]
         fits = {"data": 4, "ancilla": 3, "steps": steps}
+        adders = [step.op.table for step in parse_program(fits).steps[:3]]
+        assert adders[0] is adders[1] is adders[2]
         over = dict(fits, steps=steps + [{"op": {"table": {"file": "t.json"}, **qs}}])
         refused = (
             "error: steps[4].op.table: holding 4480 bytes of tables and lifts "

@@ -1,4 +1,6 @@
 """Exact dyadic wave representation: canonical form and operator algebra."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,13 @@ class TestSqueeze:
         assert squeeze(DyadicWave(52, 0, [1.0])).level == 53
         with pytest.raises(ResourceLimitError, match="max level 53"):
             squeeze(DyadicWave(53, 0, [1.0]))
+
+    def test_overflow_rejected(self):
+        # the constructor's refusal is the only signal: no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                squeeze(DyadicWave(0, 0, [1.5e308]))
 
     @given(waves_strategy)
     @settings(max_examples=50, deadline=None)

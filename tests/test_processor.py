@@ -140,9 +140,9 @@ class TestGateOps:
 
     def test_bad_target_count_rejected(self):
         ps = init(2, 0, basis_state(2, 0))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="takes one target"):
             run_step(ps, ProgramStep(op=GateOp("H", (0, 1)), clean=()))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="two distinct targets"):
             run_step(ps, ProgramStep(op=GateOp("CNOT", (1, 1)), clean=()))
 
     def test_target_out_of_range_rejected(self):
@@ -180,7 +180,7 @@ class TestRegisterOpsOnStoredRows:
                     if a == b:
                         continue
                     for name in ("CNOT", "SWAP", "CZ"):
-                        got = _apply_gate(h, GateOp(name, (a, b)), n)
+                        got = _apply_gate(h, GateOp(name, (a, b)))
                         assert got == ref_apply_gate(h, name, a, b)
 
     @pytest.mark.parametrize("mode", list(SubtractMode))
@@ -195,7 +195,7 @@ class TestRegisterOpsOnStoredRows:
                 op = TableOp(tt, mode, tuple(qs[: tt.n_in]), tuple(qs[tt.n_in :]))
                 perm = ref_register_permutation(build_reversible(tt, mode), op.x_qubits, op.y_qubits, n)
                 for h in sparse_states(rng, n):
-                    assert _apply_table(h, op, n) == ref_apply_basis_permutation(h, perm)
+                    assert _apply_table(h, op) == ref_apply_basis_permutation(h, perm)
 
     @staticmethod
     def wide_state() -> HybridState:
@@ -221,7 +221,7 @@ class TestRegisterOpsOnStoredRows:
         apply = _apply_table if isinstance(op, TableOp) else _apply_gate
         tracemalloc.start()
         try:
-            out = apply(h, op, 22)
+            out = apply(h, op)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -294,20 +294,53 @@ class TestCleanValidation:
         with pytest.raises(ValidationError, match="not an ancilla"):
             run_step(ps, ProgramStep(op=GateOp("X", (1,)), clean=(5,)))
 
+    def test_repeated_clean_refused_when_built(self):
+        with pytest.raises(ValidationError, match="listed twice") as exc:
+            ProgramStep(op=GateOp("X", (1,)), clean=(1, 1))
+        assert exc.value.field == "clean[1]"
+
+
+def and_op(x_qubits, y_qubits):
+    return TableOp(named_table("AND"), SubtractMode.XOR, x_qubits, y_qubits)
+
+
+class TestHandBuiltTableRules:
+    """A table step built by hand meets the rules a parsed one does; it is
+    refused when the op or step is built, or when the step is run on a
+    register of 2 data qubits and ancilla 2.  TestGateOps and
+    TestCleanValidation hold the gate and clean rules."""
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            pytest.param(lambda: and_op((0,), (2,)), "x-qubits", id="table-width"),
+            pytest.param(lambda: and_op((0, 1), (1,)), None, id="x-y-overlap"),
+            pytest.param(lambda: and_op((0, 0), (2,)), None, id="x-repeated"),
+            pytest.param(lambda: and_op((0, 1), (3,)), "outside", id="table-qubit-out-of-range"),
+            pytest.param(lambda: "AND", "unknown op type", id="not-an-op"),
+        ],
+    )
+    def test_rule_refused(self, make, match):
+        ps = init(2, 1, basis_state(2, 0))
+        with pytest.raises(ValidationError, match=match):
+            run_step(ps, ProgramStep(op=make(), clean=()))
+
 
 class TestAndDemo:
     """Repeatedly compute AND of data |11> into the ancilla, then erase it."""
 
     def test_ten_steps(self):
         ps = init(2, 1, basis_state(2, 3), cv_level=0)
+        trace = []
         for k in range(1, 11):
             ps, m = run_step(ps, and_step())
+            trace.append(m)
             assert m.ancilla_residual <= 1e-15
             assert m.cv_level == k
             assert abs(m.norm2 - 1.0) <= 1e-12
             assert m.data_purity == pytest.approx(1.0, abs=1e-12)
         assert ps.step_index == 10
-        assert len(ps.history) == 10
+        assert len(trace) == 10 and ps.data_purity == trace[-1].data_purity
         # deterministic branch: support shrinks toward 1 from below
         w = ps.hybrid.row_wave(0b011)
         assert w.level == 10
@@ -382,14 +415,14 @@ def unerase(h: HybridState, q: int) -> HybridState:
     return unfold(down, q)
 
 
-def undo_op(h: HybridState, op, n_total: int) -> HybridState:
+def undo_op(h: HybridState, op) -> HybridState:
     """The inverse of a step's op: S and T invert to S^dagger and
     T^dagger; every other gate and every table lift is an involution."""
     if isinstance(op, GateOp) and op.name in ("S", "T"):
         return apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[op.name].conj().T)
     if isinstance(op, GateOp):
-        return _apply_gate(h, op, n_total)
-    return _apply_table(h, op, n_total)
+        return _apply_gate(h, op)
+    return _apply_table(h, op)
 
 
 def on_cells(h: HybridState, lo: int, hi: int) -> np.ndarray:
@@ -420,7 +453,7 @@ class TestReversal:
                 for q in sorted(step.clean, reverse=True):
                     h = unerase(h, q)
                     erased += 1
-                h = undo_op(h, step.op, n_data + n_anc)
+                h = undo_op(h, step.op)
             assert h.level == start.level
             lo = min(h.offset, start.offset)
             hi = max(h.offset + h.n_cells, start.offset + start.n_cells)
@@ -442,7 +475,7 @@ class TestPurityCarry:
             amps = rng.normal(size=1 << n_data) + 1j * rng.normal(size=1 << n_data)
             ps = init(n_data, n_anc, RegisterState(n_data, amps / np.linalg.norm(amps)))
             for step in random_carry_program(rng, n_data, n_anc):
-                prev = ps.history[-1].data_purity if ps.history else None
+                prev = ps.data_purity
                 ps, m = run_step(ps, step)
                 fresh = purity(hybrid_reduced_density(ps.hybrid, set(range(n_data))))
                 assert abs(m.data_purity - fresh) <= 1e-12, (seed, step)
@@ -497,7 +530,7 @@ class TestRunProgram:
         ps = init(2, 1, basis_state(2, 3))
         final, trace = run_program(ps, [and_step(), and_step(), and_step()])
         assert len(trace) == 3
-        assert final.history == tuple(trace)
+        assert final.data_purity == trace[-1].data_purity
         assert [m.cv_level for m in trace] == [1, 2, 3]
 
     def test_residual_contract_enforced(self):
@@ -601,7 +634,7 @@ class TestParseProgram:
     )
     def test_gate_shape_names_path(self, gate, targets, message):
         # refused at parse time, naming the field; a hand-built op meets the
-        # same rule when it is applied
+        # same rule, with the same reason, when it is built
         obj = self.good()
         obj["steps"].append({"op": {"gate": gate, "targets": targets}})
         with pytest.raises(ValidationError) as exc:
@@ -609,7 +642,7 @@ class TestParseProgram:
         assert str(exc.value) == f"steps[1].op.targets: {message}"
         h = lift(basis_state(3, 0), indicator_unit(0))
         with pytest.raises(ValidationError) as exc:
-            _apply_gate(h, GateOp(gate, tuple(targets)), 3)
+            _apply_gate(h, GateOp(gate, tuple(targets)))
         assert str(exc.value) == message
 
     def test_clean_data_qubit_names_path(self):
