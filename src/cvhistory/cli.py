@@ -17,7 +17,6 @@ Output is deterministic byte-for-byte for a fixed scenario and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -47,7 +46,6 @@ from .processor import (
     Program,
     StepMetrics,
     _check_joint_table,
-    _expect_int,
     init_from_program,
     load_program,
     parse_program,
@@ -57,9 +55,13 @@ from .processor import (
 from .qubits import RegisterState
 from .serialize import (
     dyadic_cells,
+    expect_int,
+    expect_number,
     format_float,
     grid_cells,
+    is_number,
     json_dumps,
+    read_json,
     write_cells_csv,
     write_json,
     write_jsonl,
@@ -99,22 +101,12 @@ class ScenarioConfig:
     data_basis: int = 0
 
 
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
 def _parse_amplitude(value, path: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ValidationError(f"{path}: amplitude must be a number or [re, im], got {value!r}")
+    if isinstance(value, list) and len(value) == 2 and all(map(is_number, value)):
+        return complex(expect_number(value[0], f"{path}[0]"), expect_number(value[1], f"{path}[1]"))
+    if not is_number(value):
+        raise ValidationError(f"{path}: amplitude must be a number or [re, im], got {value!r}")
+    return complex(expect_number(value, path))
 
 
 def _parse_pairs(value, path: str) -> List[Tuple[complex, complex]]:
@@ -139,12 +131,9 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
     """The scenario file at path, read as a ``kind`` run; ``out_dir``, from
     --out-dir, replaces the file's when given."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except FileNotFoundError:
         raise ValidationError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: scenario must be a JSON object")
 
@@ -177,11 +166,10 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
         window = gopts.get("window", list(DEFAULT_GRID_WINDOW))
         if not isinstance(window, list) or len(window) != 2:
             raise ValidationError("grid.window: expected [x_min, x_max]")
-        lo = _require_number(window[0], "grid.window[0]")
-        hi = _require_number(window[1], "grid.window[1]")
+        lo, hi = (expect_number(v, f"grid.window[{k}]") for k, v in enumerate(window))
         if not lo < hi:
             raise ValidationError(f"grid.window: empty window [{lo}, {hi})")
-        n = _expect_int(gopts.get("n", DEFAULT_GRID_N), "grid.n", minimum=2)
+        n = expect_int(gopts.get("n", DEFAULT_GRID_N), "grid.n", minimum=2)
         if n & (n - 1):
             raise ValidationError(f"grid.n: must be a power of two, got {n}")
         cfg.grid_window = (lo, hi)
@@ -190,7 +178,7 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
     if kind == "validate":
         if "seed" not in raw:
             raise ValidationError("seed: required for validate")
-        cfg.seed = _expect_int(raw["seed"], "seed", minimum=0)
+        cfg.seed = expect_int(raw["seed"], "seed", minimum=0)
     if "out_dir" in raw:
         if not isinstance(raw["out_dir"], str):
             raise ValidationError(f"out_dir: expected a string, got {raw['out_dir']!r}")
@@ -202,7 +190,7 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
         if "pairs" not in raw:
             raise ValidationError("pairs: required for erase-demo")
         cfg.pairs = _parse_pairs(raw["pairs"], "pairs")
-        cfg.cv_level = _expect_int(raw.get("cv_level", 0), "cv_level", minimum=0)
+        cfg.cv_level = expect_int(raw.get("cv_level", 0), "cv_level", minimum=0)
     if "variant" in raw:
         try:
             cfg.variant = FlipVariant(raw["variant"])
@@ -226,7 +214,7 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
         else:
             raise ValidationError("program: expected an object or a file path string")
     if kind == "processor":
-        cfg.data_basis = _expect_int(raw.get("data_basis", 0), "data_basis", minimum=0)
+        cfg.data_basis = expect_int(raw.get("data_basis", 0), "data_basis", minimum=0)
         # data_basis >= 2^data, without building the power
         if cfg.data_basis.bit_length() > cfg.program.data:
             raise ValidationError(

@@ -9,7 +9,6 @@ quantify cleanup exactness and history-induced decoherence.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,6 +39,7 @@ from .revcomp import (
     table_from_json,
     table_name_key,
 )
+from .serialize import expect_int, expect_int_list, read_json
 
 SINGLE_QUBIT_GATES: Dict[str, np.ndarray] = {
     "X": qubits.X,
@@ -170,15 +170,23 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
     )
 
 
+def _check_qubit_type(q, field: str) -> None:
+    """A qubit is an integer, a numpy one included, and not a bool."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+        raise ValidationError(f"expected an integer qubit, got {q!r}", field)
+
+
 def _check_step_qubits(step: ProgramStep, n_data: int, n_anc: int) -> None:
     """Every qubit the step names is below n_data + n_anc, and it cleans
     ancillas only; the error's field is relative to the step."""
     n_total = n_data + n_anc
     for label in ("targets",) if isinstance(step.op, GateOp) else ("x_qubits", "y_qubits"):
         for i, q in enumerate(getattr(step.op, label)):
+            _check_qubit_type(q, f"op.{label}[{i}]")
             if not 0 <= q < n_total:
                 raise ValidationError(f"qubit {q} outside [0, {n_total})", f"op.{label}[{i}]")
     for j, q in enumerate(step.clean):
+        _check_qubit_type(q, f"clean[{j}]")
         if not n_data <= q < n_total:
             raise ValidationError(
                 f"qubit {q} is not an ancilla (ancillas are [{n_data}, {n_total}))", f"clean[{j}]"
@@ -291,24 +299,6 @@ def resource_report(steps: Sequence[ProgramStep], cv_level: int = 0) -> Resource
 # ---------------------------------------------------------------------------
 
 
-def _expect_int(
-    value, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None
-) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{path}: must be <= {maximum}, got {value}")
-    return value
-
-
-def _expect_int_list(value, path: str) -> Tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ValidationError(f"{path}: expected a list of integers, got {value!r}")
-    return tuple(_expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
 def _at(path: str, exc: ValidationError) -> ValidationError:
     """exc as met at path, extended by the field exc names, if any."""
     where = f"{path}.{exc.field}" if exc.field else path
@@ -360,7 +350,7 @@ def _parse_op(obj, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) ->
         name = obj["gate"]
         if not isinstance(name, str):
             raise ValidationError(f"{path}.gate: expected a string, got {name!r}")
-        targets = _expect_int_list(obj.get("targets"), f"{path}.targets")
+        targets = expect_int_list(obj.get("targets"), f"{path}.targets")
         try:
             return GateOp(name.upper(), targets)
         except ValidationError as exc:
@@ -377,8 +367,8 @@ def _parse_op(obj, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) ->
             raise ValidationError(
                 f"{path}.mode: expected 'xor' or 'mod_sub', got {mode_raw!r}"
             ) from None
-        x_qubits = _expect_int_list(obj.get("x_qubits"), f"{path}.x_qubits")
-        y_qubits = _expect_int_list(obj.get("y_qubits"), f"{path}.y_qubits")
+        x_qubits = expect_int_list(obj.get("x_qubits"), f"{path}.x_qubits")
+        y_qubits = expect_int_list(obj.get("y_qubits"), f"{path}.y_qubits")
         try:
             return TableOp(table, mode, x_qubits, y_qubits)
         except ValidationError as exc:
@@ -393,9 +383,9 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
     must fit the byte budget together; the first step past it is named."""
     if not isinstance(obj, dict):
         raise ValidationError(f"program: expected an object, got {type(obj).__name__}")
-    data = _expect_int(obj.get("data"), "data", minimum=1)
-    ancilla = _expect_int(obj.get("ancilla"), "ancilla", minimum=0)
-    cv_level = _expect_int(obj.get("cv_level", 0), "cv_level", minimum=0)
+    data = expect_int(obj.get("data"), "data", minimum=1)
+    ancilla = expect_int(obj.get("ancilla"), "ancilla", minimum=0)
+    cv_level = expect_int(obj.get("cv_level", 0), "cv_level", minimum=0)
     steps_raw = obj.get("steps")
     if not isinstance(steps_raw, list):
         raise ValidationError(f"steps: expected a list, got {steps_raw!r}")
@@ -408,7 +398,7 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
         if not isinstance(s, dict):
             raise ValidationError(f"{path}: expected an object, got {s!r}")
         op = _parse_op(s.get("op"), f"{path}.op", base_dir, tables)
-        clean = _expect_int_list(s.get("clean", []), f"{path}.clean")
+        clean = expect_int_list(s.get("clean", []), f"{path}.clean")
         try:
             step = ProgramStep(op, clean)
             _check_step_qubits(step, data, ancilla)
@@ -423,12 +413,7 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
 
 
 def load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_program(obj, base_dir=os.path.dirname(path) or ".")
+    return parse_program(read_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def init_from_program(program: Program, data_basis: int = 0) -> ProcessorState:

@@ -8,7 +8,6 @@ inverse, so applying it twice uncomputes cleanly.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
@@ -16,8 +15,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ValidationError
+from .serialize import expect_int, expect_int_list, read_json
 
 MAX_PAIR_BITS = 20
+# The widest n_in or m_out a TruthTable takes.  No table near it can be
+# held or lifted (the byte budget and MAX_PAIR_BITS refuse far narrower
+# ones); the bound keeps 2^n_in, 2^m_out and a lift's 2^(n_in + m_out)
+# small enough to form, and to print in a message.
+MAX_TABLE_BITS = 4096
 
 
 class SubtractMode(enum.Enum):
@@ -44,7 +49,14 @@ class TruthTable:
             raise ValidationError(f"n_in must be nonnegative, got {self.n_in}")
         if self.m_out < 1:
             raise ValidationError(f"m_out must be at least 1, got {self.m_out}")
-        arr = np.array(self.outputs, dtype=np.int64)
+        for name, width in (("n_in", self.n_in), ("m_out", self.m_out)):
+            if width > MAX_TABLE_BITS:
+                raise ValidationError(f"{name} must be at most {MAX_TABLE_BITS}, got {width}")
+        try:
+            arr = np.array(self.outputs, dtype=np.int64)
+        except OverflowError:
+            i, v = next((i, v) for i, v in enumerate(self.outputs) if not -(1 << 63) <= v < 1 << 63)
+            raise ValidationError(f"outputs[{i}] = {v} outside the int64 range") from None
         if arr.ndim != 1 or arr.size != 1 << self.n_in:
             raise ValidationError(
                 f"outputs must have length 2^{self.n_in} = {1 << self.n_in}, got {arr.size}"
@@ -79,26 +91,13 @@ def table_from_dict(d: dict) -> TruthTable:
     for key in ("n_in", "m_out", "outputs"):
         if key not in d:
             raise ValidationError(f"truth table missing required key '{key}'")
-    n_in, m_out, outputs = d["n_in"], d["m_out"], d["outputs"]
-    if not isinstance(n_in, int) or isinstance(n_in, bool):
-        raise ValidationError(f"n_in must be an integer, got {n_in!r}")
-    if not isinstance(m_out, int) or isinstance(m_out, bool):
-        raise ValidationError(f"m_out must be an integer, got {m_out!r}")
-    if not isinstance(outputs, list):
-        raise ValidationError(f"outputs must be a list, got {type(outputs).__name__}")
-    for i, v in enumerate(outputs):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"outputs[{i}] must be an integer, got {v!r}")
-    return TruthTable(n_in, m_out, np.array(outputs, dtype=np.int64))
+    n_in = expect_int(d["n_in"], "n_in")
+    m_out = expect_int(d["m_out"], "m_out")
+    return TruthTable(n_in, m_out, expect_int_list(d["outputs"], "outputs"))
 
 
 def table_from_json(path: str) -> TruthTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return table_from_dict(data)
+    return table_from_dict(read_json(path))
 
 
 _ADDER_RE = re.compile(r"^ADDER\((\d+)\)$")

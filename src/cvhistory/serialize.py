@@ -1,14 +1,17 @@
-"""Deterministic text output: JSON, JSON lines, and CSV wave dumps.
+"""JSON in and out: the readers every input parser shares, and
+deterministic text output (JSON, JSON lines, and CSV wave dumps).
 
 Every number is rendered with 17 significant digits so repeated runs on
 the same platform produce byte-identical files.  The stdlib json module
-is avoided for emission because its float repr is version-dependent.
+emits only strings, because its float repr is version-dependent.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from typing import Iterable, List, Tuple
+from json.encoder import encode_basestring
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,6 +20,50 @@ from .errors import ValidationError
 from .grid import GridWave
 
 WAVE_CSV_HEADER = "x_left,x_right,re,im,abs2"
+
+
+# The input readers; each names a refused value by its path, e.g. steps[2].clean.
+def read_json(path: str):
+    """The JSON value in the file at path.  A file that does not decode,
+    including an integer literal past Python's digit limit or nesting past
+    its recursion limit, is refused naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def expect_int(value, path: str, minimum: Optional[int] = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
+    return value
+
+
+def expect_int_list(value, path: str) -> Tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValidationError(f"{path}: expected a list of integers, got {value!r}")
+    return tuple(expect_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def expect_number(value, path: str) -> float:
+    """value as a finite float; NaN, an infinity and an integer past float
+    range are refused."""
+    if not is_number(value):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except OverflowError:
+        pass
+    raise ValidationError(f"{path}: expected a finite number, got {value!r}")
 
 
 def format_float(v: float) -> str:
@@ -43,7 +90,7 @@ def _emit(obj, parts: List[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        parts.append(_escape(obj))
+        parts.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
@@ -58,36 +105,13 @@ def _emit(obj, parts: List[str]) -> None:
                 raise ValidationError(f"JSON object keys must be strings, got {k!r}")
             if i:
                 parts.append(",")
-            parts.append(_escape(k))
+            parts.append(encode_basestring(k))
             parts.append(":")
             _emit(v, parts)
         parts.append("}")
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
-
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def write_json(path: str, obj) -> None:

@@ -429,6 +429,149 @@ class TestScenarioSchema:
         assert not (tmp_path / "o").exists()
 
 
+def table_program(table):
+    """One data qubit and one ancilla, lifting table from qubit 0 into 1."""
+    return {"data": 1, "ancilla": 1, "steps": [{"op": {"table": table, "x_qubits": [0], "y_qubits": [1]}}]}
+
+
+BIG = 10**400  # an integer past float range
+DIGITS = "1" * 4301  # an integer literal past Python's 4300-digit limit
+DEEP = "[" * 100000 + "]" * 100000  # nesting past the recursion limit
+GRID = {"backend": "grid", "pairs": []}
+
+# Inputs that each shared reader refuses at parse time: (kind, the files
+# as {name: JSON text}, s.json being the scenario, the start of the one
+# stderr line).
+READER_REFUSALS = [
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({"pairs": [[BIG, 0]]})},
+        "error: pairs[0][0]: expected a finite number, got 1000",
+        id="pair-past-float-range",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({**GRID, "grid": {"window": [-2, BIG], "n": 64}})},
+        "error: grid.window[1]: expected a finite number, got 1000",
+        id="window-past-float-range",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({"pairs": [[float("nan"), 1.0]]})},
+        "error: pairs[0][0]: expected a finite number, got nan",
+        id="pair-nan",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({"pairs": [[[0.0, float("nan")], 1.0]]})},
+        "error: pairs[0][0][1]: expected a finite number, got nan",
+        id="pair-slot-nan",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({**GRID, "grid": {"window": [float("-inf"), 2.0], "n": 64}})},
+        "error: grid.window[0]: expected a finite number, got -inf",
+        id="window-minus-infinity",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": table_program({"n_in": 1, "m_out": 1, "outputs": [0, 10**30]})})},
+        f"error: steps[0].op.table: outputs[1] = {10**30} outside the int64 range",
+        id="table-output-past-int64",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": table_program({"n_in": 10**30, "m_out": 1, "outputs": [0, 1]})})},
+        f"error: steps[0].op.table: n_in must be at most 4096, got {10**30}",
+        id="table-n_in-huge",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": table_program({"n_in": 1, "m_out": 10**30, "outputs": [0, 1]})})},
+        f"error: steps[0].op.table: m_out must be at most 4096, got {10**30}",
+        id="table-m_out-huge",
+    ),
+    pytest.param(
+        "validate",
+        {"s.json": '{"seed": %s}' % DIGITS},
+        "error: {dir}/s.json: not valid JSON (Exceeds the limit (4300 digits)",
+        id="scenario-digits",
+    ),
+    pytest.param(
+        "validate",
+        {"s.json": '{"seed": %s}' % DEEP},
+        "error: {dir}/s.json: not valid JSON (maximum recursion depth exceeded",
+        id="scenario-nesting",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": "p.json"}), "p.json": '{"data": %s}' % DIGITS},
+        "error: {dir}/p.json: not valid JSON (Exceeds the limit (4300 digits)",
+        id="program-file-digits",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": "p.json"}), "p.json": DEEP},
+        "error: {dir}/p.json: not valid JSON (maximum recursion depth exceeded",
+        id="program-file-nesting",
+    ),
+    pytest.param(
+        "processor",
+        {
+            "s.json": json.dumps({"program": table_program({"file": "t.json"})}),
+            "t.json": '{"n_in": 1, "m_out": 1, "outputs": [0, %s]}' % DIGITS,
+        },
+        "error: steps[0].op.table: {dir}/t.json: not valid JSON (Exceeds the limit (4300 digits)",
+        id="table-file-digits",
+    ),
+    pytest.param(
+        "processor",
+        {"s.json": json.dumps({"program": table_program({"file": "t.json"})}), "t.json": DEEP},
+        "error: steps[0].op.table: {dir}/t.json: not valid JSON (maximum recursion depth exceeded",
+        id="table-file-nesting",
+    ),
+]
+
+
+def write_files(tmp_path, files):
+    """Write files into tmp_path, the scenario writing its output to tmp_path/o."""
+    for name, text in files.items():
+        if name == "s.json":
+            # append out_dir to the object, whatever its text holds
+            text = text[:-1] + ', "out_dir": %s}' % json.dumps(str(tmp_path / "o"))
+        (tmp_path / name).write_text(text)
+    return str(tmp_path / "s.json")
+
+
+class TestSharedReaders:
+    """Every number, integer and file the parsers read goes through one
+    reader, which refuses bad input with exit 2 naming its field or file,
+    before anything is written."""
+
+    @pytest.mark.parametrize("kind, files, err", READER_REFUSALS)
+    def test_refused_at_parse_time(self, tmp_path, capsys, kind, files, err):
+        assert main([kind, write_files(tmp_path, files)]) == 2
+        out = capsys.readouterr().err
+        assert out.startswith(err.replace("{dir}", str(tmp_path))) and out.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [DIGITS, DEEP], ids=["digits", "nesting"])
+    def test_module_run_exits_2_on_undecodable_scenario(self, tmp_path, text):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
+        (tmp_path / "s.json").write_text('{"seed": %s}' % text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvhistory.cli", "validate", "s.json"],
+            cwd=tmp_path,
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: s.json: not valid JSON (")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 class TestEraseDemo:
     def test_deterministic_branch_csv(self, tmp_path):
         out = tmp_path / "out"

@@ -4,10 +4,12 @@ either runs or exits with a documented code, and none raises.
 Each scenario starts valid.  Sizes are drawn either small enough to run
 in milliseconds (data + ancilla <= 6, cv_level <= 3, <= 3 steps) or far
 past a bound, so that no example allocates more than a few MiB.  Some
-scenarios then get one field replaced by a wrong type, a bad name or an
-out-of-range value.  A scenario that also holds a key only another
-command reads must exit 2.  Every generated program, run as both a
-processor and a resource scenario, must get the same exit code from both.
+scenarios then get one field, an amplitude's re or im slot among them,
+replaced by a wrong type, a bad name or an out-of-range value, integers
+past int64 and past float range included.  A scenario that also holds
+a key only another command reads must exit 2.  Every generated program,
+run as both a processor and a resource scenario, must get the same exit
+code from both.
 """
 import copy
 import json
@@ -24,6 +26,8 @@ junk = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "X", "CONST(1,1,9)", "ADDER(0)", "outside", "grid"]),
     st.integers(-3, 9),
+    # past int64 and past float range
+    st.sampled_from([2**63, -(2**63) - 1, 10**400]),
     st.lists(st.integers(-2, 9), max_size=3),
     st.fixed_dictionaries({"n_in": st.integers(-1, 2), "m_out": st.integers(0, 2)}),
 )
@@ -78,7 +82,9 @@ def scenario(kind, required, **optional):
 
 
 pair_list = st.lists(
-    st.sampled_from([[0.6, 0.8], [1.0, 0.0], [0, 1], [[0.0, 0.6], [0.8, 0.0]], [0.6, 0.6]]),
+    st.sampled_from(
+        [[0.6, 0.8], [1.0, 0.0], [0, 1], [[0.0, 0.6], [0.8, 0.0]], [0.6, [0.0, 0.8]], [0.6, 0.6]]
+    ),
     max_size=3,
 )
 variant = st.sampled_from(["outside_unit", "inside_one_two"])

@@ -300,6 +300,31 @@ class TestCleanValidation:
         assert exc.value.field == "clean[1]"
 
 
+class TestHandBuiltQubitTypes:
+    """A qubit of a hand-built op or clean list is an integer: a bool or a
+    float is refused as bad input naming its field; numpy integers run."""
+
+    @pytest.mark.parametrize(
+        "step, field",
+        [
+            pytest.param(ProgramStep(GateOp("X", (1.5,)), ()), "op.targets[0]", id="float-target"),
+            pytest.param(ProgramStep(GateOp("X", (1,)), (1.0,)), "clean[0]", id="float-clean"),
+            pytest.param(ProgramStep(GateOp("CNOT", (0, True)), ()), "op.targets[1]", id="bool-target"),
+        ],
+    )
+    def test_non_integer_qubit_refused(self, step, field):
+        ps = init(1, 1, basis_state(1, 0))
+        with pytest.raises(ValidationError, match="expected an integer qubit") as exc:
+            run_step(ps, step)
+        assert exc.value.field == field
+
+    def test_numpy_integer_qubits_run(self):
+        ps = init(1, 1, basis_state(1, 0))
+        step = ProgramStep(GateOp("CNOT", (np.int64(0), np.int32(1))), (np.int64(1),))
+        ps, m = run_step(ps, step)
+        assert m.cv_level == 1 and m.ancilla_residual == 0.0
+
+
 def and_op(x_qubits, y_qubits):
     return TableOp(named_table("AND"), SubtractMode.XOR, x_qubits, y_qubits)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvhistory.errors import DomainError, ResourceLimitError, ValidationError
 from cvhistory.qubits import apply_permutation, basis_state
 from cvhistory.revcomp import (
+    MAX_TABLE_BITS,
     ReversiblePermutation,
     SubtractMode,
     TruthTable,
@@ -76,6 +77,21 @@ class TestTruthTable:
         with pytest.raises(DomainError):
             AND(4)
 
+    @pytest.mark.parametrize("n_in, m_out", [(MAX_TABLE_BITS + 1, 1), (0, 10**30), (10**30, 10**30)])
+    def test_width_past_the_bound_refused(self, n_in, m_out):
+        name, width = ("n_in", n_in) if n_in > MAX_TABLE_BITS else ("m_out", m_out)
+        with pytest.raises(ValidationError, match=f"^{name} must be at most {MAX_TABLE_BITS}, got {width}$"):
+            TruthTable(n_in, m_out, [0])
+
+    def test_widest_table_keeps_its_length_rule(self):
+        with pytest.raises(ValidationError, match=f"^outputs must have length 2\\^{MAX_TABLE_BITS} = "):
+            TruthTable(MAX_TABLE_BITS, MAX_TABLE_BITS, [0])
+
+    @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1, 10**30])
+    def test_output_past_int64_refused(self, bad):
+        with pytest.raises(ValidationError, match=f"^outputs\\[1\\] = {bad} outside the int64 range$"):
+            TruthTable(1, 1, [0, bad])
+
 
 class TestJsonIngestion:
     def test_roundtrip(self, tmp_path):
@@ -91,6 +107,19 @@ class TestJsonIngestion:
     def test_bad_entry_type_reports_index(self):
         with pytest.raises(ValidationError, match=r"outputs\[1\]"):
             table_from_dict({"n_in": 1, "m_out": 1, "outputs": [0, "x"]})
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"n_in": 1.0}, "n_in: expected an integer, got 1.0"),
+            ({"m_out": True}, "m_out: expected an integer, got True"),
+            ({"outputs": {"0": 1}}, "outputs: expected a list of integers, got {'0': 1}"),
+        ],
+    )
+    def test_reads_fields_with_the_shared_readers(self, fields, reason):
+        with pytest.raises(ValidationError) as exc:
+            table_from_dict({"n_in": 1, "m_out": 1, "outputs": [0, 1], **fields})
+        assert str(exc.value) == reason
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,4 +1,8 @@
-"""The column-wise wave CSV writer against a per-value reference writer."""
+"""The serialize module: the JSON input readers, string escaping in
+json_dumps, and the column-wise wave CSV writer against a per-value
+reference writer."""
+import re
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,63 @@ from cvhistory.serialize import (
     CSV_CHUNK_ROWS,
     WAVE_CSV_HEADER,
     dyadic_cells,
+    expect_number,
     format_float,
     grid_cells,
+    json_dumps,
+    read_json,
     write_cells_csv,
     write_wave_csv,
 )
+
+
+def test_json_dumps_escapes_keys_and_values():
+    text = 'q" b\\ \b\f\n\r\t \x00\x1f\x7f \u00e9 \U0001f600'
+    want = b'"q\\" b\\\\ \\b\\f\\n\\r\\t \\u0000\\u001f\x7f \xc3\xa9 \xf0\x9f\x98\x80"'
+    assert json_dumps({text: [text]}).encode("utf-8") == b"{" + want + b":[" + want + b"]}"
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        pytest.param("{nope", "Expecting property name", id="decode"),
+        pytest.param("[" + "1" * 4301 + "]", "Exceeds the limit", id="digits"),
+        pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth", id="nesting"),
+        pytest.param(b"{\"a\": \"\xff\"}", "can't decode", id="not-utf8"),
+    ],
+)
+def test_read_json_refuses_naming_the_file(tmp_path, body, reason):
+    path = tmp_path / "in.json"
+    (path.write_bytes if isinstance(body, bytes) else path.write_text)(body)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not valid JSON .*{reason}"):
+        read_json(str(path))
+
+
+def test_read_json_passes_missing_file_through(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, 1e308, 10**300])
+def test_expect_number_reads_finite_numbers(value):
+    assert expect_number(value, "v") == float(value)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        (True, "expected a number, got True"),
+        ("1", "expected a number, got '1'"),
+        (None, "expected a number, got None"),
+        (float("nan"), "expected a finite number, got nan"),
+        (float("-inf"), "expected a finite number, got -inf"),
+        (10**400, "expected a finite number, got 1000"),
+    ],
+)
+def test_expect_number_refuses(value, reason):
+    with pytest.raises(ValidationError, match=f"^v\\[0\\]: {reason}"):
+        expect_number(value, "v[0]")
+
 
 
 def reference_csv(rows) -> bytes:
