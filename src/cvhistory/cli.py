@@ -41,7 +41,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .grid import GridWave
+from .grid import GridWave, check_window
 from .processor import (
     Program,
     StepMetrics,
@@ -73,6 +73,13 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+
+# The exit code of each error class; the first class that matches wins.
+EXIT_CODES = (
+    ((ValidationError, DomainError, OSError), EXIT_BAD_INPUT),
+    (ResourceLimitError, EXIT_RESOURCE),
+    (SimulationError, EXIT_CHECK_FAILED),
+)
 
 DEFAULT_GRID_WINDOW = (-2.0, 2.0)
 DEFAULT_GRID_N = 4096
@@ -172,6 +179,10 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
         n = expect_int(gopts.get("n", DEFAULT_GRID_N), "grid.n", minimum=2)
         if n & (n - 1):
             raise ValidationError(f"grid.n: must be a power of two, got {n}")
+        try:
+            check_window(lo, (hi - lo) / n, n)
+        except ValidationError as exc:
+            raise ValidationError(f"grid.window: {exc}") from None
         cfg.grid_window = (lo, hi)
         cfg.grid_n = n
 
@@ -439,21 +450,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_scenario(args.scenario, args.command, args.out_dir)
         return _HANDLERS[args.command](cfg)
-    except (ValidationError, DomainError) as exc:
+    except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

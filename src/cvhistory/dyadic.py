@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, check_count, check_integer
 
 # The last level at which every cell edge k * 2^-level is exact in a float.
 MAX_LEVEL_DEFAULT = 53
@@ -57,10 +57,8 @@ class DyadicWave:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.level, (int, np.integer)) or self.level < 0:
-            raise DomainError(f"level must be a nonnegative integer, got {self.level!r}")
-        if not isinstance(self.offset, (int, np.integer)):
-            raise DomainError(f"offset must be an integer, got {self.offset!r}")
+        level = check_count("level", self.level)
+        check_integer("offset", self.offset)
         arr = np.array(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError(f"coeffs must be a nonempty vector, got shape {arr.shape}")
@@ -79,7 +77,7 @@ class DyadicWave:
             if lo or hi < arr.size:
                 arr = arr[lo:hi].copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", arr)
 
@@ -124,8 +122,7 @@ class DyadicWave:
 
 def indicator_unit(level: int) -> DyadicWave:
     """The normalized indicator of [0,1) expressed at the given level."""
-    if level < 0:
-        raise DomainError(f"level must be nonnegative, got {level}")
+    level = check_count("level", level)
     return DyadicWave(level, 0, np.ones(1 << level, dtype=np.complex128))
 
 
@@ -142,16 +139,14 @@ def refine(w: DyadicWave, target: int) -> DyadicWave:
 
 def translate_int(w: DyadicWave, t: int) -> DyadicWave:
     """Shift by an integer number of x-units: psi(x) -> psi(x - t).  Exact."""
-    if not isinstance(t, (int, np.integer)):
-        raise DomainError(f"translation amount must be an integer, got {t!r}")
-    return DyadicWave(w.level, w.offset + int(t) * (1 << w.level), w.coeffs)
+    t = check_integer("translation amount", t)
+    return DyadicWave(w.level, w.offset + t * (1 << w.level), w.coeffs)
 
 
 def project(w: DyadicWave, a: int, b: int) -> DyadicWave:
     """Zero every cell not fully inside [a, b).  Integer endpoints align with
     cell boundaries at every level, so this is exact and idempotent."""
-    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
-        raise DomainError(f"projection endpoints must be integers, got {a!r}, {b!r}")
+    a, b = check_integer("projection start", a), check_integer("projection end", b)
     if a >= b:
         raise DomainError(f"projection interval [{a}, {b}) is empty")
     scale = 1 << w.level
@@ -163,13 +158,18 @@ def project(w: DyadicWave, a: int, b: int) -> DyadicWave:
 def squeeze(w: DyadicWave) -> DyadicWave:
     """The dilation psi(x) -> sqrt(2)*psi(2x): one level finer, same offset,
     coefficients scaled by sqrt(2).  Norm-preserving and exact."""
-    if w.level + 1 > MAX_LEVEL_DEFAULT:
+    level, coeffs = squeeze_step(w.level, w.coeffs)
+    return DyadicWave(level, w.offset, coeffs)
+
+
+def squeeze_step(level: int, values: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The squeeze of values at a level: level + 1, at most MAX_LEVEL_DEFAULT; values * sqrt(2)."""
+    if level + 1 > MAX_LEVEL_DEFAULT:
         raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
-    # the constructor refuses a coefficient that overflowed, so the
-    # overflow is not also warned of
+    # scaling cannot zero a value; the caller's constructor refuses one
+    # that overflowed, so the overflow is not also warned of
     with np.errstate(over="ignore"):
-        coeffs = w.coeffs * SQRT2
-    return DyadicWave(w.level + 1, w.offset, coeffs)
+        return level + 1, values * SQRT2
 
 
 def norm2(w: DyadicWave) -> float:

@@ -33,14 +33,16 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dyadic
-from .dyadic import MAX_LEVEL_DEFAULT, SQRT2, DyadicWave, check_bytes, indicator_unit
+from .dyadic import SQRT2, DyadicWave, check_bytes, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
-from .grid import SUPPORT_EPS, GridWave, translate_spectral
+from .errors import check_basis_index, check_count, check_integer, check_qubit
+from .grid import SUPPORT_EPS, GridWave, check_window, translate_spectral
 from .qubits import (
     DensityMatrix,
     RegisterState,
     _apply_single_qubit_kernel,
-    is_unitary,
+    basis_state,
+    check_gate,
     trace_out,
 )
 
@@ -77,10 +79,8 @@ class HybridState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise DomainError(f"n_qubits must be nonnegative, got {self.n_qubits}")
-        if self.level < 0:
-            raise DomainError(f"level must be nonnegative, got {self.level}")
+        check_count("n_qubits", self.n_qubits)
+        level = check_count("level", self.level)
         rows = np.array(self.rows, dtype=np.int64)
         cells = np.array(self.cells, dtype=np.int64)
         amps = np.array(self.amps, dtype=np.complex128)
@@ -104,7 +104,7 @@ class HybridState:
             raise ValidationError(f"row index out of range for {self.n_qubits} qubits")
         for arr in (rows, cells, amps):
             arr.setflags(write=False)
-        object.__setattr__(self, "level", int(self.level))
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "amps", amps)
@@ -113,8 +113,9 @@ class HybridState:
     def from_table(cls, n_qubits: int, level: int, offset: int, table) -> "HybridState":
         """The state with amplitude table[q][k] on qubit basis state q and
         cell offset + k; the zeros of the table are not stored."""
+        check_count("n_qubits", n_qubits)
         arr = np.asarray(table, dtype=np.complex128)
-        if n_qubits >= 0 and (arr.ndim != 2 or arr.shape[0] != 1 << n_qubits or arr.shape[1] < 1):
+        if arr.ndim != 2 or arr.shape[0] != 1 << n_qubits or arr.shape[1] < 1:
             raise ValidationError(f"amps must have shape (2^{n_qubits}, K>=1), got {arr.shape}")
         rows, cols = np.nonzero(arr)
         return cls(n_qubits, level, rows, cols + int(offset), arr[rows, cols])
@@ -153,8 +154,7 @@ class HybridState:
 
     def row_wave(self, q: int) -> DyadicWave:
         """The CV wave co-occurring with qubit basis state q."""
-        if not 0 <= q < 1 << self.n_qubits:
-            raise DomainError(f"basis index {q} out of range")
+        check_basis_index(q, self.n_qubits)
         lo, hi = self.rows.searchsorted((q, q + 1))
         if lo == hi:
             return DyadicWave(self.level, 0, [0.0])
@@ -187,10 +187,6 @@ def lift(reg: RegisterState, w: DyadicWave) -> HybridState:
     return HybridState(reg.n_qubits, w.level, nz[k], col + w.offset, amps)
 
 
-def _bit1_rows(n_qubits: int, q: int) -> np.ndarray:
-    return (np.arange(1 << n_qubits) >> q) & 1 == 1
-
-
 def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
     """Boolean mask of the entries whose row has qubit q in |1>; one byte
     per entry, with no full-width integer temporary."""
@@ -200,11 +196,8 @@ def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
 
 def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     """Translate the CV by t x-units on rows whose qubit q is |1>."""
-    if not 0 <= q < h.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    if not isinstance(t, (int, np.integer)):
-        raise DomainError(f"translation amount must be an integer, got {t!r}")
-    tc = int(t) << h.level
+    check_qubit(q, h.n_qubits)
+    tc = check_integer("translation amount", t) << h.level
     if tc == 0:
         return h
     # the cells are int64: refuse a shift that would wrap them around
@@ -215,13 +208,13 @@ def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     return HybridState(h.n_qubits, h.level, h.rows, np.where(moved, h.cells + tc, h.cells), h.amps)
 
 
-def _flip_cells(h: HybridState, variant: FlipVariant) -> np.ndarray:
-    """Boolean mask over entries whose cell the variant flips."""
-    unit = 1 << h.level
+def _flip_mask(x: np.ndarray, unit, variant: FlipVariant) -> np.ndarray:
+    """Where over x the variant flips, x being cells with unit = 2^level or
+    positions with unit = 1.0: outside [0, unit), or inside [unit, 2 unit)."""
     if variant is FlipVariant.OUTSIDE_UNIT:
-        return (h.cells < 0) | (h.cells >= unit)
+        return (x < 0) | (x >= unit)
     if variant is FlipVariant.INSIDE_ONE_TWO:
-        return (h.cells >= unit) & (h.cells < 2 * unit)
+        return (x >= unit) & (x < 2 * unit)
     raise DomainError(f"unknown flip variant {variant!r}")
 
 
@@ -229,21 +222,15 @@ def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE
     """Apply X on qubit q for every cell selected by the variant; identity
     elsewhere.  Cell boundaries always align with the integer interval
     endpoints, so the action is an exact per-cell row swap."""
-    if not 0 <= q < h.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    rows = np.where(_flip_cells(h, variant), h.rows ^ (1 << q), h.rows)
+    check_qubit(q, h.n_qubits)
+    rows = np.where(_flip_mask(h.cells, 1 << h.level, variant), h.rows ^ (1 << q), h.rows)
     return HybridState(h.n_qubits, h.level, rows, h.cells, h.amps)
 
 
 def squeeze_all(h: HybridState) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
-    if h.level + 1 > MAX_LEVEL_DEFAULT:
-        raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
-    # scaling by sqrt(2) cannot zero a cell; the constructor refuses one
-    # that overflowed, so the overflow is not also warned of
-    with np.errstate(over="ignore"):
-        amps = h.amps * SQRT2
-    return HybridState(h.n_qubits, h.level + 1, h.rows, h.cells, amps)
+    level, amps = dyadic.squeeze_step(h.level, h.amps)
+    return HybridState(h.n_qubits, level, h.rows, h.cells, amps)
 
 
 def unfold(
@@ -283,8 +270,7 @@ def erase(h: HybridState, q: int) -> HybridState:
 
 def residual_weight(h: HybridState, q: int) -> float:
     """Probability weight on rows whose qubit q is |1>."""
-    if not 0 <= q < h.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
+    check_qubit(q, h.n_qubits)
     a = h.amps[_bit_set(h.rows, q)]
     return float(np.sum(a.real**2 + a.imag**2)) * h.width
 
@@ -383,12 +369,10 @@ def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.nd
     else:
         row_weight = np.bincount(h.rows, weights=a.real**2 + a.imag**2)
         nz_rows = np.flatnonzero(row_weight > FACTOR_TOL * np.sum(row_weight))
-    reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
     if nz_rows.size == 1:
         q = int(nz_rows[0])
-        reg[q] = 1.0
         lo, hi = h.rows.searchsorted((q, q + 1))
-        return RegisterState(h.n_qubits, reg), h.cells[lo:hi], a[lo:hi]
+        return basis_state(h.n_qubits, q), h.cells[lo:hi], a[lo:hi]
     # Only the block of occupied rows x occupied cells has a singular value.
     rows, row_slot = np.unique(h.rows, return_inverse=True)
     cols, col_slot = np.unique(h.cells, return_inverse=True)
@@ -399,6 +383,7 @@ def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.nd
     u, s, vh = np.linalg.svd(block, full_matrices=False)
     if s.size > 1 and s[1] > FACTOR_TOL * s[0]:
         return None
+    reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
     reg[rows] = u[:, 0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
@@ -411,13 +396,8 @@ def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:
     Entries pair up over (row without qubit q, cell); a missing partner
     counts as zero, so each pair goes through the same 2x2 product as a
     column of the full table would."""
-    if not 0 <= q < h.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {h.n_qubits} qubits")
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValidationError(f"single-qubit gate must be 2x2, got {u.shape}")
-    if not is_unitary(u):
-        raise ValidationError("gate matrix is not unitary within 1e-12")
+    check_qubit(q, h.n_qubits)
+    u = check_gate(u)
     if not h.amps.size:
         return h
     bit = 1 << q
@@ -495,16 +475,14 @@ class GridHybrid:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise DomainError(f"n_qubits must be nonnegative, got {self.n_qubits}")
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise ValidationError(f"grid step must be positive and finite, got {self.h}")
+        check_count("n_qubits", self.n_qubits)
         arr = np.array(self.amps, dtype=np.complex128)
         n = arr.shape[1] if arr.ndim == 2 else 0
         if arr.ndim != 2 or arr.shape[0] != 1 << self.n_qubits or n < 2 or n & (n - 1):
             raise ValidationError(
                 f"amps must have shape (2^{self.n_qubits}, power-of-two N), got {arr.shape}"
             )
+        check_window(self.x_min, self.h, n)
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValidationError("amplitudes must be finite (no NaN/Inf)")
         arr.setflags(write=False)
@@ -522,8 +500,7 @@ class GridHybrid:
         return float(np.sum(a.real**2 + a.imag**2)) * self.h
 
     def row_wave(self, q: int) -> GridWave:
-        if not 0 <= q < 1 << self.n_qubits:
-            raise DomainError(f"basis index {q} out of range")
+        check_basis_index(q, self.n_qubits)
         return GridWave(self.x_min, self.h, self.amps[q])
 
 
@@ -538,29 +515,26 @@ def grid_lift(reg: RegisterState, g: GridWave) -> GridHybrid:
 
 def grid_cond_translate(gh: GridHybrid, q: int, t: int) -> GridHybrid:
     """Translate rows with qubit q = |1> by t x-units, spectrally."""
-    if not 0 <= q < gh.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {gh.n_qubits} qubits")
-    moved = _bit1_rows(gh.n_qubits, q)
+    check_qubit(q, gh.n_qubits)
     out = np.array(gh.amps)
-    for r in np.flatnonzero(moved):
+    for r in np.flatnonzero(_bit_set(np.arange(1 << gh.n_qubits), q)):
         out[r] = translate_spectral(GridWave(gh.x_min, gh.h, gh.amps[r]), float(t)).samples
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out)
 
 
 def grid_cond_flip(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
     """Apply X on qubit q for samples selected by the variant interval."""
-    if not 0 <= q < gh.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {gh.n_qubits} qubits")
-    xs = gh.positions()
-    if variant is FlipVariant.OUTSIDE_UNIT:
-        flip = ~((xs >= 0.0) & (xs < 1.0))
-    elif variant is FlipVariant.INSIDE_ONE_TWO:
-        flip = (xs >= 1.0) & (xs < 2.0)
-    else:
-        raise DomainError(f"unknown flip variant {variant!r}")
+    check_qubit(q, gh.n_qubits)
+    flip = _flip_mask(gh.positions(), 1.0, variant)
     view = gh.amps.reshape(1 << (gh.n_qubits - 1 - q), 2, -1, gh.n_samples)
     out = np.where(flip, view[:, ::-1], view)
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out.reshape(gh.amps.shape))
+
+
+def _significant(gh: GridHybrid) -> np.ndarray:
+    """Mask of the samples where some row exceeds SUPPORT_EPS of the peak magnitude."""
+    mags = np.max(np.abs(gh.amps), axis=0)
+    return mags > SUPPORT_EPS * mags.max()
 
 
 def grid_squeeze_all(gh: GridHybrid) -> GridHybrid:
@@ -569,10 +543,8 @@ def grid_squeeze_all(gh: GridHybrid) -> GridHybrid:
     x0_idx = int(round(raw))
     if abs(raw - x0_idx) > 1e-9:
         raise DomainError("window origin is not grid-aligned; cannot decimate")
-    mags = np.max(np.abs(gh.amps), axis=0)
-    peak = float(mags.max())
-    if peak > 0.0:
-        nz = np.flatnonzero(mags > SUPPORT_EPS * peak)
+    nz = np.flatnonzero(_significant(gh))
+    if nz.size:
         x_lo = (gh.x_min + float(nz[0]) * gh.h) / 2.0
         x_hi = (gh.x_min + float(nz[-1]) * gh.h) / 2.0
         if x_lo < gh.x_min or x_hi >= gh.x_min + gh.n_samples * gh.h:
@@ -595,14 +567,11 @@ def grid_unfold(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSI
 def grid_erase(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
     """Grid-backend erasure; support detection uses a relative threshold
     because spectral translation leaves O(1e-16) residue everywhere."""
-    mags = np.max(np.abs(gh.amps), axis=0)
-    peak = float(mags.max())
-    if peak > 0.0:
-        xs = gh.positions()
-        bad = (mags > SUPPORT_EPS * peak) & ~((xs >= 0.0) & (xs < 1.0))
-        if np.any(bad):
-            where = ", ".join(f"{x:g}" for x in xs[bad][:8])
-            raise ContractError(
-                f"grid erase requires CV support inside [0,1); significant samples at x = {where}"
-            )
+    xs = gh.positions()
+    bad = _significant(gh) & ~((xs >= 0.0) & (xs < 1.0))
+    if np.any(bad):
+        where = ", ".join(f"{x:g}" for x in xs[bad][:8])
+        raise ContractError(
+            f"grid erase requires CV support inside [0,1); significant samples at x = {where}"
+        )
     return grid_squeeze_all(grid_unfold(gh, q, variant))

@@ -11,16 +11,27 @@ cross-validate the exact dyadic backend.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_integer
 
 # Relative magnitude below which a sample is treated as numerically zero
 # when locating support (spectral ops leave ~1e-16 residue everywhere).
 SUPPORT_EPS = 1e-13
+
+
+def check_window(x_min: float, h: float, n: int) -> None:
+    """The window x_min + j*h, j < n: a positive finite step, and finite
+    first and last positions, so that every position is finite."""
+    if not (h > 0 and math.isfinite(h)):
+        raise ValidationError(f"grid step must be positive and finite, got {h}")
+    last = float(x_min) + (n - 1) * float(h)
+    if not (math.isfinite(x_min) and math.isfinite(last)):
+        raise ValidationError(f"grid positions must be finite, got x_min {x_min} and last {last}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,14 +43,13 @@ class GridWave:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (self.h > 0 and np.isfinite(self.h)):
-            raise ValidationError(f"grid step must be positive and finite, got {self.h}")
         arr = np.array(self.samples, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValidationError(f"samples must be one-dimensional, got shape {arr.shape}")
         n = arr.size
         if n < 2 or (n & (n - 1)) != 0:
             raise ValidationError(f"sample count must be a power of two >= 2, got {n}")
+        check_window(self.x_min, self.h, n)
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValidationError("samples must be finite (no NaN/Inf)")
         arr.setflags(write=False)
@@ -65,8 +75,7 @@ def sample_function(f: Callable[[float], complex], x_min: float, h: float, N: in
     """Tabulate f on the grid: samples[j] = f(x_min + j*h)."""
     if N < 2 or (N & (N - 1)) != 0:
         raise ValidationError(f"N must be a power of two >= 2, got {N}")
-    if not (h > 0 and np.isfinite(h)):
-        raise ValidationError(f"grid step must be positive and finite, got {h}")
+    check_window(x_min, h, N)
     xs = x_min + h * np.arange(N)
     return GridWave(x_min, h, np.array([f(float(x)) for x in xs], dtype=np.complex128))
 
@@ -84,8 +93,7 @@ def _samples_per_unit(g: GridWave, t: float, what: str) -> int:
 
 def translate_shift(g: GridWave, t: int) -> GridWave:
     """psi(x) -> psi(x - t) as an exact circular index shift."""
-    if not isinstance(t, (int, np.integer)):
-        raise DomainError(f"translate_shift takes an integer number of x-units, got {t!r}")
+    t = check_integer("translation amount", t)
     n = _samples_per_unit(g, float(t), "shift")
     return GridWave(g.x_min, g.h, np.roll(g.samples, n))
 

@@ -27,7 +27,7 @@ from .erasure import (
     lift,
     residual_weight,
 )
-from .errors import ContractError, ResourceLimitError, ValidationError
+from .errors import ContractError, ResourceLimitError, ValidationError, check_count, is_integer
 from .qubits import RegisterState, basis_state, purity
 from .revcomp import (
     SubtractMode,
@@ -159,6 +159,7 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
         )
     if n_anc < 0:
         raise ValidationError(f"ancilla count must be nonnegative, got {n_anc}")
+    check_count("cv_level", cv_level)
     _check_joint_table(n_data, n_anc, cv_level)
     h = lift(data_state, indicator_unit(cv_level))
     # the zeroed ancillas are the high bits: widening keeps every row
@@ -172,7 +173,7 @@ def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) 
 
 def _check_qubit_type(q, field: str) -> None:
     """A qubit is an integer, a numpy one included, and not a bool."""
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+    if not is_integer(q):
         raise ValidationError(f"expected an integer qubit, got {q!r}", field)
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_basis_index, check_count, check_qubit
 
 NORM_TOL = 1e-12
 
@@ -42,8 +42,7 @@ class RegisterState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise DomainError(f"n_qubits must be nonnegative, got {self.n_qubits}")
+        check_count("n_qubits", self.n_qubits)
         arr = _as_complex_vector(self.amps)
         if arr.size != 1 << self.n_qubits:
             raise ValidationError(
@@ -128,21 +127,21 @@ class DensityMatrix:
 
 def basis_state(n_qubits: int, index: int) -> RegisterState:
     """Computational basis state |index> on n qubits."""
-    if n_qubits < 0:
-        raise DomainError(f"n_qubits must be nonnegative, got {n_qubits}")
-    size = 1 << n_qubits
-    if not 0 <= index < size:
-        raise DomainError(f"basis index {index} out of range [0, {size})")
-    amps = np.zeros(size, dtype=np.complex128)
+    check_count("n_qubits", n_qubits)
+    check_basis_index(index, n_qubits)
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return RegisterState(n_qubits, amps)
 
 
-def is_unitary(u: np.ndarray) -> bool:
+def check_gate(u) -> np.ndarray:
+    """u as a complex128 array: a 2x2 unitary, within NORM_TOL."""
     u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= NORM_TOL)
+    if u.shape != (2, 2):
+        raise ValidationError(f"single-qubit gate must be 2x2, got {u.shape}")
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= NORM_TOL:  # NaN fails too
+        raise ValidationError("gate matrix is not unitary within 1e-12")
+    return u
 
 
 def _apply_single_qubit_kernel(amps: np.ndarray, n_qubits: int, q: int, u: np.ndarray) -> np.ndarray:
@@ -179,13 +178,8 @@ def _check_permutation(perm, size: int) -> np.ndarray:
 
 def apply_single_qubit(state: RegisterState, q: int, u: np.ndarray) -> RegisterState:
     """Apply a single-qubit unitary ``u`` on qubit ``q``."""
-    if not 0 <= q < state.n_qubits:
-        raise DomainError(f"qubit index {q} out of range for {state.n_qubits} qubits")
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValidationError(f"single-qubit gate must be 2x2, got {u.shape}")
-    if not is_unitary(u):
-        raise ValidationError("gate matrix is not unitary within 1e-12")
+    check_qubit(q, state.n_qubits)
+    u = check_gate(u)
     return RegisterState(state.n_qubits, _apply_single_qubit_kernel(state.amps, state.n_qubits, q, u))
 
 

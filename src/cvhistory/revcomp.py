@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, is_integer
 from .serialize import expect_int, expect_int_list, read_json
 
 MAX_PAIR_BITS = 20
@@ -23,6 +23,21 @@ MAX_PAIR_BITS = 20
 # ones); the bound keeps 2^n_in, 2^m_out and a lift's 2^(n_in + m_out)
 # small enough to form, and to print in a message.
 MAX_TABLE_BITS = 4096
+
+
+def _check_widths(n_in, m_out) -> None:
+    """Table widths: integers, not bools, n_in >= 0, m_out >= 1, neither past MAX_TABLE_BITS."""
+    widths = (("n_in", n_in), ("m_out", m_out))
+    for name, width in widths:
+        if not is_integer(width):
+            raise ValidationError(f"{name} must be an integer, got {width!r}")
+    if n_in < 0:
+        raise ValidationError(f"n_in must be nonnegative, got {n_in}")
+    if m_out < 1:
+        raise ValidationError(f"m_out must be at least 1, got {m_out}")
+    for name, width in widths:
+        if width > MAX_TABLE_BITS:
+            raise ValidationError(f"{name} must be at most {MAX_TABLE_BITS}, got {width}")
 
 
 class SubtractMode(enum.Enum):
@@ -45,13 +60,7 @@ class TruthTable:
     )
 
     def __post_init__(self):
-        if self.n_in < 0:
-            raise ValidationError(f"n_in must be nonnegative, got {self.n_in}")
-        if self.m_out < 1:
-            raise ValidationError(f"m_out must be at least 1, got {self.m_out}")
-        for name, width in (("n_in", self.n_in), ("m_out", self.m_out)):
-            if width > MAX_TABLE_BITS:
-                raise ValidationError(f"{name} must be at most {MAX_TABLE_BITS}, got {width}")
+        _check_widths(self.n_in, self.m_out)
         try:
             arr = np.array(self.outputs, dtype=np.int64)
         except OverflowError:
@@ -163,6 +172,7 @@ class ReversiblePermutation:
     y_map: np.ndarray
 
     def __post_init__(self):
+        _check_widths(self.n_in, self.m_out)
         arr = np.array(self.y_map, dtype=np.int64)
         shape = (1 << self.n_in, 1 << self.m_out)
         if arr.shape != shape:

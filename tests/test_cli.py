@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def read_tree(root):
     for dirpath, _dirs, files in os.walk(root):
         for f in files:
             full = os.path.join(dirpath, f)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            out[os.path.relpath(full, root)] = Path(full).read_bytes()
     return out
 
 
@@ -472,6 +473,18 @@ READER_REFUSALS = [
         {"s.json": json.dumps({**GRID, "grid": {"window": [float("-inf"), 2.0], "n": 64}})},
         "error: grid.window[0]: expected a finite number, got -inf",
         id="window-minus-infinity",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({**GRID, "grid": {"window": [-1e308, 1e308], "n": 64}})},
+        "error: grid.window: grid step must be positive and finite, got inf",
+        id="window-width-overflows",
+    ),
+    pytest.param(
+        "erase-demo",
+        {"s.json": json.dumps({**GRID, "grid": {"window": [0, 5e-324], "n": 64}})},
+        "error: grid.window: grid step must be positive and finite, got 0.0",
+        id="window-step-underflows",
     ),
     pytest.param(
         "processor",

@@ -59,6 +59,16 @@ class TestCanonicalForm:
         with pytest.raises(ValidationError):
             DyadicWave(0, 0, [np.inf])
 
+    @pytest.mark.parametrize("level", [True, False, 1.0])
+    def test_level_must_be_an_integer(self, level):
+        with pytest.raises(DomainError, match="level must be a nonnegative integer"):
+            DyadicWave(level, 0, [1.0])
+
+    @pytest.mark.parametrize("offset", [True, 0.0])
+    def test_offset_must_be_an_integer(self, offset):
+        with pytest.raises(DomainError, match="offset must be an integer"):
+            DyadicWave(0, offset, [1.0])
+
 
 class TestIndicatorUnit:
     def test_level0(self):
@@ -76,6 +86,11 @@ class TestIndicatorUnit:
     @pytest.mark.parametrize("level", [0, 1, 3, 6])
     def test_norm_one_all_levels(self, level):
         assert norm2(indicator_unit(level)) == 1.0
+
+    @pytest.mark.parametrize("level", [1.5, True, -1])
+    def test_level_must_be_a_count(self, level):
+        with pytest.raises(DomainError, match="level must be a nonnegative integer"):
+            indicator_unit(level)
 
 
 class TestRefine:
@@ -125,6 +140,10 @@ class TestTranslateInt:
         with pytest.raises(DomainError):
             translate_int(indicator_unit(0), 0.5)
 
+    def test_bool_refused(self):
+        with pytest.raises(DomainError, match="translation amount must be an integer"):
+            translate_int(indicator_unit(0), True)
+
     @given(waves_strategy, st.integers(min_value=-5, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_inverse_pair_exact(self, w, t):
@@ -140,6 +159,10 @@ class TestProject:
     def test_drops_outside_cell(self):
         w = DyadicWave(0, 0, [3.0, 4.0])
         assert project(w, 0, 1) == DyadicWave(0, 0, [3.0])
+
+    def test_bool_endpoints_refused(self):
+        with pytest.raises(DomainError, match="projection start must be an integer"):
+            project(indicator_unit(0), False, True)
 
     def test_empty_interval_refused(self):
         with pytest.raises(DomainError):

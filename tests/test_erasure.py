@@ -21,6 +21,7 @@ from cvhistory.erasure import (
     cv_factor,
     erase,
     erase_sequence,
+    grid_cond_flip,
     grid_cond_translate,
     grid_erase,
     grid_lift,
@@ -619,6 +620,19 @@ class TestCvFactor:
         h = HybridState.from_table(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
+    def test_entangled_builds_no_register(self):
+        # two entangled entries on 20 qubits: the 2^20-amplitude register
+        # (16 MiB) is built only for a product state; the peak left is the
+        # 8 MiB of per-row weights
+        h = HybridState(20, 1, [0, (1 << 20) - 1], [0, 1], [1.0, 1.0])
+        tracemalloc.start()
+        try:
+            assert cv_factor(h) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_block_refused_before_allocating(self):
         # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
         # budget, although the state stores only 2^15 entries
@@ -997,3 +1011,91 @@ class TestDenseReference:
                 if got is not None:
                     assert np.array_equal(got[0].amps, want[0])
                     assert np.array_equal(hull_wave(k, got[1], got[2]), want[1])
+
+
+def _two_qubit_state() -> HybridState:
+    return HybridState.from_table(2, 1, 0, np.full((4, 2), 0.5 / np.sqrt(2.0)))
+
+
+def _two_qubit_grid() -> GridHybrid:
+    return GridHybrid(2, -2.0, 0.5, np.full((4, 8), 0.25))
+
+
+QUBIT_OPS = {
+    "cond_translate": lambda q: cond_translate(_two_qubit_state(), q, 1),
+    "cond_flip": lambda q: cond_flip(_two_qubit_state(), q),
+    "residual_weight": lambda q: residual_weight(_two_qubit_state(), q),
+    "erase": lambda q: erase(_two_qubit_state(), q),
+    "apply_qubit_gate": lambda q: apply_qubit_gate(_two_qubit_state(), q, qubits.X),
+    "grid_cond_translate": lambda q: grid_cond_translate(_two_qubit_grid(), q, 1),
+    "grid_cond_flip": lambda q: grid_cond_flip(_two_qubit_grid(), q),
+}
+
+
+class TestArgumentRules:
+    """Indices and counts are Python or numpy integers, never bools or
+    floats, and a grid window's positions are finite."""
+
+    @pytest.mark.parametrize("op", sorted(QUBIT_OPS))
+    @pytest.mark.parametrize(
+        "q", [1.5, 1.0, True, np.float64(1.0)], ids=["1.5", "1.0", "True", "float64"]
+    )
+    def test_qubit_index_must_be_an_integer(self, op, q):
+        with pytest.raises(DomainError, match="qubit index must be an integer"):
+            QUBIT_OPS[op](q)
+
+    @pytest.mark.parametrize("op", sorted(QUBIT_OPS))
+    def test_numpy_qubit_index_accepted(self, op):
+        QUBIT_OPS[op](np.int64(1))
+
+    @pytest.mark.parametrize("op", sorted(QUBIT_OPS))
+    def test_qubit_out_of_range_message_kept(self, op):
+        with pytest.raises(DomainError, match=r"^qubit index 2 out of range for 2 qubits$"):
+            QUBIT_OPS[op](2)
+
+    @pytest.mark.parametrize("state", [_two_qubit_state, _two_qubit_grid])
+    @pytest.mark.parametrize("i", [1.5, True, np.float64(2.0)], ids=["1.5", "True", "float64"])
+    def test_row_wave_index_must_be_an_integer(self, state, i):
+        with pytest.raises(DomainError, match="basis index must be an integer"):
+            state().row_wave(i)
+
+    @pytest.mark.parametrize("state", [_two_qubit_state, _two_qubit_grid])
+    def test_row_wave_index_range(self, state):
+        with pytest.raises(DomainError, match=r"basis index 4 out of range \[0, 4\)"):
+            state().row_wave(4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HybridState(1, 1.5, [0], [0], [1.0]),
+            lambda: HybridState(1, True, [0], [0], [1.0]),
+            lambda: HybridState(1.5, 0, [0], [0], [1.0]),
+            lambda: HybridState(True, 0, [0], [0], [1.0]),
+            lambda: HybridState.from_table(1.5, 0, 0, np.ones((2, 1))),
+            lambda: GridHybrid(1.5, -2.0, 0.5, np.ones((2, 8))),
+            lambda: GridHybrid(True, -2.0, 0.5, np.ones((2, 8))),
+        ],
+        ids=["level-float", "level-bool", "n_qubits-float", "n_qubits-bool",
+             "from_table-float", "grid-float", "grid-bool"],
+    )
+    def test_count_must_be_an_integer(self, build):
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            build()
+
+    def test_numpy_counts_accepted(self):
+        h = HybridState(np.int64(1), np.int64(2), [0], [0], [1.0])
+        assert h.level == 2 and type(h.level) is int
+
+    @pytest.mark.parametrize(
+        "x_min, h", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1), (0.0, 1e308)],
+        ids=["x_min-nan", "x_min-inf", "x_min-minus-inf", "last-position-overflows"],
+    )
+    def test_grid_hybrid_window_positions_finite(self, x_min, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="grid positions must be finite"):
+                GridHybrid(1, x_min, h, np.ones((2, 4)))
+
+    def test_bool_translation_amount_refused(self):
+        with pytest.raises(DomainError, match="translation amount"):
+            cond_translate(_two_qubit_state(), 0, True)

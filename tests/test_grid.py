@@ -42,6 +42,25 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             GridWave(0.0, -0.5, np.ones(4))
 
+    @pytest.mark.parametrize(
+        "x_min, h", [(np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1), (0.0, 1e308)],
+        ids=["x_min-nan", "x_min-inf", "x_min-minus-inf", "last-position-overflows"],
+    )
+    def test_positions_must_be_finite(self, x_min, h):
+        with pytest.raises(ValidationError, match="grid positions must be finite"):
+            GridWave(x_min, h, np.ones(4))
+        with pytest.raises(ValidationError, match="grid positions must be finite"):
+            sample_function(indicator01, x_min, h, 4)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValidationError, match="grid step must be positive and finite"):
+            GridWave(0.0, h, np.ones(4))
+
+    def test_largest_finite_window_accepted(self):
+        g = GridWave(-1e308, 5e307, np.ones(4))
+        assert np.all(np.isfinite(g.positions()))
+
     def test_finite_samples_required(self):
         with pytest.raises(ValidationError):
             GridWave(0.0, 0.5, [np.nan, 0, 0, 0])
@@ -96,6 +115,11 @@ class TestTranslateShift:
         g = sample_function(indicator01, -2.0, 0.25, 16)
         with pytest.raises(DomainError):
             translate_shift(g, 0.5)
+
+    def test_bool_rejected(self):
+        g = sample_function(indicator01, -2.0, 0.25, 16)
+        with pytest.raises(DomainError, match="translation amount must be an integer"):
+            translate_shift(g, True)
 
 
 class TestTranslateSpectral:

@@ -8,7 +8,7 @@ import pytest
 
 from cvhistory.dyadic import indicator_unit
 from cvhistory.erasure import HybridState, apply_qubit_gate, hybrid_reduced_density, lift, unfold
-from cvhistory.errors import ResourceLimitError, ValidationError
+from cvhistory.errors import DomainError, ResourceLimitError, ValidationError
 from cvhistory.processor import (
     SINGLE_QUBIT_GATES,
     GateOp,
@@ -58,6 +58,11 @@ class TestInit:
     def test_cv_level_sets_indicator(self):
         ps = init(1, 0, basis_state(1, 0), cv_level=2)
         assert ps.hybrid.row_wave(0) == indicator_unit(2)
+
+    @pytest.mark.parametrize("level", [1.5, True])
+    def test_cv_level_must_be_an_integer(self, level):
+        with pytest.raises(DomainError, match="cv_level must be a nonnegative integer"):
+            init(1, 0, basis_state(1, 0), cv_level=level)
 
     def test_start_builds_only_the_occupied_row(self):
         # the whole 2^7 x 2^14 product would take over 100 MiB; the state

@@ -58,6 +58,18 @@ class TestBasisState:
         with pytest.raises(DomainError):
             basis_state(2, -1)
 
+    @pytest.mark.parametrize("index", [True, 1.0, np.float64(1.0)], ids=["True", "1.0", "float64"])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(DomainError, match="basis index must be an integer"):
+            basis_state(2, index)
+
+    @pytest.mark.parametrize("n", [1.5, True])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="n_qubits must be a nonnegative integer"):
+            basis_state(n, 0)
+        with pytest.raises(DomainError, match="n_qubits must be a nonnegative integer"):
+            RegisterState(n, [1.0, 0.0])
+
     def test_wrong_amp_length_rejected(self):
         with pytest.raises(ValidationError):
             RegisterState(2, np.ones(3))
@@ -88,6 +100,11 @@ class TestApplySingleQubit:
     def test_bad_qubit_index(self):
         with pytest.raises(DomainError):
             apply_single_qubit(basis_state(1, 0), 1, X)
+
+    @pytest.mark.parametrize("q", [0.0, 1.5, True, False])
+    def test_qubit_must_be_an_integer(self, q):
+        with pytest.raises(DomainError, match="qubit index must be an integer"):
+            apply_single_qubit(basis_state(2, 0), q, X)
 
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(7)

@@ -83,6 +83,16 @@ class TestTruthTable:
         with pytest.raises(ValidationError, match=f"^{name} must be at most {MAX_TABLE_BITS}, got {width}$"):
             TruthTable(n_in, m_out, [0])
 
+    @pytest.mark.parametrize(
+        "n_in, m_out, field",
+        [(1.5, 1, "n_in"), (True, 1, "n_in"), (1, 1.0, "m_out"), (1, False, "m_out")],
+    )
+    def test_widths_must_be_integers(self, n_in, m_out, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            TruthTable(n_in, m_out, [0, 1])
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            ReversiblePermutation(n_in, m_out, SubtractMode.XOR, [[0, 1], [1, 0]])
+
     def test_widest_table_keeps_its_length_rule(self):
         with pytest.raises(ValidationError, match=f"^outputs must have length 2\\^{MAX_TABLE_BITS} = "):
             TruthTable(MAX_TABLE_BITS, MAX_TABLE_BITS, [0])
