@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ValidationError, check_count, check_integer
+from .errors import DomainError, ResourceLimitError, ValidationError, check_count, check_finite, check_integer
 
 # The last level at which every cell edge k * 2^-level is exact in a float.
 MAX_LEVEL_DEFAULT = 53
@@ -50,7 +50,11 @@ def check_level(cv_level: int, erasures: int, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DyadicWave:
-    """Canonical piecewise-constant complex wave on dyadic cells."""
+    """Canonical piecewise-constant complex wave on dyadic cells.
+
+    The constructor copies, checks and trims its coefficients.  The
+    operations below that only shift or scale a canonical wave keep it
+    canonical, so they wrap their fresh coefficients with ``_adopt``."""
 
     level: int
     offset: int
@@ -58,28 +62,37 @@ class DyadicWave:
 
     def __post_init__(self):
         level = check_count("level", self.level)
-        check_integer("offset", self.offset)
+        offset = check_integer("offset", self.offset)
         arr = np.array(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError(f"coeffs must be a nonempty vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValidationError("coeffs must be finite (no NaN/Inf)")
+        check_finite("coeffs", arr)
         # Canonical form: exact-zero boundary cells trimmed so equal
         # functions at equal level compare equal.  The zero function is a
         # single zero cell pinned at offset 0.
-        nz = np.flatnonzero(arr)
-        if nz.size == 0:
-            offset = 0
-            arr = np.zeros(1, dtype=np.complex128)
-        else:
-            lo, hi = int(nz[0]), int(nz[-1]) + 1
-            offset = int(self.offset) + lo
-            if lo or hi < arr.size:
+        if arr[0] == 0 or arr[-1] == 0:
+            nz = np.flatnonzero(arr)
+            if nz.size == 0:
+                offset = 0
+                arr = np.zeros(1, dtype=np.complex128)
+            else:
+                lo, hi = int(nz[0]), int(nz[-1]) + 1
+                offset += lo
                 arr = arr[lo:hi].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _adopt(cls, level: int, offset: int, coeffs: np.ndarray) -> "DyadicWave":
+        """Wrap fresh complex128 coefficients that no one else holds, already
+        canonical (first and last nonzero, or the one zero cell at offset
+        0), without copying or checking them; they become read-only."""
+        coeffs.setflags(write=False)
+        w = object.__new__(cls)
+        vars(w).update(level=level, offset=offset, coeffs=coeffs)
+        return w
 
     # Equality is representation equality: same level, offset and exact
     # cell values.  Canonicalization above makes this decide function
@@ -113,7 +126,8 @@ class DyadicWave:
         return (self.offset + self.n_cells) * self.width
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.coeffs == 0))
+        # canonical: a nonzero wave starts on a nonzero cell
+        return bool(self.coeffs[0] == 0)
 
     def support_measure(self) -> float:
         """Total length of cells carrying a nonzero value."""
@@ -127,20 +141,28 @@ def indicator_unit(level: int) -> DyadicWave:
 
 
 def refine(w: DyadicWave, target: int) -> DyadicWave:
-    """Re-express at a finer level; pointwise identical, coarsening refused."""
+    """Re-express at a finer level; pointwise identical, coarsening refused.
+    At the wave's own level this is the wave itself."""
+    target = check_count("level", target)
     if target < w.level:
         raise DomainError(
             f"cannot coarsen from level {w.level} to {target}; coarsening is lossy"
         )
+    if target == w.level:
+        return w
+    if w.is_zero():
+        return DyadicWave._adopt(target, 0, np.zeros(1, dtype=np.complex128))
     check_bytes(f"refining {w.n_cells} cells to level {target}", target - w.level, w.n_cells)
     factor = 1 << (target - w.level)
-    return DyadicWave(target, w.offset * factor, np.repeat(w.coeffs, factor))
+    # each end cell repeats a nonzero value: the result is trimmed
+    return DyadicWave._adopt(target, w.offset * factor, np.repeat(w.coeffs, factor))
 
 
 def translate_int(w: DyadicWave, t: int) -> DyadicWave:
     """Shift by an integer number of x-units: psi(x) -> psi(x - t).  Exact."""
     t = check_integer("translation amount", t)
-    return DyadicWave(w.level, w.offset + t * (1 << w.level), w.coeffs)
+    offset = 0 if w.is_zero() else w.offset + (t << w.level)
+    return DyadicWave._adopt(w.level, offset, w.coeffs.copy())
 
 
 def project(w: DyadicWave, a: int, b: int) -> DyadicWave:
@@ -159,15 +181,17 @@ def squeeze(w: DyadicWave) -> DyadicWave:
     """The dilation psi(x) -> sqrt(2)*psi(2x): one level finer, same offset,
     coefficients scaled by sqrt(2).  Norm-preserving and exact."""
     level, coeffs = squeeze_step(w.level, w.coeffs)
-    return DyadicWave(level, w.offset, coeffs)
+    check_finite("coeffs", coeffs)
+    return DyadicWave._adopt(level, w.offset, coeffs)
 
 
 def squeeze_step(level: int, values: np.ndarray) -> Tuple[int, np.ndarray]:
     """The squeeze of values at a level: level + 1, at most MAX_LEVEL_DEFAULT; values * sqrt(2)."""
     if level + 1 > MAX_LEVEL_DEFAULT:
         raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
-    # scaling cannot zero a value; the caller's constructor refuses one
-    # that overflowed, so the overflow is not also warned of
+    # scaling cannot zero a value, so the trimmed ends stay trimmed; the
+    # caller refuses a value that overflowed, so the overflow is not also
+    # warned of
     with np.errstate(over="ignore"):
         return level + 1, values * SQRT2
 

@@ -27,7 +27,7 @@ cross-validation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import dyadic
 from .dyadic import SQRT2, DyadicWave, check_bytes, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
-from .errors import check_basis_index, check_count, check_integer, check_qubit
+from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit
 from .grid import SUPPORT_EPS, GridWave, check_window, translate_spectral
 from .qubits import (
     DensityMatrix,
@@ -68,8 +68,13 @@ class HybridState:
     [cells[i] * 2^-level, (cells[i] + 1) * 2^-level); every other pair of
     row and cell holds zero.  The entries are canonical: no exact zeros,
     sorted by (row, cell), no pair twice; so equal states compare equal.
-    The constructor copies, checks and canonicalizes its arrays.
-    ``offset`` and ``n_cells`` describe the hull of the occupied cells.
+    ``offset`` and ``n_cells`` describe the hull of the occupied cells:
+    its first cell and its width, 0 and 1 for the zero state.
+
+    The constructor copies, checks and canonicalizes its arrays.  The gate
+    operations below only relocate or scale canonical entries, so they
+    wrap their fresh arrays with ``_adopt`` and run only the checks their
+    own arithmetic can break.
     """
 
     n_qubits: int
@@ -77,6 +82,8 @@ class HybridState:
     rows: np.ndarray
     cells: np.ndarray
     amps: np.ndarray
+    offset: int = field(init=False, repr=False)
+    n_cells: int = field(init=False, repr=False)
 
     def __post_init__(self):
         check_count("n_qubits", self.n_qubits)
@@ -89,8 +96,7 @@ class HybridState:
                 f"rows, cells and amps must be vectors of one length, got shapes "
                 f"{rows.shape}, {cells.shape}, {amps.shape}"
             )
-        if np.count_nonzero(np.isfinite(amps)) != amps.size:
-            raise ValidationError("amplitudes must be finite (no NaN/Inf)")
+        check_finite("amplitudes", amps)
         if np.count_nonzero(amps) != amps.size:
             nonzero = amps != 0
             rows, cells, amps = rows[nonzero], cells[nonzero], amps[nonzero]
@@ -104,21 +110,41 @@ class HybridState:
             raise ValidationError(f"row index out of range for {self.n_qubits} qubits")
         for arr in (rows, cells, amps):
             arr.setflags(write=False)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "amps", amps)
+        offset, n_cells = _hull(cells)
+        vars(self).update(level=level, rows=rows, cells=cells, amps=amps, offset=offset, n_cells=n_cells)
+
+    @classmethod
+    def _adopt(
+        cls, n_qubits: int, level: int, rows: np.ndarray, cells: np.ndarray, amps: np.ndarray,
+        hull: Tuple[int, int],
+    ) -> "HybridState":
+        """Wrap fresh canonical int64 rows and cells and complex128 amps that
+        no one else holds, whose hull is (offset, n_cells), without copying
+        or checking them; the arrays become read-only."""
+        for arr in (rows, cells, amps):
+            arr.setflags(write=False)
+        h = object.__new__(cls)
+        vars(h).update(
+            n_qubits=n_qubits, level=level, rows=rows, cells=cells, amps=amps,
+            offset=hull[0], n_cells=hull[1],
+        )
+        return h
 
     @classmethod
     def from_table(cls, n_qubits: int, level: int, offset: int, table) -> "HybridState":
         """The state with amplitude table[q][k] on qubit basis state q and
         cell offset + k; the zeros of the table are not stored."""
         check_count("n_qubits", n_qubits)
+        level = check_count("level", level)
         arr = np.asarray(table, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != 1 << n_qubits or arr.shape[1] < 1:
             raise ValidationError(f"amps must have shape (2^{n_qubits}, K>=1), got {arr.shape}")
+        # row-major: the nonzeros come sorted by (row, cell), each once
         rows, cols = np.nonzero(arr)
-        return cls(n_qubits, level, rows, cols + int(offset), arr[rows, cols])
+        amps = arr[rows, cols]
+        check_finite("amplitudes", amps)
+        cells = cols + int(offset)
+        return cls._adopt(n_qubits, level, rows, cells, amps, _hull(cells))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HybridState):
@@ -132,17 +158,6 @@ class HybridState:
         )
 
     __hash__ = None
-
-    @property
-    def offset(self) -> int:
-        """First cell of the occupied hull; 0 for the zero state."""
-        return int(self.cells.min()) if self.cells.size else 0
-
-    @property
-    def n_cells(self) -> int:
-        """Width of the occupied hull in cells; 1 for the zero state."""
-        c = self.cells
-        return int(c.max() - c.min()) + 1 if c.size else 1
 
     @property
     def width(self) -> float:
@@ -165,6 +180,23 @@ class HybridState:
             coeffs = np.zeros(span, dtype=np.complex128)
             coeffs[self.cells[lo:hi] - first] = self.amps[lo:hi]
         return DyadicWave(self.level, first, coeffs)
+
+
+def _hull(cells: np.ndarray) -> Tuple[int, int]:
+    """(first cell, width in cells) of the occupied cells; (0, 1) for none."""
+    if not cells.size:
+        return 0, 1
+    lo = int(cells.min())
+    return lo, int(cells.max()) - lo + 1
+
+
+def _sorted_entries(rows: np.ndarray, cells: np.ndarray, amps: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Fresh arrays of the entries in (row, cell) order; the rows are fresh
+    already, and sorted only when out of order."""
+    if _in_order(rows, cells):
+        return rows, cells.copy(), amps.copy()
+    order = np.lexsort((cells, rows))
+    return rows[order], cells[order], amps[order]
 
 
 def _in_order(rows: np.ndarray, cells: np.ndarray) -> bool:
@@ -203,9 +235,9 @@ def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     # the cells are int64: refuse a shift that would wrap them around
     if not -(1 << 63) <= h.offset + tc <= h.offset + h.n_cells + tc <= 1 << 63:
         raise DomainError(f"translating by {t} at level {h.level} leaves the int64 cells")
-    moved = _bit_set(h.rows, q)
+    cells = np.where(_bit_set(h.rows, q), h.cells + tc, h.cells)
     # every cell of a row moves by the same amount: the order is kept
-    return HybridState(h.n_qubits, h.level, h.rows, np.where(moved, h.cells + tc, h.cells), h.amps)
+    return HybridState._adopt(h.n_qubits, h.level, h.rows.copy(), cells, h.amps.copy(), _hull(cells))
 
 
 def _flip_mask(x: np.ndarray, unit, variant: FlipVariant) -> np.ndarray:
@@ -224,13 +256,16 @@ def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE
     endpoints, so the action is an exact per-cell row swap."""
     check_qubit(q, h.n_qubits)
     rows = np.where(_flip_mask(h.cells, 1 << h.level, variant), h.rows ^ (1 << q), h.rows)
-    return HybridState(h.n_qubits, h.level, rows, h.cells, h.amps)
+    # a bijection on the (row, cell) pairs: no pair twice, only the order breaks
+    rows, cells, amps = _sorted_entries(rows, h.cells, h.amps)
+    return HybridState._adopt(h.n_qubits, h.level, rows, cells, amps, (h.offset, h.n_cells))
 
 
 def squeeze_all(h: HybridState) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
     level, amps = dyadic.squeeze_step(h.level, h.amps)
-    return HybridState(h.n_qubits, level, h.rows, h.cells, amps)
+    check_finite("amplitudes", amps)
+    return HybridState._adopt(h.n_qubits, level, h.rows.copy(), h.cells.copy(), amps, (h.offset, h.n_cells))
 
 
 def unfold(
@@ -423,7 +458,7 @@ def apply_basis_permutation(h: HybridState, new_rows: Sequence[int] | np.ndarray
     Only the occupied rows are checked, in memory of a few times the entry
     count: every entry of one row must get the same image, and no two
     occupied rows may share one.  The map on the other rows is not seen."""
-    new = np.asarray(new_rows, dtype=np.int64)
+    new = np.array(new_rows, dtype=np.int64)
     if new.shape != h.rows.shape:
         raise ValidationError(
             f"new rows have shape {new.shape}, expected one per stored entry, {h.rows.shape}"
@@ -441,7 +476,10 @@ def apply_basis_permutation(h: HybridState, new_rows: Sequence[int] | np.ndarray
         raise ValidationError(
             f"map is not a bijection: two occupied rows map to {int(images[hit[0]])}"
         )
-    return HybridState(h.n_qubits, h.level, new, h.cells, h.amps)
+    if images.size and (images[0] < 0 or images[-1] >> h.n_qubits):
+        raise ValidationError(f"row index out of range for {h.n_qubits} qubits")
+    rows, cells, amps = _sorted_entries(new, h.cells, h.amps)
+    return HybridState._adopt(h.n_qubits, h.level, rows, cells, amps, (h.offset, h.n_cells))
 
 
 def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
@@ -452,8 +490,7 @@ def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
         raise ValidationError(
             f"phase vector has shape {ph.shape}, expected one per stored entry, {h.amps.shape}"
         )
-    if not np.all(np.isfinite(ph.view(np.float64))):
-        raise ValidationError("phase factors must be finite (no NaN/Inf)")
+    check_finite("phase factors", ph)
     if np.max(np.abs(np.abs(ph) - 1.0), initial=0.0) > 1e-12:
         raise ValidationError("phase factors must have unit modulus")
     return HybridState(h.n_qubits, h.level, h.rows, h.cells, h.amps * ph)
@@ -483,8 +520,7 @@ class GridHybrid:
                 f"amps must have shape (2^{self.n_qubits}, power-of-two N), got {arr.shape}"
             )
         check_window(self.x_min, self.h, n)
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValidationError("amplitudes must be finite (no NaN/Inf)")
+        check_finite("amplitudes", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 

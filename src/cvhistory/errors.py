@@ -1,4 +1,4 @@
-"""Exception hierarchy and the integer argument rules of all simulator modules."""
+"""Exception hierarchy and the argument rules of all simulator modules."""
 import numpy as np
 
 
@@ -30,7 +30,7 @@ class ResourceLimitError(SimulationError):
 
 def is_integer(v) -> bool:
     """A Python or numpy integer, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, (int, np.integer)) and not isinstance(v, bool))
 
 
 def check_integer(name: str, v) -> int:
@@ -59,3 +59,9 @@ def check_basis_index(i, n_qubits: int) -> None:
     check_integer("basis index", i)
     if not 0 <= i < 1 << n_qubits:
         raise DomainError(f"basis index {i} out of range [0, {1 << n_qubits})")
+
+
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Every entry of the array ``name`` is finite: no NaN and no infinity."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite (no NaN/Inf)")

@@ -17,21 +17,30 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_integer
+from .errors import DomainError, ValidationError, check_finite, check_integer
 
 # Relative magnitude below which a sample is treated as numerically zero
 # when locating support (spectral ops leave ~1e-16 residue everywhere).
 SUPPORT_EPS = 1e-13
 
 
+def _as_float(v: float) -> float:
+    """v as a float; an integer past the float range as an infinity."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def check_window(x_min: float, h: float, n: int) -> None:
     """The window x_min + j*h, j < n: a positive finite step, and finite
     first and last positions, so that every position is finite."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError(f"grid step must be positive and finite, got {h}")
-    last = float(x_min) + (n - 1) * float(h)
-    if not (math.isfinite(x_min) and math.isfinite(last)):
-        raise ValidationError(f"grid positions must be finite, got x_min {x_min} and last {last}")
+    x0, step = _as_float(x_min), _as_float(h)
+    if not (step > 0 and math.isfinite(step)):
+        raise ValidationError(f"grid step must be positive and finite, got {step}")
+    last = x0 + (n - 1) * step
+    if not (math.isfinite(x0) and math.isfinite(last)):
+        raise ValidationError(f"grid positions must be finite, got x_min {x0} and last {last}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +59,7 @@ class GridWave:
         if n < 2 or (n & (n - 1)) != 0:
             raise ValidationError(f"sample count must be a power of two >= 2, got {n}")
         check_window(self.x_min, self.h, n)
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValidationError("samples must be finite (no NaN/Inf)")
+        check_finite("samples", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

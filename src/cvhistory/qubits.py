@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_basis_index, check_count, check_qubit
+from .errors import DomainError, ValidationError, check_basis_index, check_count, check_finite, check_qubit
 
 NORM_TOL = 1e-12
 
@@ -29,8 +29,7 @@ def _as_complex_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValidationError(f"amplitude data must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValidationError("amplitudes must be finite (no NaN/Inf)")
+    check_finite("amplitudes", arr)
     return arr
 
 

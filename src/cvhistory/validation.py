@@ -124,8 +124,8 @@ def _random_hybrid(rng: np.random.Generator, unit: bool = False) -> HybridState:
         n_cells = int(rng.integers(1, 9))
         offset = int(rng.integers(-4, 5))
     a = rng.normal(size=(1 << n, n_cells)) + 1j * rng.normal(size=(1 << n, n_cells))
-    h = HybridState.from_table(n, level, offset, a)
-    scale = 1.0 / np.sqrt(h.norm2())
+    # the norm2 of the state of a: its entries are a's values in a's order
+    scale = 1.0 / np.sqrt(float(np.sum(a.real**2 + a.imag**2)) * 2.0 ** (-level))
     return HybridState.from_table(n, level, offset, a * scale)
 
 

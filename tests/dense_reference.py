@@ -14,7 +14,9 @@ Chebyshev series of ``grid.dilation_generator`` must match to rounding.
 ``ref_gate_vector`` and ``ref_register_permutation`` are the two-qubit
 gates and the table lift as whole vectors over all 2^n basis indices,
 which the processor's register ops on the stored rows must match bit
-for bit.
+for bit.  ``ref_run_step`` is a whole program step on the table: its op,
+each listed ancilla erased by the four reference gates, and the step's
+metrics read off the table, which ``processor.run_step`` must match.
 """
 from typing import Optional, Tuple
 
@@ -23,13 +25,14 @@ import numpy as np
 from cvhistory.dyadic import SQRT2, DyadicWave
 from cvhistory.erasure import FlipVariant, HybridState
 from cvhistory.grid import GridWave
+from cvhistory.processor import SINGLE_QUBIT_GATES, GateOp, ProgramStep, StepMetrics
 from cvhistory.qubits import (
     RegisterState,
     _apply_permutation_kernel,
     _apply_single_qubit_kernel,
     _check_permutation,
 )
-from cvhistory.revcomp import ReversiblePermutation
+from cvhistory.revcomp import ReversiblePermutation, build_reversible
 
 
 def table(h: HybridState) -> np.ndarray:
@@ -181,6 +184,57 @@ def ref_cv_factor(h: HybridState, tol: float = 1e-10) -> Optional[Tuple[np.ndarr
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
     return reg / phase, s[0] * wave * phase
+
+
+def ref_erase(h: HybridState, q: int) -> HybridState:
+    """The paper's four gates on the table: translate the |1> rows of
+    qubit q by +1, flip outside [0,1), translate back, squeeze."""
+    out = ref_cond_translate(h, q, 1)
+    out = ref_cond_flip(out, q, FlipVariant.OUTSIDE_UNIT)
+    out = ref_cond_translate(out, q, -1)
+    return ref_squeeze_all(out)
+
+
+def _weight(a: np.ndarray, width: float) -> float:
+    """Probability weight of the table part a, summed over its nonzero
+    values in row-major order: the stored entries' order."""
+    v = a[a != 0]
+    return float(np.sum(v.real**2 + v.imag**2)) * width
+
+
+def ref_metrics(h: HybridState, n_data: int) -> StepMetrics:
+    """The step metrics of h read off its table, the data purity always
+    recomputed as Tr(rho^2) of the whole reduced density."""
+    a = table(h)
+    rho = ref_hybrid_reduced_density(h, range(n_data))
+    cols = np.flatnonzero((a != 0).any(axis=0))
+    return StepMetrics(
+        ancilla_residual=_weight(a[(np.arange(a.shape[0]) >> n_data) != 0], h.width),
+        data_purity=float(np.real(np.sum(rho * rho.T))),
+        cv_level=h.level,
+        joint_cells=int(cols[-1] - cols[0]) + 1 if cols.size else 1,
+        entries=int(np.count_nonzero(a)),
+        norm2=_weight(a, h.width),
+    )
+
+
+def ref_run_step(h: HybridState, step: ProgramStep, n_data: int) -> Tuple[HybridState, StepMetrics]:
+    """One program step on the table: the op by its gate kernel or whole
+    2^n vector, then each listed ancilla, in increasing order, erased by
+    the four reference gates; with the metrics of the result."""
+    op = step.op
+    if isinstance(op, GateOp) and op.name in SINGLE_QUBIT_GATES:
+        h = ref_apply_qubit_gate(h, op.targets[0], SINGLE_QUBIT_GATES[op.name])
+    elif isinstance(op, GateOp):
+        h = ref_apply_gate(h, op.name, *op.targets)
+    else:
+        lift = build_reversible(op.table, op.mode)
+        h = ref_apply_basis_permutation(
+            h, ref_register_permutation(lift, op.x_qubits, op.y_qubits, h.n_qubits)
+        )
+    for q in sorted(step.clean):
+        h = ref_erase(h, q)
+    return h, ref_metrics(h, n_data)
 
 
 def ref_value_at(w: DyadicWave, x: float) -> complex:

@@ -109,6 +109,11 @@ class TestRefine:
         with pytest.raises(DomainError):
             refine(indicator_unit(2), 1)
 
+    @pytest.mark.parametrize("target", [1.5, 2.0, True, -1])
+    def test_target_must_be_a_level(self, target):
+        with pytest.raises(DomainError, match="level must be a nonnegative integer"):
+            refine(indicator_unit(0), target)
+
     def test_cell_limit(self):
         # 2^25 cells take 2^29 bytes, past the budget; a far level is
         # refused without building its power of two

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cvhistory.dyadic import DyadicWave, indicator_unit, inner, max_abs_diff, translate_int, value_at
+from cvhistory.dyadic import DyadicWave, indicator_unit, inner, max_abs_diff, refine, translate_int, value_at
 from cvhistory.dyadic import norm2 as wave_norm2
 from cvhistory.dyadic import squeeze as wave_squeeze
 from cvhistory.errors import ContractError, DomainError, ResourceLimitError, ValidationError
@@ -740,6 +740,12 @@ class TestRegisterOpsOnHybrid:
             apply_basis_permutation(h, [3, 3, 3, 3])
         assert apply_basis_permutation(h, [3, 3, 0, 0]).rows.tolist() == [0, 0, 3, 3]
 
+    def test_image_outside_the_register_refused(self):
+        h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
+        for images in ([0, 2], [-1, 0]):
+            with pytest.raises(ValidationError, match="row index out of range for 1 qubits"):
+                apply_basis_permutation(h, images)
+
     def test_map_splitting_one_row_refused(self):
         h = lift(basis_state(2, 1), indicator_unit(1))
         assert h.rows.tolist() == [1, 1]
@@ -875,18 +881,42 @@ def assert_canonical(h: HybridState) -> None:
     assert not any(arr.flags.writeable for arr in (h.rows, h.cells, h.amps))
 
 
+def random_wave(rng: np.random.Generator) -> DyadicWave:
+    """Random wave with scattered zero cells, trimmed by the constructor;
+    now and then the zero wave."""
+    n = int(rng.integers(1, 9))
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    c[rng.random(c.size) < 0.3] = 0.0
+    return DyadicWave(int(rng.integers(0, 5)), int(rng.integers(-8, 9)), c)
+
+
 class TestAdoptedOutputs:
-    """Gate ops hand their outputs to the validating constructor; each
-    output must be canonical, frozen and independent of its input."""
+    """Gate ops, from_table and the exact wave ops wrap their outputs
+    without the validating constructor; each output must be canonical,
+    frozen, independent of its input, and what that constructor makes of
+    copies of its arrays."""
 
     @staticmethod
-    def assert_adopted(out: HybridState, src: HybridState) -> None:
+    def assert_adopted(out: HybridState, src) -> None:
         copies = (np.array(out.rows), np.array(out.cells), np.array(out.amps))
         again = HybridState(out.n_qubits, out.level, *copies)
         assert again == out  # same entries
+        assert (out.offset, out.n_cells) == (again.offset, again.n_cells)
         assert_canonical(out)
-        for arr, src_arr in zip((out.rows, out.cells, out.amps), (src.rows, src.cells, src.amps)):
-            assert not np.shares_memory(arr, src_arr)
+        src_arrays = (src,) if isinstance(src, np.ndarray) else (src.rows, src.cells, src.amps)
+        for arr in (out.rows, out.cells, out.amps):
+            assert arr.dtype == (np.complex128 if arr is out.amps else np.int64)
+            assert not any(np.shares_memory(arr, s) for s in src_arrays)
+
+    @staticmethod
+    def assert_wave_adopted(out: DyadicWave, src: DyadicWave, expect: DyadicWave) -> None:
+        again = DyadicWave(out.level, out.offset, np.array(out.coeffs))
+        assert again == out and again.offset == out.offset
+        assert out == expect and out.offset == expect.offset
+        c = out.coeffs
+        assert (c[0] != 0 and c[-1] != 0) or (c.size == 1 and out.offset == 0)
+        assert c.dtype == np.complex128 and not c.flags.writeable
+        assert not np.shares_memory(c, src.coeffs)
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 70), (0, 71), (1, 72)])
     def test_gate_outputs(self, zero_bit, seed):
@@ -917,6 +947,53 @@ class TestAdoptedOutputs:
         for out in (cond_translate(h, 1, -1), cond_flip(h, 0), squeeze_all(h), erase(h, 1)):
             self.assert_adopted(out, h)
             assert out.offset == 0 and out.n_cells == 1
+
+    @pytest.mark.parametrize("seed", [73, 74])
+    def test_from_table(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            n, level, k = int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(1, 9))
+            offset = int(rng.integers(-6, 7))
+            a = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
+            a[rng.random(a.shape) < rng.choice([0.0, 0.3, 1.0])] = 0.0
+            out = HybridState.from_table(n, level, offset, a)
+            self.assert_adopted(out, a)
+            # every cell of the table, zeros included, in shuffled order
+            shuffle = rng.permutation(a.size)
+            rows, cols = np.divmod(np.arange(a.size), k)
+            expect = HybridState(n, level, rows[shuffle], cols[shuffle] + offset, a.ravel()[shuffle])
+            assert out == expect
+            assert (out.offset, out.n_cells) == (expect.offset, expect.n_cells)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_from_table_refuses_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            HybridState.from_table(1, 0, 0, [[1.0, 0.0], [0.0, bad]])
+
+    def test_wave_ops(self):
+        rng = np.random.default_rng(75)
+        zeros = 0
+        for _ in range(200):
+            w = random_wave(rng)
+            zeros += w.is_zero()
+            c = np.array(w.coeffs)
+            d, t = int(rng.integers(1, 4)), int(rng.integers(-3, 4))
+            self.assert_wave_adopted(
+                refine(w, w.level + d), w, DyadicWave(w.level + d, w.offset << d, np.repeat(c, 1 << d))
+            )
+            self.assert_wave_adopted(
+                translate_int(w, t), w, DyadicWave(w.level, w.offset + t * (1 << w.level), c)
+            )
+            self.assert_wave_adopted(wave_squeeze(w), w, DyadicWave(w.level + 1, w.offset, c * SQRT2))
+            assert refine(w, w.level) is w
+        assert zeros >= 5
+
+    def test_wave_squeeze_refuses_overflow(self):
+        # the constructor's refusal, with its message, and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                wave_squeeze(DyadicWave(0, 0, [1.0, 1.5e308]))
 
     def test_residual_weight_matches_row_mask(self):
         rng = np.random.default_rng(90)

@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="grid step must be positive and finite"):
             GridWave(0.0, h, np.ones(4))
 
+    @pytest.mark.parametrize("x_min", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_integer_past_float_range_refused(self, x_min):
+        with pytest.raises(ValidationError, match="grid positions must be finite, got x_min"):
+            GridWave(x_min, 0.1, np.ones(4))
+        with pytest.raises(ValidationError, match="grid step must be positive and finite"):
+            GridWave(0.0, -x_min, np.ones(4))
+
     def test_largest_finite_window_accepted(self):
         g = GridWave(-1e308, 5e307, np.ones(4))
         assert np.all(np.isfinite(g.positions()))

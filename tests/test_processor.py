@@ -1,10 +1,13 @@
 """Step-loop tests: program parsing, gate and table ops on the joint state,
 per-step cleanup metrics, and the resource accounting rules."""
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvhistory.dyadic import indicator_unit
 from cvhistory.erasure import HybridState, apply_qubit_gate, hybrid_reduced_density, lift, unfold
@@ -33,6 +36,7 @@ from dense_reference import (
     ref_apply_gate,
     ref_lift,
     ref_register_permutation,
+    ref_run_step,
     table,
 )
 
@@ -546,6 +550,81 @@ class TestDataDensityOnSupport:
             tracemalloc.stop()
         assert abs(m.data_purity - 0.5) <= 1e-12
         assert peak < 1 << 20
+
+
+# the library tables at most 7 qubits wide, CONST up to 2 in and 2 out:
+# (name, n_in + m_out)
+ORACLE_TABLES = [("AND", 3), ("OR", 3), ("XOR", 3), ("ADDER(1)", 4), ("ADDER(2)", 7)] + [
+    (f"CONST({n_in},{m_out},{v})", n_in + m_out)
+    for n_in in (1, 2)
+    for m_out in (1, 2)
+    for v in range(1 << m_out)
+]
+# at most this many cleans per program: the table stays 2^8 x 2^8
+ORACLE_CLEANS = 6
+
+
+@st.composite
+def oracle_programs(draw):
+    """(data, ancilla, cv_level, data amplitudes, steps): data 1-4,
+    ancilla 1-4, cv_level 0-2, up to 8 steps over every gate, the
+    library tables of ORACLE_TABLES in both modes and random clean lists."""
+    n_data, n_anc, cv_level = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    n_total = n_data + n_anc
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = (rng.normal(size=1 << n_data) + 1j * rng.normal(size=1 << n_data)) * (rng.random(1 << n_data) < 0.7)
+    amps[int(rng.integers(1 << n_data))] += 1.0
+    tables = [(name, w) for name, w in ORACLE_TABLES if w <= n_total]
+    steps, cleans = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["one", "two", "table"]))
+        if kind == "table":
+            name, width = draw(st.sampled_from(tables))
+            qs = draw(st.permutations(range(n_total)))[:width]
+            tt = named_table(name)
+            op = TableOp(tt, draw(st.sampled_from(list(SubtractMode))), tuple(qs[: tt.n_in]), tuple(qs[tt.n_in :]))
+        else:
+            names = list(SINGLE_QUBIT_GATES) if kind == "one" else ["CNOT", "SWAP", "CZ"]
+            qs = draw(st.permutations(range(n_total)))[: 1 if kind == "one" else 2]
+            op = GateOp(draw(st.sampled_from(names)), tuple(qs))
+        anc = range(n_data, n_total)
+        clean = draw(st.lists(st.sampled_from(anc), unique=True, max_size=ORACLE_CLEANS - cleans))
+        cleans += len(clean)
+        steps.append(ProgramStep(op, tuple(clean)))
+    return n_data, n_anc, cv_level, amps / np.linalg.norm(amps), steps
+
+
+class TestWholeProgramOracle:
+    """Whole random programs through processor.run_step and through
+    tests/dense_reference.py's ref_run_step: every step's state bit for
+    bit, and every metric exactly except data_purity, which the processor
+    carries across ops that leave it unchanged and computes in another
+    order."""
+
+    @given(oracle_programs())
+    @settings(max_examples=100, deadline=None)
+    @example(  # a coupling op, then data-only and ancilla-only ops: the carry
+        (2, 1, 1, np.array([0.6, 0.0, 0.0, 0.8]), [
+            ProgramStep(GateOp("H", (1,)), ()),
+            ProgramStep(GateOp("CNOT", (0, 2)), (2,)),
+            ProgramStep(GateOp("H", (0,)), ()),
+            ProgramStep(GateOp("X", (2,)), (2,)),
+            ProgramStep(TableOp(named_table("AND"), SubtractMode.XOR, (0, 1), (2,)), (2,)),
+        ])
+    )
+    def test_steps_match_dense_reference(self, program):
+        n_data, n_anc, cv_level, amps, steps = program
+        ps = init(n_data, n_anc, RegisterState(n_data, amps), cv_level=cv_level)
+        wide = np.zeros(1 << (n_data + n_anc), dtype=np.complex128)
+        wide[: amps.size] = amps
+        ref = ref_lift(RegisterState(n_data + n_anc, wide), indicator_unit(cv_level))
+        assert ps.hybrid == ref
+        for i, step in enumerate(steps):
+            ps, got = run_step(ps, step)
+            ref, want = ref_run_step(ref, step, n_data)
+            assert ps.hybrid == ref, i
+            assert abs(got.data_purity - want.data_purity) <= 1e-14, i
+            assert got == dataclasses.replace(want, data_purity=got.data_purity), i
 
 
 class TestRunProgram:
