@@ -9,6 +9,19 @@ Four subcommands, each reading one scenario JSON file:
               metrics trace and the final CV dump
   resource    static resource accounting for a program
 
+The command line is read by ``read_argv``, not argparse, whose help
+text lookup imports ``locale`` on every run:
+
+  cvhistory [-h | --help] COMMAND SCENARIO [--out-dir DIR | --out-dir=DIR]
+
+The flag may come before, between or after the two positionals, at most
+once; ``--`` ends the options, so a SCENARIO that starts with ``-``
+follows it, and a DIR that does takes the ``--out-dir=DIR`` form.
+``-h`` or ``--help`` prints the help and exits 0.  Any other flag, an
+abbreviation such as ``--out`` included, a repeated ``--out-dir``, a
+third positional, or a missing or unknown COMMAND exits 2 with argparse's
+shape: a ``usage:`` line, then ``cvhistory: error: ...``.
+
 Exit codes: 0 success, 1 validation failure (a numeric check failed),
 2 input or schema error, 3 resource limit.  All state comes from the
 scenario file, plus --out-dir; no environment variables are consulted.
@@ -16,7 +29,6 @@ Output is deterministic byte-for-byte for a fixed scenario and seed.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -430,26 +442,88 @@ _HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cvhistory",
-        description="Simulate erasing ancilla qubits into one continuous history variable.",
-    )
-    parser.add_argument("command", choices=SCENARIO_KEYS, help="the scenario kind to run")
-    parser.add_argument("scenario", help="path to the scenario JSON file")
-    parser.add_argument("--out-dir", default=None, help="replaces the scenario's out_dir")
-    return parser
+_CHOICES = "{" + ",".join(SCENARIO_KEYS) + "}"
+
+USAGE = f"""usage: cvhistory [-h] [--out-dir DIR]
+                 {_CHOICES} scenario"""
+
+HELP = f"""{USAGE}
+
+Simulate erasing ancilla qubits into one continuous history variable.
+
+positional arguments:
+  {_CHOICES}
+                 the scenario kind to run
+  scenario       path to the scenario JSON file
+
+options:
+  -h, --help     show this help message and exit
+  --out-dir DIR  replaces the scenario's out_dir
+"""
+
+
+class UsageError(Exception):
+    """A command line that read_argv refuses; main prints it under the
+    usage line and exits 2."""
+
+
+def read_argv(argv: Sequence[str]) -> Optional[Tuple[str, str, Optional[str]]]:
+    """(command, scenario, out_dir) read from ``COMMAND SCENARIO
+    [--out-dir DIR]``, out_dir None when the flag is absent; None when
+    ``-h`` or ``--help`` asks for the help.  Raises UsageError on any
+    other argv, naming the offending arguments."""
+    positional: List[str] = []
+    unknown: List[str] = []
+    out_dir = None
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positional.extend(args)
+        elif arg in ("-h", "--help"):
+            return None
+        elif arg == "--out-dir" or arg.startswith("--out-dir="):
+            if out_dir is not None:
+                raise UsageError("argument --out-dir: given more than once")
+            _, eq, out_dir = arg.partition("=")
+            if not eq:
+                out_dir = next(args, None)
+                if out_dir is None or out_dir.startswith("-"):
+                    raise UsageError("argument --out-dir: expected one argument")
+        elif arg.startswith("-") and arg != "-":
+            unknown.append(arg)
+        else:
+            positional.append(arg)
+    # an unknown flag first: its value would be read as a positional
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    if not positional:
+        raise UsageError("the following arguments are required: command, scenario")
+    command = positional[0]
+    if command not in SCENARIO_KEYS:
+        choices = ", ".join(map(repr, SCENARIO_KEYS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    if len(positional) < 2:
+        raise UsageError("the following arguments are required: scenario")
+    if len(positional) > 2:
+        raise UsageError(f"unrecognized arguments: {' '.join(positional[2:])}")
+    return command, positional[1], out_dir
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse has printed its usage error (code 2) or the help (code 0)
-        return exc.code
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{USAGE}\ncvhistory: error: {exc}\n")
+        return EXIT_BAD_INPUT
+    if args is None:
+        # one write, as argparse does: a reader that stops after the first
+        # lines, such as head, leaves no later write to fail on
+        sys.stdout.write(HELP)
+        return EXIT_OK
+    command, scenario, out_dir = args
     try:
-        cfg = load_scenario(args.scenario, args.command, args.out_dir)
-        return _HANDLERS[args.command](cfg)
+        cfg = load_scenario(scenario, command, out_dir)
+        return _HANDLERS[command](cfg)
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

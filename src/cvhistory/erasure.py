@@ -136,14 +136,18 @@ class HybridState:
         cell offset + k; the zeros of the table are not stored."""
         check_count("n_qubits", n_qubits)
         level = check_count("level", level)
+        offset = check_integer("offset", offset)
         arr = np.asarray(table, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != 1 << n_qubits or arr.shape[1] < 1:
             raise ValidationError(f"amps must have shape (2^{n_qubits}, K>=1), got {arr.shape}")
+        # the cells are int64: refuse an offset that would wrap them around
+        if not -(1 << 63) <= offset <= offset + arr.shape[1] <= 1 << 63:
+            raise DomainError(f"offset {offset} with {arr.shape[1]} cells leaves the int64 cells")
         # row-major: the nonzeros come sorted by (row, cell), each once
         rows, cols = np.nonzero(arr)
         amps = arr[rows, cols]
         check_finite("amplitudes", amps)
-        cells = cols + int(offset)
+        cells = cols + offset
         return cls._adopt(n_qubits, level, rows, cells, amps, _hull(cells))
 
     def __eq__(self, other) -> bool:
@@ -402,8 +406,11 @@ def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.nd
     if h.rows[0] == h.rows[-1]:  # one occupied row
         nz_rows = h.rows[:1]
     else:
-        row_weight = np.bincount(h.rows, weights=a.real**2 + a.imag**2)
-        nz_rows = np.flatnonzero(row_weight > FACTOR_TOL * np.sum(row_weight))
+        # one weight per occupied row, summed between the breaks of the
+        # sorted rows, so no array of 2^n_qubits rows is built
+        starts = np.flatnonzero(np.diff(h.rows, prepend=-1))
+        row_weight = np.add.reduceat(a.real**2 + a.imag**2, starts)
+        nz_rows = h.rows[starts[row_weight > FACTOR_TOL * np.sum(row_weight)]]
     if nz_rows.size == 1:
         q = int(nz_rows[0])
         lo, hi = h.rows.searchsorted((q, q + 1))

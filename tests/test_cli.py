@@ -13,7 +13,7 @@ import pytest
 
 import cvhistory
 from cvhistory import dyadic, revcomp, validation
-from cvhistory.cli import SCENARIO_KEYS, build_parser, main
+from cvhistory.cli import SCENARIO_KEYS, UsageError, main, read_argv
 from cvhistory.erasure import tensor_oracle
 from cvhistory.processor import parse_program
 from cvhistory.serialize import format_float, json_dumps
@@ -183,8 +183,74 @@ def read_tree(root):
 class TestEntryPoint:
     @pytest.mark.parametrize("kind", ["erase-demo", "validate", "processor", "resource"])
     def test_each_command_parses(self, kind):
-        args = build_parser().parse_args([kind, "s.json", "--out-dir", "o"])
-        assert vars(args) == {"command": kind, "scenario": "s.json", "out_dir": "o"}
+        assert read_argv([kind, "s.json", "--out-dir", "o"]) == (kind, "s.json", "o")
+        assert read_argv([kind, "s.json"]) == (kind, "s.json", None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["processor", "s.json", "--out-dir=o"],
+            ["--out-dir", "o", "processor", "s.json"],
+            ["--out-dir=o", "processor", "s.json"],
+            ["processor", "--out-dir", "o", "s.json"],
+        ],
+        ids=["equals", "flag-first", "equals-first", "flag-between"],
+    )
+    def test_out_dir_forms_and_places(self, argv):
+        assert read_argv(argv) == ("processor", "s.json", "o")
+
+    def test_empty_out_dir_is_a_value(self):
+        # read as given; the run then fails to make the directory
+        assert read_argv(["processor", "s.json", "--out-dir="]) == ("processor", "s.json", "")
+
+    def test_double_dash_ends_the_options(self):
+        assert read_argv(["processor", "--", "-s.json"]) == ("processor", "-s.json", None)
+        assert read_argv(["processor", "--", "-h"]) == ("processor", "-h", None)
+        assert read_argv(["--out-dir", "o", "--", "processor", "--out-dir"]) == (
+            "processor",
+            "--out-dir",
+            "o",
+        )
+
+    def test_scenario_starting_with_dash_runs_after_double_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_scenario(tmp_path, "-s.json", {"program": and_program(1), "out_dir": "o"})
+        assert main(["resource", "--", "-s.json"]) == 0
+        assert (tmp_path / "o" / "resource_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["processor", "s.json", "--out-dir"], "argument --out-dir: expected one argument"),
+            (["processor", "s.json", "--out-dir", "-o"], "argument --out-dir: expected one argument"),
+            (["processor", "s.json", "--out-dir", "a", "--out-dir", "b"], "argument --out-dir: given more than once"),
+            (["processor", "s.json", "--out-dir=a", "--out-dir=a"], "argument --out-dir: given more than once"),
+            (["processor", "s.json", "--out", "o"], "unrecognized arguments: --out"),
+            (["processor", "s.json", "--o=x"], "unrecognized arguments: --o=x"),
+            (["--out", "o", "processor", "s.json"], "unrecognized arguments: --out"),
+            (["processor", "s.json", "extra"], "unrecognized arguments: extra"),
+            (["processor"], "the following arguments are required: scenario"),
+        ],
+        ids=["no-value", "dash-value", "repeated", "repeated-equals", "abbreviated",
+             "abbreviated-equals", "abbreviated-first", "third-positional", "no-scenario"],
+    )
+    def test_refused_argv_exits_2(self, tmp_path, capsys, argv, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            read_argv(argv)
+        # a valid scenario, so only the command line can refuse the run
+        s = write_scenario(tmp_path, "s.json", {"program": and_program(1), "out_dir": str(tmp_path / "o")})
+        assert main([s if a == "s.json" else a for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: cvhistory ")
+        assert err[-1] == f"cvhistory: error: {message}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_wins_anywhere_before_double_dash(self, capsys, flag):
+        assert main(["processor", flag, "--bogus"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: cvhistory ") and "--out-dir DIR" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("argv", [[], ["foo"], ["foo", "s.json"]])
     def test_unknown_or_missing_command_exits_2(self, capsys, argv):
@@ -199,24 +265,45 @@ class TestEntryPoint:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage:")
 
-    def test_module_run_exits_2_on_unknown_command(self, tmp_path):
+    @staticmethod
+    def run_module(tmp_path, *args):
+        """``python -m cvhistory.cli ARGS`` in a fresh process."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cvhistory.cli", "foo", "x.json"],
+        return subprocess.run(
+            [sys.executable, "-m", "cvhistory.cli", *args],
             cwd=tmp_path,
             env={"PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=60,
         )
+
+    def test_help_is_one_write(self, monkeypatch):
+        # unbuffered, print's second write (its newline) fails with
+        # BrokenPipeError once a reader such as `head -3` has gone
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda _, s: writes.append(s)})())
+        assert main(["--help"]) == 0
+        assert len(writes) == 1 and writes[0].startswith("usage: ") and writes[0].endswith("out_dir\n")
+
+    def test_module_run_exits_2_on_unknown_command(self, tmp_path):
+        proc = self.run_module(tmp_path, "foo", "x.json")
         assert proc.returncode == 2
         assert "argument command: invalid choice: 'foo'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_module_run_help_exits_0(self, tmp_path):
+        proc = self.run_module(tmp_path, "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: cvhistory ")
+        assert proc.stderr == ""
+
     def test_import_leaves_scipy_and_numpy_random_out(self, tmp_path):
-        # only validate needs numpy.random, at its first generator; and no
+        # only validate needs numpy.random, at its first generator; no
         # command, nor an erase's support error, imports numpy.ma, which
-        # plain np.unique does on its first call
+        # plain np.unique does on its first call; and neither a run nor the
+        # help imports argparse or the locale that its help text lookup
+        # loads, about 2 ms of every run
         src = os.path.dirname(os.path.dirname(os.path.abspath(cvhistory.__file__)))
         lift = {"table": "AND", "x_qubits": [0, 1], "y_qubits": [2]}
         prog = {
@@ -233,13 +320,15 @@ class TestEntryPoint:
                 "from cvhistory.erasure import HybridState, require_unit_support",
                 "from cvhistory.errors import ContractError",
                 "def loaded():",
-                "    mods = ('scipy', 'numpy.random', 'numpy.ma')",
+                "    mods = ('scipy', 'numpy.random', 'numpy.ma', 'argparse', 'locale')",
                 "    print('loaded:', sorted(m for m in mods if m in sys.modules))",
                 "loaded()",
                 "for kind in ('processor', 'erase-demo'):",
                 "    scenario = {'processor': 'p.json', 'erase-demo': 'e.json'}[kind]",
                 "    assert cvhistory.cli.main([kind, scenario, '--out-dir', kind]) == 0",
                 "    loaded()",
+                "assert cvhistory.cli.main(['--help']) == 0",
+                "loaded()",
                 "try:",
                 "    require_unit_support(HybridState(1, 0, [0, 0, 1], [1, 3, 1], [1, 1, 1]), 'erase')",
                 "except ContractError as exc:",
@@ -257,7 +346,7 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert [ln for ln in lines if ln.startswith("loaded:")] == ["loaded: []"] * 4
+        assert [ln for ln in lines if ln.startswith("loaded:")] == ["loaded: []"] * 5
         assert "erase requires CV support inside [0,1); nonzero cells at [1,2), [3,4)" in lines
         assert (tmp_path / "processor" / "metrics.jsonl").exists()
         assert (tmp_path / "erase-demo" / "trace.json").exists()

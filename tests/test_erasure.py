@@ -10,6 +10,7 @@ from cvhistory.dyadic import norm2 as wave_norm2
 from cvhistory.dyadic import squeeze as wave_squeeze
 from cvhistory.errors import ContractError, DomainError, ResourceLimitError, ValidationError
 from cvhistory.erasure import (
+    FACTOR_TOL,
     FlipVariant,
     GridHybrid,
     HybridState,
@@ -622,8 +623,7 @@ class TestCvFactor:
 
     def test_entangled_builds_no_register(self):
         # two entangled entries on 20 qubits: the 2^20-amplitude register
-        # (16 MiB) is built only for a product state; the peak left is the
-        # 8 MiB of per-row weights
+        # (16 MiB) is built only for a product state
         h = HybridState(20, 1, [0, (1 << 20) - 1], [0, 1], [1.0, 1.0])
         tracemalloc.start()
         try:
@@ -632,6 +632,63 @@ class TestCvFactor:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_row_weights_hold_only_occupied_rows(self):
+        # two entangled entries on 22 qubits: one weight per occupied row,
+        # where a weight per basis row would take 32 MiB
+        h = HybridState(22, 1, [0, (1 << 22) - 1], [0, 1], [1.0, 1.0])
+        tracemalloc.start()
+        try:
+            assert cv_factor(h) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @staticmethod
+    def bincount_rows(h):
+        """Reference: the rows above the threshold, weighed in one
+        bincount over all 2^n_qubits rows."""
+        weight = np.bincount(h.rows, weights=h.amps.real**2 + h.amps.imag**2)
+        return np.flatnonzero(weight > FACTOR_TOL * np.sum(weight))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_row_weights_match_bincount(self, seed):
+        # a few occupied rows out of up to 2^12, some of them scaled to a
+        # weight of 0.1-0.5 (below) or 2-10 (above) times the threshold, so
+        # that the rows kept decide between the one-row and the block path:
+        # seed % 4 == 0 scales every row but one below, 1 every row but one
+        # either way, 2 and 3 some rows either way
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        occupied = np.sort(rng.choice(1 << n, size=min(1 << n, int(rng.integers(2, 7))), replace=False))
+        cells = np.sort(rng.choice(8, size=int(rng.integers(1, 5)), replace=False)) - 3
+        reg = rng.normal(size=occupied.size) + 1j * rng.normal(size=occupied.size)
+        if seed // 4 % 2:  # product: every row a multiple of one wave
+            vals = np.outer(reg, rng.normal(size=cells.size) + 1j * rng.normal(size=cells.size))
+        else:
+            vals = rng.normal(size=(occupied.size, cells.size)) + 1j * rng.normal(size=(occupied.size, cells.size))
+        small = rng.random(occupied.size) < (1.0 if seed % 4 < 2 else 0.5)
+        small[int(rng.integers(occupied.size))] = False
+        big = np.sum(np.abs(vals[~small]) ** 2)
+        below = rng.random(occupied.size) < (1.0 if seed % 4 == 0 else 0.5)
+        factor = np.where(below, rng.uniform(0.1, 0.5, occupied.size), rng.uniform(2, 10, occupied.size))
+        scale = np.sqrt(factor * FACTOR_TOL * big / np.sum(np.abs(vals) ** 2, axis=1))
+        vals[small] *= scale[small, None]
+        h = HybridState(n, 2, np.repeat(occupied, cells.size), np.tile(cells, occupied.size), vals.ravel())
+        kept = self.bincount_rows(h)
+        got = cv_factor(h)
+        if kept.size == 1:
+            q = int(kept[0])
+            lo, hi = h.rows.searchsorted((q, q + 1))
+            assert np.array_equal(got[0].amps, basis_state(n, q).amps)
+            assert np.array_equal(got[1], h.cells[lo:hi]) and np.array_equal(got[2], h.amps[lo:hi])
+        else:
+            want = ref_cv_factor(h)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[0].amps, want[0])
+                assert np.array_equal(hull_wave(h, got[1], got[2]), want[1])
 
     def test_block_refused_before_allocating(self):
         # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
@@ -1158,6 +1215,26 @@ class TestArgumentRules:
     def test_count_must_be_an_integer(self, build):
         with pytest.raises(DomainError, match="must be a nonnegative integer"):
             build()
+
+    @pytest.mark.parametrize("offset", [1.5, True, np.float64(1.0)], ids=["1.5", "True", "float64"])
+    def test_from_table_offset_must_be_an_integer(self, offset):
+        with pytest.raises(DomainError, match="offset must be an integer"):
+            HybridState.from_table(1, 0, offset, [[1.0], [0.0]])
+
+    def test_from_table_numpy_offset_accepted(self):
+        h = HybridState.from_table(1, 0, np.int64(1), [[1.0], [0.0]])
+        assert h == HybridState(1, 0, [0], [1], [1.0])
+
+    @pytest.mark.parametrize("offset", [(1 << 63) - 1, 1 << 70, -(1 << 63) - 1])
+    def test_from_table_cells_stay_int64(self, offset):
+        with pytest.raises(DomainError, match="leaves the int64 cells"):
+            HybridState.from_table(1, 0, offset, [[1.0, 1.0], [0.0, 0.0]])
+
+    def test_from_table_last_int64_cells_accepted(self):
+        h = HybridState.from_table(1, 0, (1 << 63) - 2, [[1.0, 1.0], [0.0, 0.0]])
+        assert h.cells.tolist() == [(1 << 63) - 2, (1 << 63) - 1]
+        h = HybridState.from_table(1, 0, -(1 << 63), [[1.0], [0.0]])
+        assert h.cells.tolist() == [-(1 << 63)]
 
     def test_numpy_counts_accepted(self):
         h = HybridState(np.int64(1), np.int64(2), [0], [0], [1.0])
