@@ -57,7 +57,6 @@ from .grid import GridWave, check_window
 from .processor import (
     Program,
     StepMetrics,
-    _check_joint_table,
     init_from_program,
     load_program,
     parse_program,
@@ -373,8 +372,6 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
 
 def cmd_processor(cfg: ScenarioConfig) -> int:
     program = cfg.program
-    # resource's level rule, so the two commands refuse alike and up front
-    resource_report(program.steps, program.cv_level)
     ps = init_from_program(program, data_basis=cfg.data_basis)
     ps, trace = run_program(ps, program.steps)
     h = ps.hybrid
@@ -393,7 +390,7 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
         density = np.bincount(slot, weights=h.amps.real**2 + h.amps.imag**2)
         write_wave_csv(path, cells, 0.0, h.width, 0.0, 0.0, density)
     else:
-        write_cells_csv(path, factored[1], 0.0, h.width, factored[2])
+        write_cells_csv(path, factored[2], 0.0, h.width, factored[3])
     summary = {
         "steps": len(trace),
         "cv_level": h.level,
@@ -417,7 +414,6 @@ def cmd_processor(cfg: ScenarioConfig) -> int:
 def cmd_resource(cfg: ScenarioConfig) -> int:
     program = cfg.program
     rep = resource_report(program.steps, program.cv_level)
-    _check_joint_table(program.data, program.ancilla, program.cv_level)
     os.makedirs(cfg.out_dir, exist_ok=True)
     obj = {
         "plain_reversible_ancillas": rep.plain_reversible_ancillas,

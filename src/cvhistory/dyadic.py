@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, ValidationError, check_count, check_finite, check_integer
 
 # The last level at which every cell edge k * 2^-level is exact in a float.
-MAX_LEVEL_DEFAULT = 53
+MAX_LEVEL = 53
 
 # Every complex128 array the size rules cover holds at most this many bytes:
 # one 2^24-cell wave, the densest output erase-demo writes.  A program's
@@ -38,12 +38,12 @@ def check_bytes(what: str, row_bits: int, cols: int, itemsize: int = 16) -> None
 
 def check_level(cv_level: int, erasures: int, what: str) -> int:
     """Refuse a run that starts at cv_level and gains one level per erasure
-    (``what`` names them) past MAX_LEVEL_DEFAULT; return its final level."""
+    (``what`` names them) past MAX_LEVEL; return its final level."""
     final = cv_level + erasures
-    if final > MAX_LEVEL_DEFAULT:
+    if final > MAX_LEVEL:
         raise ResourceLimitError(
             f"cv_level: {cv_level} plus {erasures} {what} reaches level {final}, "
-            f"above max level {MAX_LEVEL_DEFAULT}"
+            f"above max level {MAX_LEVEL}"
         )
     return final
 
@@ -186,9 +186,9 @@ def squeeze(w: DyadicWave) -> DyadicWave:
 
 
 def squeeze_step(level: int, values: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The squeeze of values at a level: level + 1, at most MAX_LEVEL_DEFAULT; values * sqrt(2)."""
-    if level + 1 > MAX_LEVEL_DEFAULT:
-        raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL_DEFAULT}")
+    """The squeeze of values at a level: level + 1, at most MAX_LEVEL; values * sqrt(2)."""
+    if level + 1 > MAX_LEVEL:
+        raise ResourceLimitError(f"squeeze would exceed max level {MAX_LEVEL}")
     # scaling cannot zero a value, so the trimmed ends stay trimmed; the
     # caller refuses a value that overflowed, so the overflow is not also
     # warned of

@@ -41,7 +41,6 @@ from .qubits import (
     DensityMatrix,
     RegisterState,
     _apply_single_qubit_kernel,
-    basis_state,
     check_gate,
     trace_out,
 )
@@ -88,8 +87,7 @@ class HybridState:
     def __post_init__(self):
         check_count("n_qubits", self.n_qubits)
         level = check_count("level", self.level)
-        rows = np.array(self.rows, dtype=np.int64)
-        cells = np.array(self.cells, dtype=np.int64)
+        rows, cells = _int64_vector("rows", self.rows), _int64_vector("cells", self.cells)
         amps = np.array(self.amps, dtype=np.complex128)
         if rows.ndim != 1 or rows.shape != cells.shape or rows.shape != amps.shape:
             raise ValidationError(
@@ -184,6 +182,15 @@ class HybridState:
             coeffs = np.zeros(span, dtype=np.complex128)
             coeffs[self.cells[lo:hi] - first] = self.amps[lo:hi]
         return DyadicWave(self.level, first, coeffs)
+
+
+def _int64_vector(name: str, values) -> np.ndarray:
+    """A fresh int64 array of values, the indices ``name``; refuses an
+    integer past the int64 range rather than let numpy overflow."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"{name}: an index leaves the int64 range") from None
 
 
 def _hull(cells: np.ndarray) -> Tuple[int, int]:
@@ -392,10 +399,11 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     return DensityMatrix._adopt(rho.dim, rho.support, rho.block * h.width)
 
 
-def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.ndarray]]:
-    """Split a product state into (register, cells, values), the wave
-    being values[i] on cell cells[i] at h.level; None if entangled.  The
-    cells are the occupied ones, increasing, whatever the hull's width.
+def cv_factor(h: HybridState) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Split a product state into (rows, register, cells, values): the
+    register is register[i] on basis state rows[i], the wave values[i] on
+    cell cells[i] at h.level, both on the occupied rows and cells only,
+    increasing, so nothing 2^n_qubits or hull wide is built; None if entangled.
 
     The register phase is fixed by making its first nonzero component
     real positive.  The wave carries the overall norm.
@@ -407,14 +415,14 @@ def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.nd
         nz_rows = h.rows[:1]
     else:
         # one weight per occupied row, summed between the breaks of the
-        # sorted rows, so no array of 2^n_qubits rows is built
+        # sorted rows
         starts = np.flatnonzero(np.diff(h.rows, prepend=-1))
         row_weight = np.add.reduceat(a.real**2 + a.imag**2, starts)
         nz_rows = h.rows[starts[row_weight > FACTOR_TOL * np.sum(row_weight)]]
     if nz_rows.size == 1:
         q = int(nz_rows[0])
         lo, hi = h.rows.searchsorted((q, q + 1))
-        return basis_state(h.n_qubits, q), h.cells[lo:hi], a[lo:hi]
+        return nz_rows, np.ones(1, dtype=np.complex128), h.cells[lo:hi], a[lo:hi]
     # Only the block of occupied rows x occupied cells has a singular value.
     rows, row_slot = np.unique(h.rows, return_inverse=True)
     cols, col_slot = np.unique(h.cells, return_inverse=True)
@@ -425,11 +433,10 @@ def cv_factor(h: HybridState) -> Optional[Tuple[RegisterState, np.ndarray, np.nd
     u, s, vh = np.linalg.svd(block, full_matrices=False)
     if s.size > 1 and s[1] > FACTOR_TOL * s[0]:
         return None
-    reg = np.zeros(1 << h.n_qubits, dtype=np.complex128)
-    reg[rows] = u[:, 0]
+    reg = u[:, 0]
     lead = reg[np.flatnonzero(np.abs(reg) > 1e-12)[0]]
     phase = lead / abs(lead)
-    return RegisterState(h.n_qubits, reg / phase), cols, s[0] * vh[0] * phase
+    return rows, reg / phase, cols, s[0] * vh[0] * phase
 
 
 def apply_qubit_gate(h: HybridState, q: int, u: np.ndarray) -> HybridState:

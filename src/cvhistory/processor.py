@@ -98,10 +98,16 @@ class ProgramStep:
 
 @dataclass(frozen=True)
 class Program:
+    """A program that passes both start rules, which run when it is built."""
+
     data: int
     ancilla: int
     cv_level: int
     steps: Tuple[ProgramStep, ...]
+
+    def __post_init__(self):
+        resource_report(self.steps, self.cv_level)
+        _check_joint_table(self.data, self.ancilla, self.cv_level)
 
 
 @dataclass(frozen=True)
@@ -153,18 +159,17 @@ def _check_joint_table(n_data: int, n_anc: int, cv_level: int) -> None:
 
 def init(n_data: int, n_anc: int, data_state: RegisterState, cv_level: int = 0) -> ProcessorState:
     """Data register joined with zeroed ancillas and the unit-interval CV."""
+    n_data, n_anc = check_count("n_data", n_data), check_count("n_anc", n_anc)
     if data_state.n_qubits != n_data:
         raise ValidationError(
             f"data state has {data_state.n_qubits} qubits, expected {n_data}"
         )
-    if n_anc < 0:
-        raise ValidationError(f"ancilla count must be nonnegative, got {n_anc}")
     check_count("cv_level", cv_level)
     _check_joint_table(n_data, n_anc, cv_level)
     h = lift(data_state, indicator_unit(cv_level))
     # the zeroed ancillas are the high bits: widening keeps every row
     return ProcessorState(
-        hybrid=HybridState(n_data + n_anc, h.level, h.rows, h.cells, h.amps),
+        hybrid=HybridState._adopt(n_data + n_anc, h.level, h.rows, h.cells, h.amps, (h.offset, h.n_cells)),
         data_count=n_data,
         anc_count=n_anc,
         step_index=0,
@@ -281,9 +286,9 @@ def run_program(
 def resource_report(steps: Sequence[ProgramStep], cv_level: int = 0) -> ResourceReport:
     """Static accounting: a plain reversible design needs a fresh zeroed
     register per cleaned ancilla, forever; the CV scheme reuses a constant
-    pool and pays one CV level per erasure instead.  A program whose final
-    level would pass the last exact level is refused; both commands run
-    this first and ``_check_joint_table`` next."""
+    pool and pays one CV level per erasure instead.  Steps whose cleans
+    would take cv_level past the last exact level are refused: this is
+    the level rule, the first start rule a Program runs when built."""
     total_cleans = sum(len(s.clean) for s in steps)
     pool = max((len(s.clean) for s in steps), default=0)
     final_level = check_level(cv_level, total_cleans, "cleans")
@@ -418,8 +423,7 @@ def load_program(path: str) -> Program:
 
 
 def init_from_program(program: Program, data_basis: int = 0) -> ProcessorState:
-    # the data register itself is allocated before init could check it
-    _check_joint_table(program.data, program.ancilla, program.cv_level)
+    # the program's start rules bound the 2^data register built here
     return init(
         program.data, program.ancilla, basis_state(program.data, data_basis), program.cv_level
     )

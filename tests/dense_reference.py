@@ -49,6 +49,13 @@ def hull_wave(h: HybridState, cells: np.ndarray, values: np.ndarray) -> np.ndarr
     return out
 
 
+def full_register(h: HybridState, rows: np.ndarray, register: np.ndarray) -> np.ndarray:
+    """A register given on some rows of h, spread over all 2^n rows."""
+    out = np.zeros(1 << h.n_qubits, dtype=np.complex128)
+    out[rows] = register
+    return out
+
+
 def ref_lift(reg: RegisterState, w: DyadicWave) -> HybridState:
     """The whole 2^n x n_cells outer product, zeros dropped by the
     constructor."""

@@ -50,6 +50,10 @@ def x_clean_program(n_cleans):
     return {"data": 1, "ancilla": 1, "steps": [step] * n_cleans}
 
 
+# X on qubit 21, the top ancilla of a 22-qubit program, then its clean
+TOP_CLEAN = {"op": {"gate": "X", "targets": [21]}, "clean": [21]}
+
+
 def one_step_program(op, clean=()):
     """Two data qubits and one ancilla (qubit 2), running op once."""
     return {"data": 2, "ancilla": 1, "steps": [{"op": op, "clean": list(clean)}]}
@@ -956,6 +960,15 @@ class TestProcessorCommand:
         assert main([kind, write_scenario(tmp_path, "s.json", scenario)]) == 3
         assert not (tmp_path / "o").exists()
 
+    def test_start_rules_run_before_data_basis(self, tmp_path, capsys):
+        # the program's start rules run while it is parsed, so a bad
+        # data_basis, read after it, is not reached
+        prog = {"data": 13, "ancilla": 0, "steps": []}
+        scenario = {"program": prog, "data_basis": -1, "out_dir": str(tmp_path / "o")}
+        assert main(["processor", write_scenario(tmp_path, "s.json", scenario)]) == 3
+        assert capsys.readouterr().err.startswith("error: data: a 2^13 x 2^13 density matrix")
+        assert not (tmp_path / "o").exists()
+
 
 class TestHistoryDepth:
     """Deep histories: the cost follows the stored entries, not the hull."""
@@ -1070,6 +1083,39 @@ class TestResourceCommand:
                 None,
                 id="cv-level-25-3",
             ),
+            # each start rule at the budget's edge: a 2^12 x 2^12 data
+            # density and a start table of 2^24 cells fit, one bit more
+            # does not
+            pytest.param({"data": 12, "ancilla": 0, "steps": []}, 0, None, None, id="data-12-0"),
+            pytest.param({"data": 13, "ancilla": 0, "steps": []}, 3, "data", None, id="data-13-3"),
+            pytest.param(
+                {"data": 2, "ancilla": 20, "cv_level": 2, "steps": [TOP_CLEAN]},
+                0,
+                None,
+                None,
+                id="joint-24-0",
+            ),
+            pytest.param(
+                {"data": 2, "ancilla": 20, "cv_level": 3, "steps": [TOP_CLEAN]},
+                3,
+                "data + ancilla + cv_level",
+                "a joint table of 2^22 rows by 2^3 cells exceeds the 268435456-byte budget",
+                id="joint-25-3",
+            ),
+            pytest.param(
+                {"data": 1, "ancilla": 23, "steps": x_clean_program(1)["steps"]},
+                0,
+                None,
+                None,
+                id="joint-24-ancilla-0",
+            ),
+            pytest.param(
+                {"data": 1, "ancilla": 24, "steps": x_clean_program(1)["steps"]},
+                3,
+                "data + ancilla + cv_level",
+                None,
+                id="joint-25-ancilla-3",
+            ),
             # a gate of the wrong shape is refused at parse time, before
             # step 0 runs
             pytest.param(
@@ -1091,6 +1137,8 @@ class TestResourceCommand:
         s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
         assert main(["processor", s]) == code
         assert main(["resource", s]) == code
+        # a refused program is refused while the scenario is read
+        assert (tmp_path / "o").exists() == (code == 0)
         if code:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and err[0] == err[1]

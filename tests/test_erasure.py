@@ -38,6 +38,7 @@ from cvhistory import dyadic, qubits, validation
 from cvhistory.grid import GridWave, sample_function, translate_shift
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 from dense_reference import (
+    full_register,
     hull_wave,
     ref_apply_basis_permutation,
     ref_apply_qubit_gate,
@@ -590,18 +591,19 @@ class TestCvFactor:
         h = lift(reg, w)
         res = cv_factor(h)
         assert res is not None
-        got_reg, cells, values = res
-        rebuilt = np.outer(got_reg.amps, hull_wave(h, cells, values))
+        rows, got_reg, cells, values = res
+        assert np.array_equal(rows, np.unique(h.rows))
+        rebuilt = np.outer(full_register(h, rows, got_reg), hull_wave(h, cells, values))
         assert np.allclose(rebuilt, table(h), atol=1e-12)
-        lead = got_reg.amps[np.flatnonzero(np.abs(got_reg.amps) > 1e-12)[0]]
+        lead = got_reg[np.flatnonzero(np.abs(got_reg) > 1e-12)[0]]
         assert abs(lead.imag) <= 1e-12 and lead.real > 0
 
     def test_single_row_exact(self):
         h = HybridState.from_table(2, 1, 0, [[0, 0], [0, 0], [0.5, -0.5j], [0, 0]])
         res = cv_factor(h)
         assert res is not None
-        got_reg, cells, values = res
-        assert np.array_equal(got_reg.amps, [0, 0, 1, 0])
+        rows, got_reg, cells, values = res
+        assert np.array_equal(rows, [2]) and np.array_equal(got_reg, [1])
         assert np.array_equal(cells, [0, 1]) and np.array_equal(values, [0.5, -0.5j])
 
     def test_wave_on_occupied_cells_only(self):
@@ -609,11 +611,11 @@ class TestCvFactor:
         h = HybridState(1, 41, [1, 1], [3, 3 + (1 << 40)], [0.5, -0.5j])
         tracemalloc.start()
         try:
-            got_reg, cells, values = cv_factor(h)
+            rows, got_reg, cells, values = cv_factor(h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got_reg.amps, [0, 1])
+        assert np.array_equal(rows, [1]) and np.array_equal(got_reg, [1])
         assert np.array_equal(cells, [3, 3 + (1 << 40)]) and np.array_equal(values, [0.5, -0.5j])
         assert peak < 1 << 20
 
@@ -622,8 +624,8 @@ class TestCvFactor:
         assert cv_factor(h) is None
 
     def test_entangled_builds_no_register(self):
-        # two entangled entries on 20 qubits: the 2^20-amplitude register
-        # (16 MiB) is built only for a product state
+        # two entangled entries on 20 qubits: no 2^20-amplitude register
+        # (16 MiB) is built
         h = HybridState(20, 1, [0, (1 << 20) - 1], [0, 1], [1.0, 1.0])
         tracemalloc.start()
         try:
@@ -632,6 +634,22 @@ class TestCvFactor:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    @pytest.mark.parametrize("rows", [[5], [0, (1 << 24) - 1]], ids=["one-row", "two-rows"])
+    def test_product_builds_no_register(self, rows):
+        # a product on 24 qubits: the register comes back on its occupied
+        # rows, where a 2^24-amplitude vector would take 256 MiB
+        n = len(rows)
+        h = HybridState(24, 1, np.repeat(rows, 2), np.tile([0, 1], n), np.full(2 * n, n**-0.5))
+        tracemalloc.start()
+        try:
+            got_rows, reg, cells, values = cv_factor(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(got_rows, rows) and np.allclose(reg, np.full(n, n**-0.5), atol=1e-15)
+        assert np.array_equal(cells, [0, 1]) and np.allclose(values, [1, 1], atol=1e-15)
 
     def test_row_weights_hold_only_occupied_rows(self):
         # two entangled entries on 22 qubits: one weight per occupied row,
@@ -681,14 +699,14 @@ class TestCvFactor:
         if kept.size == 1:
             q = int(kept[0])
             lo, hi = h.rows.searchsorted((q, q + 1))
-            assert np.array_equal(got[0].amps, basis_state(n, q).amps)
-            assert np.array_equal(got[1], h.cells[lo:hi]) and np.array_equal(got[2], h.amps[lo:hi])
+            assert np.array_equal(got[0], [q]) and np.array_equal(got[1], [1])
+            assert np.array_equal(got[2], h.cells[lo:hi]) and np.array_equal(got[3], h.amps[lo:hi])
         else:
             want = ref_cv_factor(h)
             assert (got is None) == (want is None)
             if got is not None:
-                assert np.array_equal(got[0].amps, want[0])
-                assert np.array_equal(hull_wave(h, got[1], got[2]), want[1])
+                assert np.array_equal(full_register(h, got[0], got[1]), want[0])
+                assert np.array_equal(hull_wave(h, got[2], got[3]), want[1])
 
     def test_block_refused_before_allocating(self):
         # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
@@ -741,16 +759,18 @@ class TestCvFactor:
         got = cv_factor(h)
         assert (got is None) == (ref is None) == (rank == 2 or tiny_row == 1e-7)
         if got is not None:
-            reg, cells, values = got
-            # the block's wave is given on every occupied cell
+            rows, reg, cells, values = got
+            # the block's register and wave are given on every occupied
+            # row and cell
+            assert np.array_equal(rows, np.unique(h.rows))
             assert np.array_equal(cells, np.unique(h.cells))
-            full_wave = hull_wave(h, cells, values)
-            assert np.max(np.abs(np.outer(reg.amps, full_wave) - table(h))) <= 1e-12
+            reg, full_wave = full_register(h, rows, reg), hull_wave(h, cells, values)
+            assert np.max(np.abs(np.outer(reg, full_wave) - table(h))) <= 1e-12
             # exact-zero rows and columns of the table factor to exact zeros
-            assert np.all(reg.amps[~table(h).any(axis=1)] == 0)
+            assert np.all(reg[~table(h).any(axis=1)] == 0)
             assert np.all(full_wave[~table(h).any(axis=0)] == 0)
             ref_reg, ref_wave = ref
-            assert np.max(np.abs(reg.amps - ref_reg)) <= 1e-12
+            assert np.max(np.abs(reg - ref_reg)) <= 1e-12
             assert np.max(np.abs(full_wave - ref_wave)) <= 1e-12
 
 
@@ -1143,8 +1163,8 @@ class TestDenseReference:
                 got, want = cv_factor(k), ref_cv_factor(k)
                 assert (got is None) == (want is None)
                 if got is not None:
-                    assert np.array_equal(got[0].amps, want[0])
-                    assert np.array_equal(hull_wave(k, got[1], got[2]), want[1])
+                    assert np.array_equal(full_register(k, got[0], got[1]), want[0])
+                    assert np.array_equal(hull_wave(k, got[2], got[3]), want[1])
 
 
 def _two_qubit_state() -> HybridState:
@@ -1235,6 +1255,13 @@ class TestArgumentRules:
         assert h.cells.tolist() == [(1 << 63) - 2, (1 << 63) - 1]
         h = HybridState.from_table(1, 0, -(1 << 63), [[1.0], [0.0]])
         assert h.cells.tolist() == [-(1 << 63)]
+
+    @pytest.mark.parametrize("field", ["rows", "cells"])
+    @pytest.mark.parametrize("index", [1 << 70, 1 << 63, -(1 << 63) - 1], ids=["2^70", "2^63", "-2^63-1"])
+    def test_constructor_indices_stay_int64(self, field, index):
+        entry = {"rows": [0], "cells": [0], "amps": [1.0], field: [index]}
+        with pytest.raises(DomainError, match=f"^{field}: an index leaves the int64 range"):
+            HybridState(1, 0, **entry)
 
     def test_numpy_counts_accepted(self):
         h = HybridState(np.int64(1), np.int64(2), [0], [0], [1.0])

@@ -2,6 +2,7 @@
 per-step cleanup metrics, and the resource accounting rules."""
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,8 +103,19 @@ class TestInit:
             init(2, 1, basis_state(1, 0))
 
     def test_negative_ancilla_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DomainError, match="n_anc must be a nonnegative integer"):
             init(1, -1, basis_state(1, 0))
+
+    @pytest.mark.parametrize(
+        "n_data, n_anc, field",
+        [(1, True, "n_anc"), (1, 1.5, "n_anc"), (True, 1, "n_data"), (1.0, 1, "n_data")],
+        ids=["bool-ancilla", "float-ancilla", "bool-data", "float-data"],
+    )
+    def test_counts_must_be_integers(self, n_data, n_anc, field):
+        # a bool count would build a True-wide state, a float one would
+        # end in a TypeError inside the byte rule
+        with pytest.raises(DomainError, match=f"{field} must be a nonnegative integer"):
+            init(n_data, n_anc, basis_state(1, 0))
 
 
 class TestGateOps:
@@ -819,6 +831,24 @@ class TestParseProgram:
         p.write_text("{nope")
         with pytest.raises(ValidationError, match="JSON"):
             load_program(str(p))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"data": 13}, "data: a 2^13 x 2^13 density matrix"),
+            ({"ancilla": 24}, "data + ancilla + cv_level: a joint table of 2^25 rows"),
+            ({"cv_level": 25}, "cv_level: the level-25 indicator"),
+            ({"cv_level": 54}, "cv_level: 54 plus 0 cleans reaches level 54"),
+        ],
+        ids=["data-density", "joint-table", "indicator", "max-level"],
+    )
+    def test_start_rules_run_when_built(self, change, message):
+        # parsed or replaced, a Program past a start rule is never built
+        fits = {"data": 1, "ancilla": 0, "steps": [{"op": {"gate": "X", "targets": [0]}}]}
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}"):
+            parse_program(dict(fits, **change))
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}"):
+            dataclasses.replace(parse_program(fits), **change)
 
     def test_init_from_program(self):
         prog = parse_program(self.good())
