@@ -54,7 +54,7 @@ class DyadicWave:
 
     The constructor copies, checks and trims its coefficients.  The
     operations below that only shift or scale a canonical wave keep it
-    canonical, so they wrap their fresh coefficients with ``_adopt``."""
+    canonical, so they wrap their coefficients with ``_adopt``."""
 
     level: int
     offset: int
@@ -86,9 +86,9 @@ class DyadicWave:
 
     @classmethod
     def _adopt(cls, level: int, offset: int, coeffs: np.ndarray) -> "DyadicWave":
-        """Wrap fresh complex128 coefficients that no one else holds, already
-        canonical (first and last nonzero, or the one zero cell at offset
-        0), without copying or checking them; they become read-only."""
+        """Wrap complex128 coefficients, fresh or shared with a frozen wave,
+        already canonical (first and last nonzero, or the one zero cell at
+        offset 0), without copying or checking them; they become read-only."""
         coeffs.setflags(write=False)
         w = object.__new__(cls)
         vars(w).update(level=level, offset=offset, coeffs=coeffs)
@@ -162,7 +162,7 @@ def translate_int(w: DyadicWave, t: int) -> DyadicWave:
     """Shift by an integer number of x-units: psi(x) -> psi(x - t).  Exact."""
     t = check_integer("translation amount", t)
     offset = 0 if w.is_zero() else w.offset + (t << w.level)
-    return DyadicWave._adopt(w.level, offset, w.coeffs.copy())
+    return DyadicWave._adopt(w.level, offset, w.coeffs)
 
 
 def project(w: DyadicWave, a: int, b: int) -> DyadicWave:

@@ -35,7 +35,7 @@ import numpy as np
 from . import dyadic
 from .dyadic import SQRT2, DyadicWave, check_bytes, indicator_unit
 from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
-from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit
+from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit, is_integer
 from .grid import SUPPORT_EPS, GridWave, check_window, translate_spectral
 from .qubits import (
     DensityMatrix,
@@ -72,8 +72,8 @@ class HybridState:
 
     The constructor copies, checks and canonicalizes its arrays.  The gate
     operations below only relocate or scale canonical entries, so they
-    wrap their fresh arrays with ``_adopt`` and run only the checks their
-    own arithmetic can break.
+    wrap their outputs with ``_adopt``, run only the checks their own
+    arithmetic can break, and share every array they leave unchanged.
     """
 
     n_qubits: int
@@ -116,9 +116,9 @@ class HybridState:
         cls, n_qubits: int, level: int, rows: np.ndarray, cells: np.ndarray, amps: np.ndarray,
         hull: Tuple[int, int],
     ) -> "HybridState":
-        """Wrap fresh canonical int64 rows and cells and complex128 amps that
-        no one else holds, whose hull is (offset, n_cells), without copying
-        or checking them; the arrays become read-only."""
+        """Wrap canonical int64 rows and cells and complex128 amps, whose
+        hull is (offset, n_cells), without copying or checking them.  Each
+        array is fresh or shared with a frozen input; it becomes read-only."""
         for arr in (rows, cells, amps):
             arr.setflags(write=False)
         h = object.__new__(cls)
@@ -185,8 +185,14 @@ class HybridState:
 
 
 def _int64_vector(name: str, values) -> np.ndarray:
-    """A fresh int64 array of values, the indices ``name``; refuses an
-    integer past the int64 range rather than let numpy overflow."""
+    """A fresh int64 array of values, the indices ``name``; refuses a
+    float or a bool rather than let numpy truncate it, and an integer past
+    the int64 range rather than let numpy overflow."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+        values = np.array(values, dtype=object)
+        for v in values.flat:
+            if not is_integer(v):
+                raise DomainError(f"{name}: an index must be an integer, got {v!r}")
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -202,10 +208,9 @@ def _hull(cells: np.ndarray) -> Tuple[int, int]:
 
 
 def _sorted_entries(rows: np.ndarray, cells: np.ndarray, amps: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Fresh arrays of the entries in (row, cell) order; the rows are fresh
-    already, and sorted only when out of order."""
+    """The entries in (row, cell) order: the arrays themselves when in order."""
     if _in_order(rows, cells):
-        return rows, cells.copy(), amps.copy()
+        return rows, cells, amps
     order = np.lexsort((cells, rows))
     return rows[order], cells[order], amps[order]
 
@@ -225,9 +230,9 @@ def lift(reg: RegisterState, w: DyadicWave) -> HybridState:
         raise ContractError(f"wave input not normalized (norm2 = {dyadic.norm2(w)!r})")
     # a zero row stores nothing, so only the nonzero rows enter the product
     nz = np.flatnonzero(reg.amps)
-    k, col = np.divmod(np.arange(nz.size * w.n_cells), w.n_cells)
+    cells = np.tile(np.arange(w.n_cells) + w.offset, nz.size)
     amps = np.outer(reg.amps[nz], w.coeffs).ravel()
-    return HybridState(reg.n_qubits, w.level, nz[k], col + w.offset, amps)
+    return HybridState(reg.n_qubits, w.level, np.repeat(nz, w.n_cells), cells, amps)
 
 
 def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
@@ -248,7 +253,7 @@ def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
         raise DomainError(f"translating by {t} at level {h.level} leaves the int64 cells")
     cells = np.where(_bit_set(h.rows, q), h.cells + tc, h.cells)
     # every cell of a row moves by the same amount: the order is kept
-    return HybridState._adopt(h.n_qubits, h.level, h.rows.copy(), cells, h.amps.copy(), _hull(cells))
+    return HybridState._adopt(h.n_qubits, h.level, h.rows, cells, h.amps, _hull(cells))
 
 
 def _flip_mask(x: np.ndarray, unit, variant: FlipVariant) -> np.ndarray:
@@ -276,7 +281,7 @@ def squeeze_all(h: HybridState) -> HybridState:
     """Apply the dilation on every row: level + 1, amplitudes * sqrt(2)."""
     level, amps = dyadic.squeeze_step(h.level, h.amps)
     check_finite("amplitudes", amps)
-    return HybridState._adopt(h.n_qubits, level, h.rows.copy(), h.cells.copy(), amps, (h.offset, h.n_cells))
+    return HybridState._adopt(h.n_qubits, level, h.rows, h.cells, amps, (h.offset, h.n_cells))
 
 
 def unfold(

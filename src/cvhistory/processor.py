@@ -98,7 +98,8 @@ class ProgramStep:
 
 @dataclass(frozen=True)
 class Program:
-    """A program that passes both start rules, which run when it is built."""
+    """A program that passes both start rules, which run when it is built
+    on its counts, each read as a nonnegative integer."""
 
     data: int
     ancilla: int
@@ -106,6 +107,8 @@ class Program:
     steps: Tuple[ProgramStep, ...]
 
     def __post_init__(self):
+        for name in ("data", "ancilla", "cv_level"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         resource_report(self.steps, self.cv_level)
         _check_joint_table(self.data, self.ancilla, self.cv_level)
 

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -922,18 +921,14 @@ class TestProcessorCommand:
 
     @pytest.mark.parametrize("kind", ["processor", "resource"])
     @pytest.mark.parametrize("n_in", [24, 40])
-    def test_oversized_const_table_exit_2(self, tmp_path, capsys, kind, n_in):
+    def test_oversized_const_table_exit_2(self, tmp_path, capsys, kind, n_in, traced_peak):
         op = {"table": f"CONST({n_in},1,0)", "x_qubits": [0], "y_qubits": [1]}
         prog = {"data": 2, "ancilla": 0, "steps": [{"op": op}]}
         s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert main([kind, s]) == 2
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert "steps[0].op.table" in capsys.readouterr().err
-        assert peak < 8 << 20  # CONST(24,1,0) alone would take 128 MiB
+        assert traced.peak < 8 << 20  # CONST(24,1,0) alone would take 128 MiB
 
     @pytest.mark.parametrize("kind", ["processor", "resource"])
     def test_duplicate_clean_exit_2(self, tmp_path, capsys, kind):
@@ -974,7 +969,7 @@ class TestHistoryDepth:
     """Deep histories: the cost follows the stored entries, not the hull."""
 
     @pytest.mark.parametrize("lifts", [22, 30, 50])
-    def test_entangled_program_matches_closed_form(self, tmp_path, monkeypatch, capsys, lifts):
+    def test_entangled_program_matches_closed_form(self, tmp_path, monkeypatch, capsys, lifts, traced_peak):
         # the benchmark's entangled program, built with `lifts` cleans: 8
         # entries on a hull of about 2^lifts cells
         monkeypatch.syspath_prepend(PERFBENCH)
@@ -983,18 +978,14 @@ class TestHistoryDepth:
         scenario = workloads.entangled_scenario(1234)
         out = tmp_path / "out"
         s = write_scenario(tmp_path, "s.json", dict(scenario, out_dir=str(out)))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert main(["processor", s]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         workloads.check_entangled(scenario, str(out), capsys.readouterr().out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["entries"] == 8 and summary["joint_cells"] > 1 << (lifts - 1)
         rows = (out / "final_wave.csv").read_text().splitlines()[1:]
         assert len(rows) == len(workloads.entangled_density(scenario))
-        assert peak < 4 << 20  # one row over the hull would take 2^(lifts + 4) bytes
+        assert traced.peak < 4 << 20  # one row over the hull would take 2^(lifts + 4) bytes
 
     def test_far_apart_product_writes_two_rows(self, tmp_path):
         # 50 X-cleans record cell 2^50 - 1; the H-clean then puts half the

@@ -1,5 +1,5 @@
 """Hybrid states, conditional gates, the erasure pipeline, and its oracle."""
-import tracemalloc
+import copy
 import warnings
 
 import numpy as np
@@ -168,6 +168,22 @@ class TestLift:
             w = DyadicWave(level, w.offset, w.coeffs / np.sqrt(wave_norm2(w)))
             assert lift(reg, w) == ref_lift(reg, w)
 
+    def test_cells_at_the_int64_edges(self):
+        for offset in ((1 << 63) - 2, -(1 << 63)):
+            h = lift(RegisterState(1, [0.6, 0.8]), DyadicWave(0, offset, [0.6, 0.8]))
+            assert h.rows.tolist() == [0, 0, 1, 1]
+            assert h.cells.tolist() == [offset, offset + 1] * 2
+
+    def test_peak_per_entry(self, traced_peak):
+        # two rows at level 16, 2^17 entries: the product's three arrays
+        # and the constructor's copies of them take 64 B per entry, its
+        # checks a few more
+        reg, w = RegisterState(1, [0.6, 0.8]), indicator_unit(16)
+        with traced_peak() as traced:
+            h = lift(reg, w)
+        assert h.amps.size == 1 << 17
+        assert traced.peak <= 72 * h.amps.size
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ContractError):
             lift(RegisterState(1, [1.0, 1.0]), indicator_unit(0))
@@ -218,22 +234,18 @@ class TestCondTranslate:
         with pytest.raises(DomainError, match="int64"):
             cond_translate(cond_translate(h, 0, 1 << 58), 0, 1 << 58)
 
-    def test_refused_before_allocating(self):
+    def test_refused_before_allocating(self, traced_peak):
         # both rows occupied, so the hull spans the whole shift: 2^44 + 16
         # cells, past the byte budget, yet the translate allocates nothing
         # hull-wide; a gate then puts both far-apart cell runs on each row,
         # and the dense view of that row is refused before it is allocated
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(4))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             out = apply_qubit_gate(cond_translate(h, 0, 1 << 40), 0, qubits.H)
             with pytest.raises(ResourceLimitError, match="row 0"):
                 out.row_wave(0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert out.n_cells == (1 << 44) + 16 and out.amps.size == 64
-        assert peak < 1 << 20  # the dense row would take 256 TiB
+        assert traced.peak < 1 << 20  # the dense row would take 256 TiB
 
     def test_wide_hull_translates(self):
         # 256 rows by a hull of 2^20 + 2^10 cells would be a table above the
@@ -435,6 +447,16 @@ class TestErase:
             out = erase(lift(reg, w), int(rng.integers(0, n)))
             assert abs(out.norm2() - 1.0) <= 1e-12
 
+    def test_peak_per_output_entry(self, traced_peak):
+        # two rows at level 16, 2^17 output entries of 32 B each: each gate
+        # shares the arrays it leaves unchanged, so the erase allocates
+        # little beyond its output
+        h = lift(RegisterState(1, [0.6, 0.8]), indicator_unit(16))
+        with traced_peak() as traced:
+            out = erase(h, 0)
+        assert out.amps.size == 1 << 17
+        assert traced.peak <= 40 * out.amps.size
+
 
 class TestEraseSequence:
     def test_two_step_example(self):
@@ -521,36 +543,28 @@ class TestHybridReducedDensity:
             b = trace_out(reg.amps, 2, keep).entries
             assert np.allclose(a, b, atol=1e-13)
 
-    def test_no_joint_density(self):
+    def test_no_joint_density(self, traced_peak):
         # tracing an 11-qubit table onto 10 qubits holds the 16 MiB partial
         # trace and its width-scaled product, both wrapped without a copy,
         # never the 64 MiB 2^11 x 2^11 joint density
         rng = np.random.default_rng(37)
         amps = rng.normal(size=(1 << 11, 4)) + 1j * rng.normal(size=(1 << 11, 4))
         h = HybridState.from_table(11, 2, 0, amps * (2.0 / np.linalg.norm(amps)))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             rho = hybrid_reduced_density(h, set(range(10)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert rho.dim == 1 << 10
         assert abs(complex(np.trace(rho.entries)) - 1.0) <= 1e-12
         assert not rho.entries.flags.writeable
-        assert peak < 40 << 20
+        assert traced.peak < 40 << 20
 
-    def test_block_refused_before_allocating(self):
+    def test_block_refused_before_allocating(self, traced_peak):
         # 2^20 rows by 512 occupied cells exceed the 2^28-byte budget,
         # although the state stores only 512 entries
         h = HybridState(20, 9, np.arange(512) << 11, np.arange(512), np.ones(512))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(ResourceLimitError, match="reduced density"):
                 hybrid_reduced_density(h, {0})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # the refused block would take 8 GiB
+        assert traced.peak < 1 << 20  # the refused block would take 8 GiB
 
     def test_cnot_erase_decoheres_data(self):
         plus = np.kron([1.0, 0.0], [SQRT1_2, SQRT1_2])  # q0 = |+>, q1 = |0>
@@ -606,62 +620,46 @@ class TestCvFactor:
         assert np.array_equal(rows, [2]) and np.array_equal(got_reg, [1])
         assert np.array_equal(cells, [0, 1]) and np.array_equal(values, [0.5, -0.5j])
 
-    def test_wave_on_occupied_cells_only(self):
+    def test_wave_on_occupied_cells_only(self, traced_peak):
         # one row with two cells 2^40 apart: two values, no hull-wide wave
         h = HybridState(1, 41, [1, 1], [3, 3 + (1 << 40)], [0.5, -0.5j])
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             rows, got_reg, cells, values = cv_factor(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert np.array_equal(rows, [1]) and np.array_equal(got_reg, [1])
         assert np.array_equal(cells, [3, 3 + (1 << 40)]) and np.array_equal(values, [0.5, -0.5j])
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
     def test_entangled_returns_none(self):
         h = HybridState.from_table(1, 1, 0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert cv_factor(h) is None
 
-    def test_entangled_builds_no_register(self):
+    def test_entangled_builds_no_register(self, traced_peak):
         # two entangled entries on 20 qubits: no 2^20-amplitude register
         # (16 MiB) is built
         h = HybridState(20, 1, [0, (1 << 20) - 1], [0, 1], [1.0, 1.0])
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert cv_factor(h) is None
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 << 20
+        assert traced.peak < 16 << 20
 
     @pytest.mark.parametrize("rows", [[5], [0, (1 << 24) - 1]], ids=["one-row", "two-rows"])
-    def test_product_builds_no_register(self, rows):
+    def test_product_builds_no_register(self, rows, traced_peak):
         # a product on 24 qubits: the register comes back on its occupied
         # rows, where a 2^24-amplitude vector would take 256 MiB
         n = len(rows)
         h = HybridState(24, 1, np.repeat(rows, 2), np.tile([0, 1], n), np.full(2 * n, n**-0.5))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             got_rows, reg, cells, values = cv_factor(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
         assert np.array_equal(got_rows, rows) and np.allclose(reg, np.full(n, n**-0.5), atol=1e-15)
         assert np.array_equal(cells, [0, 1]) and np.allclose(values, [1, 1], atol=1e-15)
 
-    def test_row_weights_hold_only_occupied_rows(self):
+    def test_row_weights_hold_only_occupied_rows(self, traced_peak):
         # two entangled entries on 22 qubits: one weight per occupied row,
         # where a weight per basis row would take 32 MiB
         h = HybridState(22, 1, [0, (1 << 22) - 1], [0, 1], [1.0, 1.0])
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             assert cv_factor(h) is None
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
     @staticmethod
     def bincount_rows(h):
@@ -708,19 +706,15 @@ class TestCvFactor:
                 assert np.array_equal(full_register(h, got[0], got[1]), want[0])
                 assert np.array_equal(hull_wave(h, got[2], got[3]), want[1])
 
-    def test_block_refused_before_allocating(self):
+    def test_block_refused_before_allocating(self, traced_peak):
         # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
         # budget, although the state stores only 2^15 entries
         n = 1 << 15
         h = HybridState(15, 14, np.arange(n), np.arange(n) >> 1, np.full(n, 1 / 2**0.5))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(ResourceLimitError, match="cv_factor"):
                 cv_factor(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20  # the refused block would take 8 GiB
+        assert traced.peak < 8 << 20  # the refused block would take 8 GiB
 
     @staticmethod
     def full_table_factor(h, tol=1e-10):
@@ -967,33 +961,54 @@ def random_wave(rng: np.random.Generator) -> DyadicWave:
     return DyadicWave(int(rng.integers(0, 5)), int(rng.integers(-8, 9)), c)
 
 
+def assert_read_only(*arrays) -> None:
+    """Writing into any of the arrays raises."""
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+
+
 class TestAdoptedOutputs:
     """Gate ops, from_table and the exact wave ops wrap their outputs
     without the validating constructor; each output must be canonical,
-    frozen, independent of its input, and what that constructor makes of
-    copies of its arrays."""
+    frozen, and what that constructor makes of copies of its arrays.  An
+    output may share the arrays it leaves unchanged with its input, so both
+    must stay read-only and the input must come out of the call unchanged."""
 
     @staticmethod
-    def assert_adopted(out: HybridState, src) -> None:
+    def assert_adopted(out: HybridState, src, before) -> None:
+        """out is adopted as above; src, which out may share arrays with,
+        still equals ``before``, its deep copy from before the call."""
         copies = (np.array(out.rows), np.array(out.cells), np.array(out.amps))
         again = HybridState(out.n_qubits, out.level, *copies)
         assert again == out  # same entries
         assert (out.offset, out.n_cells) == (again.offset, again.n_cells)
         assert_canonical(out)
-        src_arrays = (src,) if isinstance(src, np.ndarray) else (src.rows, src.cells, src.amps)
         for arr in (out.rows, out.cells, out.amps):
             assert arr.dtype == (np.complex128 if arr is out.amps else np.int64)
-            assert not any(np.shares_memory(arr, s) for s in src_arrays)
+        if isinstance(src, np.ndarray):  # a caller's table: read, never frozen
+            assert np.array_equal(src, before) and src.flags.writeable
+            return
+        assert src == before and (src.offset, src.n_cells) == (before.offset, before.n_cells)
+        assert_read_only(src.rows, src.cells, src.amps, out.rows, out.cells, out.amps)
+
+    def adopted(self, op, src: HybridState, *args) -> HybridState:
+        """op(src, *args), checked by assert_adopted."""
+        before = copy.deepcopy(src)
+        out = op(src, *args)
+        self.assert_adopted(out, src, before)
+        return out
 
     @staticmethod
-    def assert_wave_adopted(out: DyadicWave, src: DyadicWave, expect: DyadicWave) -> None:
+    def assert_wave_adopted(out: DyadicWave, src: DyadicWave, before: DyadicWave, expect: DyadicWave) -> None:
         again = DyadicWave(out.level, out.offset, np.array(out.coeffs))
         assert again == out and again.offset == out.offset
         assert out == expect and out.offset == expect.offset
         c = out.coeffs
         assert (c[0] != 0 and c[-1] != 0) or (c.size == 1 and out.offset == 0)
-        assert c.dtype == np.complex128 and not c.flags.writeable
-        assert not np.shares_memory(c, src.coeffs)
+        assert c.dtype == np.complex128
+        assert src == before and src.offset == before.offset
+        assert_read_only(c, src.coeffs)
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 70), (0, 71), (1, 72)])
     def test_gate_outputs(self, zero_bit, seed):
@@ -1001,29 +1016,49 @@ class TestAdoptedOutputs:
         for _ in range(60):
             h, q = sparse_hybrid(rng, unit=False, zero_bit=zero_bit)
             for t in (-2, -1, 1, 3):
-                out = cond_translate(h, q, t)
-                self.assert_adopted(out, h)
-                assert out == ref_cond_translate(h, q, t)
+                assert self.adopted(cond_translate, h, q, t) == ref_cond_translate(h, q, t)
             for variant in FlipVariant:
-                self.assert_adopted(cond_flip(h, q, variant), h)
-            self.assert_adopted(squeeze_all(h), h)
+                self.adopted(cond_flip, h, q, variant)
+            self.adopted(squeeze_all, h)
             perm = rng.permutation(1 << h.n_qubits)
-            self.assert_adopted(apply_basis_permutation(h, perm[h.rows]), h)
+            self.adopted(apply_basis_permutation, h, perm[h.rows])
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 80), (0, 81), (1, 82)])
     def test_erase_outputs(self, zero_bit, seed):
         rng = np.random.default_rng(seed)
         for _ in range(60):
             h, q = sparse_hybrid(rng, unit=True, zero_bit=zero_bit)
-            out = erase(h, q)
-            self.assert_adopted(out, h)
+            out = self.adopted(erase, h, q)
             assert residual_weight(out, q) == 0.0
 
     def test_zero_state(self):
         h = HybridState.from_table(2, 1, 0, np.zeros((4, 1)))
-        for out in (cond_translate(h, 1, -1), cond_flip(h, 0), squeeze_all(h), erase(h, 1)):
-            self.assert_adopted(out, h)
+        for op, *args in ((cond_translate, 1, -1), (cond_flip, 0), (squeeze_all,), (erase, 1)):
+            out = self.adopted(op, h, *args)
             assert out.offset == 0 and out.n_cells == 1
+
+    def test_unchanged_arrays_shared(self):
+        # each producer keeps the frozen arrays its arithmetic leaves alone
+        h = HybridState(2, 0, [0, 0, 2], [0, 1, 0], [0.6, 0.0 + 0.6j, 0.8])
+        moved = cond_translate(h, 1, 1)
+        assert moved.rows is h.rows and moved.amps is h.amps
+        squeezed = squeeze_all(h)
+        assert squeezed.rows is h.rows and squeezed.cells is h.cells
+        # the flip moves (0, 1) to (1, 1), which keeps the (row, cell) order
+        flipped = cond_flip(h, 0)
+        assert flipped.rows.tolist() == [0, 1, 2]
+        assert flipped.cells is h.cells and flipped.amps is h.amps
+        # rows 0 and 2 swap images, so the order breaks and the entries are sorted anew
+        swapped = apply_basis_permutation(h, np.array([3, 3, 1]))
+        assert swapped.rows.tolist() == [1, 3, 3] and swapped.cells.tolist() == [0, 0, 1]
+        assert not np.shares_memory(swapped.amps, h.amps)
+        # the caller's image array is copied, never frozen nor kept
+        images = np.array([1, 1, 3])
+        relabelled = apply_basis_permutation(h, images)
+        assert relabelled.cells is h.cells and relabelled.amps is h.amps
+        assert images.flags.writeable and not np.shares_memory(relabelled.rows, images)
+        w = DyadicWave(1, 0, [1.0, 2.0])
+        assert translate_int(w, 3).coeffs is w.coeffs
 
     @pytest.mark.parametrize("seed", [73, 74])
     def test_from_table(self, seed):
@@ -1033,8 +1068,9 @@ class TestAdoptedOutputs:
             offset = int(rng.integers(-6, 7))
             a = rng.normal(size=(1 << n, k)) + 1j * rng.normal(size=(1 << n, k))
             a[rng.random(a.shape) < rng.choice([0.0, 0.3, 1.0])] = 0.0
+            before = a.copy()
             out = HybridState.from_table(n, level, offset, a)
-            self.assert_adopted(out, a)
+            self.assert_adopted(out, a, before)
             # every cell of the table, zeros included, in shuffled order
             shuffle = rng.permutation(a.size)
             rows, cols = np.divmod(np.arange(a.size), k)
@@ -1055,13 +1091,14 @@ class TestAdoptedOutputs:
             zeros += w.is_zero()
             c = np.array(w.coeffs)
             d, t = int(rng.integers(1, 4)), int(rng.integers(-3, 4))
+            before = copy.deepcopy(w)
             self.assert_wave_adopted(
-                refine(w, w.level + d), w, DyadicWave(w.level + d, w.offset << d, np.repeat(c, 1 << d))
+                refine(w, w.level + d), w, before, DyadicWave(w.level + d, w.offset << d, np.repeat(c, 1 << d))
             )
             self.assert_wave_adopted(
-                translate_int(w, t), w, DyadicWave(w.level, w.offset + t * (1 << w.level), c)
+                translate_int(w, t), w, before, DyadicWave(w.level, w.offset + t * (1 << w.level), c)
             )
-            self.assert_wave_adopted(wave_squeeze(w), w, DyadicWave(w.level + 1, w.offset, c * SQRT2))
+            self.assert_wave_adopted(wave_squeeze(w), w, before, DyadicWave(w.level + 1, w.offset, c * SQRT2))
             assert refine(w, w.level) is w
         assert zeros >= 5
 
@@ -1257,11 +1294,39 @@ class TestArgumentRules:
         assert h.cells.tolist() == [-(1 << 63)]
 
     @pytest.mark.parametrize("field", ["rows", "cells"])
-    @pytest.mark.parametrize("index", [1 << 70, 1 << 63, -(1 << 63) - 1], ids=["2^70", "2^63", "-2^63-1"])
-    def test_constructor_indices_stay_int64(self, field, index):
-        entry = {"rows": [0], "cells": [0], "amps": [1.0], field: [index]}
+    @pytest.mark.parametrize(
+        "indices",
+        [[1 << 70], [1 << 63], [-(1 << 63) - 1], np.array([1 << 63], dtype=np.uint64)],
+        ids=["2^70", "2^63", "-2^63-1", "uint64-2^63"],
+    )
+    def test_constructor_indices_stay_int64(self, field, indices):
+        entry = {"rows": [0], "cells": [0], "amps": [1.0], field: indices}
         with pytest.raises(DomainError, match=f"^{field}: an index leaves the int64 range"):
             HybridState(1, 0, **entry)
+
+    @pytest.mark.parametrize("field", ["rows", "cells"])
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, 1.7], [0, 1.0], [0, True], [np.float64(1.0), 0], [np.bool_(True), 0],
+         np.array([0.0, 1.0]), np.array([False, True]), [0, None], [0, "1"]],
+        ids=["1.7", "1.0", "True", "float64", "bool_", "float-array", "bool-array", "None", "str"],
+    )
+    def test_constructor_indices_must_be_integers(self, field, indices):
+        # a float or bool index was truncated or read as 0 or 1
+        entries = {"rows": [0, 1], "cells": [0, 1], "amps": [0.6, 0.8], field: indices}
+        with pytest.raises(DomainError, match=f"^{field}: an index must be an integer, got "):
+            HybridState(1, 0, **entries)
+
+    @pytest.mark.parametrize(
+        "rows, cells",
+        [([], []), (np.array([0, 1], dtype=np.int32), np.array([2, 3], dtype=np.uint8)),
+         ([np.int64(0), np.uint64(1)], (np.int16(2), 3)), (np.array([], dtype=float), np.array([], dtype=bool))],
+        ids=["empty-lists", "int-arrays", "numpy-scalars", "empty-arrays"],
+    )
+    def test_constructor_integer_indices_accepted(self, rows, cells):
+        h = HybridState(1, 0, rows, cells, [0.6, 0.8][: len(rows)])
+        assert h.rows.dtype == h.cells.dtype == np.int64
+        assert h.rows.tolist() == [int(r) for r in rows] and h.cells.tolist() == [int(c) for c in cells]
 
     def test_numpy_counts_accepted(self):
         h = HybridState(np.int64(1), np.int64(2), [0], [0], [1.0])

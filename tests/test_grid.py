@@ -1,6 +1,5 @@
 """Sampled-grid backend: spectral translation, decimation, dilation generator."""
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,18 +246,14 @@ class TestDilationGenerator:
         got = dilation_generator(g).samples
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_peak_memory_stays_below_one_mib(self):
+    def test_peak_memory_stays_below_one_mib(self, traced_peak):
         # the suite's Gaussian; the dense generator and its eigenvectors
         # took 24 MiB here
         n = 512
         g = sample_function(lambda x: np.pi**-0.25 * np.exp(-(x**2) / 2.0), -12.0, 24.0 / n, n)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             dilation_generator(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
     @pytest.mark.parametrize(
         "x_min, h, n",

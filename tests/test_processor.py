@@ -3,7 +3,6 @@ per-step cleanup metrics, and the resource accounting rules."""
 import dataclasses
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from cvhistory.processor import (
     SINGLE_QUBIT_GATES,
     GateOp,
     ProcessorState,
+    Program,
     ProgramStep,
     TableOp,
     init,
@@ -69,32 +69,24 @@ class TestInit:
         with pytest.raises(DomainError, match="cv_level must be a nonnegative integer"):
             init(1, 0, basis_state(1, 0), cv_level=level)
 
-    def test_start_builds_only_the_occupied_row(self):
+    def test_start_builds_only_the_occupied_row(self, traced_peak):
         # the whole 2^7 x 2^14 product would take over 100 MiB; the state
         # keeps 16384 entries of one row
         prog = parse_program({"data": 6, "ancilla": 1, "cv_level": 14, "steps": []})
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             ps = init_from_program(prog, data_basis=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+        assert traced.peak < 4 << 20
         joint = np.zeros(1 << 7, dtype=np.complex128)
         joint[5] = 1.0
         assert ps.hybrid == ref_lift(RegisterState(7, joint), indicator_unit(14))
         assert ps.hybrid.amps.size == 1 << 14
 
-    def test_start_builds_no_joint_vector(self):
+    def test_start_builds_no_joint_vector(self, traced_peak):
         # 1 data qubit and 21 ancillas: a 2^22-entry start vector would
         # take 64 MiB
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             ps = init(1, 21, RegisterState(1, [0.6, 0.8]), cv_level=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
         assert ps.hybrid.n_qubits == 22
         assert ps.hybrid.rows.tolist() == [0, 0, 1, 1] and ps.hybrid.cells.tolist() == [0, 1, 0, 1]
 
@@ -235,18 +227,14 @@ class TestRegisterOpsOnStoredRows:
         ],
         ids=["CNOT", "SWAP", "CZ", "ADDER3"],
     )
-    def test_wide_register_op_allocates_per_entry(self, op):
+    def test_wide_register_op_allocates_per_entry(self, op, traced_peak):
         h = self.wide_state()
         if isinstance(op, TableOp):
             op.table.reversible(op.mode)  # the lift is the table's, not the step's
         apply = _apply_table if isinstance(op, TableOp) else _apply_gate
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             out = apply(h, op)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
         assert out.amps.size == 2 and out.norm2() == h.norm2()
 
 
@@ -344,6 +332,23 @@ class TestHandBuiltQubitTypes:
         step = ProgramStep(GateOp("CNOT", (np.int64(0), np.int32(1))), (np.int64(1),))
         ps, m = run_step(ps, step)
         assert m.cv_level == 1 and m.ancilla_residual == 0.0
+
+
+class TestHandBuiltProgramCounts:
+    """A hand-built Program reads data, ancilla and cv_level as counts
+    before its start rules run, as parse_program does."""
+
+    @pytest.mark.parametrize("field", ["data", "ancilla", "cv_level"])
+    @pytest.mark.parametrize("value", [1.5, True, -1, "1", None], ids=["1.5", "True", "-1", "str", "None"])
+    def test_non_count_refused(self, field, value):
+        counts = {"data": 1, "ancilla": 0, "cv_level": 0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be a nonnegative integer, got "):
+            Program(steps=(), **counts)
+
+    def test_numpy_counts_read_as_ints(self):
+        prog = Program(np.int64(2), np.int32(1), np.uint8(3), ())
+        assert (prog.data, prog.ancilla, prog.cv_level) == (2, 1, 3)
+        assert all(type(n) is int for n in (prog.data, prog.ancilla, prog.cv_level))
 
 
 def and_op(x_qubits, y_qubits):
@@ -547,21 +552,17 @@ class TestPurityCarry:
 
 
 class TestDataDensityOnSupport:
-    def test_recompute_builds_no_dense_density(self):
+    def test_recompute_builds_no_dense_density(self, traced_peak):
         # the 2^10 x 2^10 data density would take 16 MiB; data q9 in |+>
         # occupies two of its rows, so the purity reads a 2 x 2 block
         amps = np.zeros(1 << 10, dtype=np.complex128)
         amps[[5, 5 | 1 << 9]] = INV_SQRT2
         ps = init(10, 1, RegisterState(10, amps))
         step = ProgramStep(op=GateOp("CNOT", (9, 10)), clean=(10,))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             ps, m = run_step(ps, step)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert abs(m.data_purity - 0.5) <= 1e-12
-        assert peak < 1 << 20
+        assert traced.peak < 1 << 20
 
 
 # the library tables at most 7 qubits wide, CONST up to 2 in and 2 out:
