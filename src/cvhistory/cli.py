@@ -39,7 +39,6 @@ import numpy as np
 from .dyadic import DyadicWave, check_bytes, check_level, indicator_unit
 from .dyadic import norm2 as wave_norm2
 from .erasure import (
-    FlipVariant,
     GridHybrid,
     cv_factor,
     erase_sequence,
@@ -97,7 +96,7 @@ DEFAULT_GRID_N = 4096
 
 # The scenario keys each command reads; any other key exits 2.
 SCENARIO_KEYS = {
-    "erase-demo": ("kind", "backend", "grid", "variant", "pairs", "cv_level", "out_dir"),
+    "erase-demo": ("kind", "backend", "grid", "pairs", "cv_level", "out_dir"),
     "validate": ("kind", "seed", "out_dir"),
     "processor": ("kind", "program", "data_basis", "out_dir"),
     "resource": ("kind", "program", "out_dir"),
@@ -114,7 +113,6 @@ class ScenarioConfig:
     grid_n: int = DEFAULT_GRID_N
     pairs: List[Tuple[complex, complex]] = field(default_factory=list)
     cv_level: int = 0
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT
     program: Optional[Program] = None
     data_basis: int = 0
 
@@ -213,17 +211,6 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
             raise ValidationError("pairs: required for erase-demo")
         cfg.pairs = _parse_pairs(raw["pairs"], "pairs")
         cfg.cv_level = expect_int(raw.get("cv_level", 0), "cv_level", minimum=0)
-    if "variant" in raw:
-        try:
-            cfg.variant = FlipVariant(raw["variant"])
-        except ValueError:
-            raise ValidationError(
-                f"variant: expected 'outside_unit' or 'inside_one_two', got {raw['variant']!r}"
-            ) from None
-        # only the grid's flip acts on its spectral residue, outside [0,2);
-        # on the dyadic backend both variants give the same erase
-        if cfg.backend != "grid":
-            raise ValidationError("variant: only valid with backend 'grid'")
     if kind in ("processor", "resource"):
         if "program" not in raw:
             raise ValidationError(f"program: required for {kind}")
@@ -281,8 +268,9 @@ def _dyadic_start(cfg: ScenarioConfig) -> Tuple[DyadicWave, float]:
 def _dyadic_erase_pair(
     cfg: ScenarioConfig, w: DyadicWave, level: int, a: complex, b: complex
 ) -> Tuple[DyadicWave, int, float, float]:
-    h = lift(RegisterState(1, np.array([a, b], dtype=np.complex128)), w)
-    erased, (st,) = erase_sequence(h, [0])
+    reg = RegisterState(1, np.array([a, b], dtype=np.complex128))
+    # the lifted state is freed once erased, before row_wave copies a row
+    erased, (st,) = erase_sequence(lift(reg, w), [0])
     if cv_factor(erased) is None:
         raise ContractError(
             f"level {st.level}: state is entangled; erase-demo expects product input"
@@ -302,7 +290,7 @@ def _grid_erase_pair(
     cfg: ScenarioConfig, g: GridWave, level: int, a: complex, b: complex
 ) -> Tuple[GridWave, int, float, float]:
     gh = GridHybrid(1, g.x_min, g.h, np.vstack([a * g.samples, b * g.samples]))
-    gh = grid_erase(gh, 0, cfg.variant)
+    gh = grid_erase(gh, 0)
     resid = float(g.h * np.sum(gh.amps[1].real ** 2 + gh.amps[1].imag ** 2))
     g = GridWave(g.x_min, g.h, gh.amps[0])
     return g, level + 1, g.norm2(), resid

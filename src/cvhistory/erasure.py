@@ -26,7 +26,6 @@ cross-validation.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -49,14 +48,6 @@ from .qubits import (
 # below this share of the largest, counts as zero when cv_factor splits a
 # state into register and wave.
 FACTOR_TOL = 1e-10
-
-# The two reset-flip conventions.  OUTSIDE_UNIT flips the qubit on every
-# cell not inside [0,1); INSIDE_ONE_TWO flips only on cells inside [1,2).
-# They agree on any state supported in [0,2).
-class FlipVariant(enum.Enum):
-    OUTSIDE_UNIT = "outside_unit"
-    INSIDE_ONE_TWO = "inside_one_two"
-
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
@@ -243,7 +234,8 @@ def _bit_set(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
-    """Translate the CV by t x-units on rows whose qubit q is |1>."""
+    """Translate the CV by t x-units on rows whose qubit q is |1>; h itself
+    when no stored row has qubit q set."""
     check_qubit(q, h.n_qubits)
     tc = check_integer("translation amount", t) << h.level
     if tc == 0:
@@ -251,27 +243,26 @@ def cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     # the cells are int64: refuse a shift that would wrap them around
     if not -(1 << 63) <= h.offset + tc <= h.offset + h.n_cells + tc <= 1 << 63:
         raise DomainError(f"translating by {t} at level {h.level} leaves the int64 cells")
-    cells = np.where(_bit_set(h.rows, q), h.cells + tc, h.cells)
+    moved = _bit_set(h.rows, q)
+    if not moved.any():
+        return h
+    cells = np.where(moved, h.cells + tc, h.cells)
     # every cell of a row moves by the same amount: the order is kept
     return HybridState._adopt(h.n_qubits, h.level, h.rows, cells, h.amps, _hull(cells))
 
 
-def _flip_mask(x: np.ndarray, unit, variant: FlipVariant) -> np.ndarray:
-    """Where over x the variant flips, x being cells with unit = 2^level or
-    positions with unit = 1.0: outside [0, unit), or inside [unit, 2 unit)."""
-    if variant is FlipVariant.OUTSIDE_UNIT:
-        return (x < 0) | (x >= unit)
-    if variant is FlipVariant.INSIDE_ONE_TWO:
-        return (x >= unit) & (x < 2 * unit)
-    raise DomainError(f"unknown flip variant {variant!r}")
+def _flip_mask(x: np.ndarray, unit) -> np.ndarray:
+    """Where over x the reset flips: outside [0, unit), x being cells with
+    unit = 2^level or positions with unit = 1.0."""
+    return (x < 0) | (x >= unit)
 
 
-def cond_flip(h: HybridState, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> HybridState:
-    """Apply X on qubit q for every cell selected by the variant; identity
-    elsewhere.  Cell boundaries always align with the integer interval
-    endpoints, so the action is an exact per-cell row swap."""
+def cond_flip(h: HybridState, q: int) -> HybridState:
+    """Apply X on qubit q for every cell outside [0,1); identity inside.
+    Cell boundaries always align with the integer interval endpoints, so
+    the action is an exact per-cell row swap."""
     check_qubit(q, h.n_qubits)
-    rows = np.where(_flip_mask(h.cells, 1 << h.level, variant), h.rows ^ (1 << q), h.rows)
+    rows = np.where(_flip_mask(h.cells, 1 << h.level), h.rows ^ (1 << q), h.rows)
     # a bijection on the (row, cell) pairs: no pair twice, only the order breaks
     rows, cells, amps = _sorted_entries(rows, h.cells, h.amps)
     return HybridState._adopt(h.n_qubits, h.level, rows, cells, amps, (h.offset, h.n_cells))
@@ -284,37 +275,33 @@ def squeeze_all(h: HybridState) -> HybridState:
     return HybridState._adopt(h.n_qubits, level, h.rows, h.cells, amps, (h.offset, h.n_cells))
 
 
-def unfold(
-    h: HybridState,
-    q: int,
-    variant: FlipVariant = FlipVariant.OUTSIDE_UNIT,
-) -> HybridState:
+def unfold(h: HybridState, q: int) -> HybridState:
     """Translate-flip-untranslate: for rows supported in [0,1) this maps
     (a|0> + b|1>) (x) psi to |0> (x) (a psi(x) + b psi(x-1))."""
     out = cond_translate(h, q, 1)
-    out = cond_flip(out, q, variant)
+    out = cond_flip(out, q)
     return cond_translate(out, q, -1)
 
 
 def require_unit_support(h: HybridState, op_name: str) -> None:
-    bad = h.cells[(h.cells < 0) | (h.cells >= 1 << h.level)]
-    if bad.size:
-        bad = np.sort(bad)
-        bad = bad[np.concatenate(([True], bad[1:] != bad[:-1]))]
-        w = h.width
-        cells = ", ".join(f"[{i * w:g},{(i + 1) * w:g})" for i in bad[:8])
-        more = "" if bad.size <= 8 else f" and {bad.size - 8} more"
-        raise ContractError(
-            f"{op_name} requires CV support inside [0,1); nonzero cells at {cells}{more}"
-        )
+    # the stored hull decides; the cells are scanned only to name the bad ones
+    if h.offset >= 0 and h.offset + h.n_cells <= 1 << h.level:
+        return
+    bad = np.sort(h.cells[_flip_mask(h.cells, 1 << h.level)])
+    bad = bad[np.concatenate(([True], bad[1:] != bad[:-1]))]
+    w = h.width
+    cells = ", ".join(f"[{i * w:g},{(i + 1) * w:g})" for i in bad[:8])
+    more = "" if bad.size <= 8 else f" and {bad.size - 8} more"
+    raise ContractError(
+        f"{op_name} requires CV support inside [0,1); nonzero cells at {cells}{more}"
+    )
 
 
 def erase(h: HybridState, q: int) -> HybridState:
     """Reset qubit q to |0>, recording its amplitudes in the CV:
     (a|0> + b|1>) (x) psi  ->  |0> (x) sqrt(2)(a psi(2x) + b psi(2x-1)).
 
-    Requires every row's CV support inside [0,1); raises otherwise.  There
-    the translated support lies in [0,2), where both flip variants agree."""
+    Requires every row's CV support inside [0,1); raises otherwise."""
     require_unit_support(h, "erase")
     return squeeze_all(unfold(h, q))
 
@@ -340,23 +327,23 @@ class EraseStep:
 def erase_sequence(h: HybridState, qubits: Sequence[int]) -> Tuple[HybridState, List[EraseStep]]:
     """Erase the listed qubits in order into the shared CV mode.
 
-    The trace carries metrics only, so a long sequence does not pin
-    every intermediate table.
+    The trace carries metrics only, and ``h`` is rebound to each erased
+    state, so a sequence pins no earlier table, its input included when
+    the caller keeps none.
     """
     trace: List[EraseStep] = []
-    state = h
     for i, q in enumerate(qubits, start=1):
-        state = erase(state, q)
+        h = erase(h, q)
         trace.append(
             EraseStep(
                 step=i,
                 qubit=int(q),
-                level=state.level,
-                norm2=state.norm2(),
-                ancilla_residual=residual_weight(state, q),
+                level=h.level,
+                norm2=h.norm2(),
+                ancilla_residual=residual_weight(h, q),
             )
         )
-    return state, trace
+    return h, trace
 
 
 def tensor_oracle(
@@ -509,10 +496,20 @@ def apply_row_phases(h: HybridState, phases: np.ndarray) -> HybridState:
         raise ValidationError(
             f"phase vector has shape {ph.shape}, expected one per stored entry, {h.amps.shape}"
         )
-    check_finite("phase factors", ph)
+    # every stored amplitude is nonzero, so a non-finite phase leaves a
+    # non-finite product: one scan of the product serves both
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = h.amps * ph
+    if not np.isfinite(amps).all():
+        check_finite("phase factors", ph)
+        check_finite("amplitudes", amps)
     if np.max(np.abs(np.abs(ph) - 1.0), initial=0.0) > 1e-12:
         raise ValidationError("phase factors must have unit modulus")
-    return HybridState(h.n_qubits, h.level, h.rows, h.cells, h.amps * ph)
+    # a canonical state holds no zeros: should rounding zero a product,
+    # the constructor drops it
+    if np.count_nonzero(amps) != amps.size:
+        return HybridState(h.n_qubits, h.level, h.rows, h.cells, amps)
+    return HybridState._adopt(h.n_qubits, h.level, h.rows, h.cells, amps, (h.offset, h.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +574,10 @@ def grid_cond_translate(gh: GridHybrid, q: int, t: int) -> GridHybrid:
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out)
 
 
-def grid_cond_flip(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
-    """Apply X on qubit q for samples selected by the variant interval."""
+def grid_cond_flip(gh: GridHybrid, q: int) -> GridHybrid:
+    """Apply X on qubit q for samples outside [0,1)."""
     check_qubit(q, gh.n_qubits)
-    flip = _flip_mask(gh.positions(), 1.0, variant)
+    flip = _flip_mask(gh.positions(), 1.0)
     view = gh.amps.reshape(1 << (gh.n_qubits - 1 - q), 2, -1, gh.n_samples)
     out = np.where(flip, view[:, ::-1], view)
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out.reshape(gh.amps.shape))
@@ -613,13 +610,13 @@ def grid_squeeze_all(gh: GridHybrid) -> GridHybrid:
     return GridHybrid(gh.n_qubits, gh.x_min, gh.h, out)
 
 
-def grid_unfold(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
+def grid_unfold(gh: GridHybrid, q: int) -> GridHybrid:
     out = grid_cond_translate(gh, q, 1)
-    out = grid_cond_flip(out, q, variant)
+    out = grid_cond_flip(out, q)
     return grid_cond_translate(out, q, -1)
 
 
-def grid_erase(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSIDE_UNIT) -> GridHybrid:
+def grid_erase(gh: GridHybrid, q: int) -> GridHybrid:
     """Grid-backend erasure; support detection uses a relative threshold
     because spectral translation leaves O(1e-16) residue everywhere."""
     xs = gh.positions()
@@ -629,4 +626,4 @@ def grid_erase(gh: GridHybrid, q: int, variant: FlipVariant = FlipVariant.OUTSID
         raise ContractError(
             f"grid erase requires CV support inside [0,1); significant samples at x = {where}"
         )
-    return grid_squeeze_all(grid_unfold(gh, q, variant))
+    return grid_squeeze_all(grid_unfold(gh, q))

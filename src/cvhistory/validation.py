@@ -27,7 +27,6 @@ from .dyadic import (
     value_at,
 )
 from .erasure import (
-    FlipVariant,
     GridHybrid,
     HybridState,
     cond_flip,
@@ -358,10 +357,10 @@ def suite_hybrid_unitarity(rng):
         t = int(rng.integers(-2, 3))
         for out in (
             cond_translate(h, q, t),
-            cond_flip(h, q, FlipVariant.OUTSIDE_UNIT),
-            cond_flip(h, q, FlipVariant.INSIDE_ONE_TWO),
+            cond_flip(h, q),
+            _flip_inside_one_two(h, q),
             squeeze_all(h),
-            unfold(h, q, FlipVariant.OUTSIDE_UNIT),
+            unfold(h, q),
         ):
             worst = max(worst, abs(out.norm2() - 1.0))
         hu = _random_hybrid(rng, unit=True)
@@ -374,8 +373,8 @@ def suite_hybrid_flip_involution(rng):
     for _ in range(100):
         h = _random_hybrid(rng)
         q = int(rng.integers(0, h.n_qubits))
-        for variant in FlipVariant:
-            if cond_flip(cond_flip(h, q, variant), q, variant) != h:
+        for flip in (cond_flip, _flip_inside_one_two):
+            if flip(flip(h, q), q) != h:
                 bad += 1
     return 100, float(bad)
 
@@ -397,7 +396,7 @@ def suite_unfold_superposition_contract(rng):
         alpha, beta = _random_pair(rng)
         w = _random_unit_wave(rng)
         h = HybridState.from_table(1, w.level, 0, np.vstack([alpha * w.coeffs, beta * w.coeffs]))
-        out = unfold(h, 0, FlipVariant.OUTSIDE_UNIT)
+        out = unfold(h, 0)
         expect = _overlay(
             DyadicWave(w.level, 0, alpha * w.coeffs),
             translate_int(DyadicWave(w.level, 0, beta * w.coeffs), 1),
@@ -424,6 +423,15 @@ def suite_erase_contract(rng):
     return 100, worst
 
 
+def _flip_inside_one_two(h: HybridState, q: int) -> HybridState:
+    """The reset flip's other convention, a reference for cond_flip: X on
+    qubit q only on the cells inside [1,2).  The two agree on support
+    inside [0,2), which is all that erase flips."""
+    unit = 1 << h.level
+    inside = (h.cells >= unit) & (h.cells < 2 * unit)
+    return HybridState(h.n_qubits, h.level, np.where(inside, h.rows ^ (1 << q), h.rows), h.cells, h.amps)
+
+
 def suite_flip_variant_agreement(rng):
     bad = 0
     for _ in range(100):
@@ -432,15 +440,12 @@ def suite_flip_variant_agreement(rng):
         a = rng.normal(size=(4, n_cells)) + 1j * rng.normal(size=(4, n_cells))
         h = HybridState.from_table(2, level, 0, a)
         q = int(rng.integers(0, 2))
-        if cond_flip(h, q, FlipVariant.OUTSIDE_UNIT) != cond_flip(
-            h, q, FlipVariant.INSIDE_ONE_TWO
-        ):
+        if cond_flip(h, q) != _flip_inside_one_two(h, q):
             bad += 1
         hu = _random_hybrid(rng, unit=True)
         qu = int(rng.integers(0, hu.n_qubits))
-        out_a = unfold(hu, qu, FlipVariant.OUTSIDE_UNIT)
-        out_b = unfold(hu, qu, FlipVariant.INSIDE_ONE_TWO)
-        if out_a != out_b:
+        reference = cond_translate(_flip_inside_one_two(cond_translate(hu, qu, 1), qu), qu, -1)
+        if unfold(hu, qu) != reference:
             bad += 1
     return 100, float(bad)
 

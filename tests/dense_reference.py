@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from cvhistory.dyadic import SQRT2, DyadicWave
-from cvhistory.erasure import FlipVariant, HybridState
+from cvhistory.erasure import HybridState
 from cvhistory.grid import GridWave
 from cvhistory.processor import SINGLE_QUBIT_GATES, GateOp, ProgramStep, StepMetrics
 from cvhistory.qubits import (
@@ -80,14 +80,16 @@ def ref_cond_translate(h: HybridState, q: int, t: int) -> HybridState:
     return HybridState.from_table(h.n_qubits, h.level, new_offset, out)
 
 
-def ref_cond_flip(h: HybridState, q: int, variant: FlipVariant) -> HybridState:
-    """Swap the |0> and |1> rows of qubit q on every flipped column."""
+def ref_cond_flip(h: HybridState, q: int, inside_one_two: bool = False) -> HybridState:
+    """Swap the |0> and |1> rows of qubit q on every flipped column: every
+    column outside [0,1), or with ``inside_one_two`` only those inside
+    [1,2), the other convention, which validate keeps as a reference."""
     idx = h.offset + np.arange(h.n_cells)
     unit = 1 << h.level
-    if variant is FlipVariant.OUTSIDE_UNIT:
-        flip = ~((idx >= 0) & (idx < unit))
-    else:
+    if inside_one_two:
         flip = (idx >= unit) & (idx < 2 * unit)
+    else:
+        flip = ~((idx >= 0) & (idx < unit))
     a = table(h)
     view = a.reshape(1 << (h.n_qubits - 1 - q), 2, 1 << q, h.n_cells)
     out = np.where(flip, view[:, ::-1], view).reshape(a.shape)
@@ -197,7 +199,7 @@ def ref_erase(h: HybridState, q: int) -> HybridState:
     """The paper's four gates on the table: translate the |1> rows of
     qubit q by +1, flip outside [0,1), translate back, squeeze."""
     out = ref_cond_translate(h, q, 1)
-    out = ref_cond_flip(out, q, FlipVariant.OUTSIDE_UNIT)
+    out = ref_cond_flip(out, q)
     out = ref_cond_translate(out, q, -1)
     return ref_squeeze_all(out)
 

@@ -13,7 +13,6 @@ import numpy as np
 from cvhistory.cli import main
 from cvhistory.dyadic import DyadicWave, indicator_unit, max_abs_diff, norm2
 from cvhistory.erasure import (
-    FlipVariant,
     HybridState,
     cond_flip,
     cond_translate,
@@ -77,7 +76,7 @@ def test_criterion_02_conditional_flip_contract():
     r0 = np.array([1.0, 2.0, 3.0], dtype=complex)
     r1 = np.array([4.0, 5.0, 6.0], dtype=complex)
     h = HybridState.from_table(1, 0, -1, np.vstack([r0, r1]))
-    flipped = cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT)
+    flipped = cond_flip(h, 0)
     want = HybridState.from_table(
         1, 0, -1, np.vstack([[4.0, 2.0, 6.0], [1.0, 5.0, 3.0]]).astype(complex)
     )

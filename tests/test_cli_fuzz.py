@@ -87,9 +87,12 @@ pair_list = st.lists(
     ),
     max_size=3,
 )
-variant = st.sampled_from(["outside_unit", "inside_one_two"])
 grid_options = st.fixed_dictionaries(
     {"window": st.just([-2.0, 2.0]), "n": st.sampled_from([64, 256])}
+)
+
+grid_scenario = scenario(
+    "erase-demo", {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options}
 )
 
 kinds = {
@@ -104,11 +107,7 @@ kinds = {
             "erase-demo",
             {"pairs": pair_list, "cv_level": st.one_of(st.integers(0, 3), far_level)},
         ),
-        scenario(
-            "erase-demo",
-            {"pairs": pair_list, "backend": st.just("grid"), "grid": grid_options},
-            variant=variant,
-        ),
+        grid_scenario,
     ),
 }
 
@@ -181,6 +180,23 @@ def test_foreign_key_exits_2(tmp_path, kind_and_scenario):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(dict(obj, out_dir=out), fh)
     assert main([kind, path]) == 2
+    assert not os.path.exists(out)
+
+
+@given(grid_scenario, st.sampled_from(["outside_unit", "inside_one_two"]))
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_variant_exits_2(tmp_path, obj, value):
+    """variant, once the grid's choice of reset flip, is an unknown key."""
+    out = os.path.join(str(tmp_path), "out")
+    path = os.path.join(str(tmp_path), "scenario.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(obj, variant=value, out_dir=out), fh)
+    assert main(["erase-demo", path]) == 2
     assert not os.path.exists(out)
 
 

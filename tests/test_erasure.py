@@ -11,7 +11,6 @@ from cvhistory.dyadic import squeeze as wave_squeeze
 from cvhistory.errors import ContractError, DomainError, ResourceLimitError, ValidationError
 from cvhistory.erasure import (
     FACTOR_TOL,
-    FlipVariant,
     GridHybrid,
     HybridState,
     apply_basis_permutation,
@@ -46,6 +45,7 @@ from dense_reference import (
     ref_cond_flip,
     ref_cond_translate,
     ref_cv_factor,
+    ref_erase,
     ref_hybrid_reduced_density,
     ref_lift,
     ref_squeeze_all,
@@ -202,6 +202,18 @@ class TestCondTranslate:
         h = lift(basis_state(1, 0), indicator_unit(0))
         assert cond_translate(h, 0, 5) == h
 
+    def test_empty_mask_returns_input(self):
+        # no stored row has qubit 0 set: the input itself, after the same
+        # int64 range check as any other translate
+        h = HybridState(2, 0, [0, 2], [0, 1], [0.6, 0.8])
+        for t in (1, -1, 1 << 40):
+            assert cond_translate(h, 0, t) is h
+        empty = HybridState(2, 0, [], [], [])
+        assert cond_translate(empty, 1, 3) is empty
+        far = HybridState(2, 0, [0], [1 << 62], [1.0])
+        with pytest.raises(DomainError, match="int64"):
+            cond_translate(far, 0, 1 << 62)
+
     def test_superposition_splits(self):
         h = lift(RegisterState(1, [SQRT1_2, SQRT1_2]), indicator_unit(0))
         out = cond_translate(h, 0, 1)
@@ -260,31 +272,39 @@ class TestCondTranslate:
 class TestCondFlip:
     def test_flips_outside_unit(self):
         h = lift(basis_state(1, 1), translate_int(indicator_unit(0), 1))
-        out = cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT)
+        out = cond_flip(h, 0)
         assert out == lift(basis_state(1, 0), translate_int(indicator_unit(0), 1))
 
     def test_identity_inside_unit(self):
         h = lift(basis_state(1, 1), indicator_unit(0))
-        assert cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT) == h
+        assert cond_flip(h, 0) == h
 
     def test_cellwise_action_on_superposition(self):
         h = HybridState.from_table(1, 0, 0, [[SQRT1_2, SQRT1_2], [0, 0]])
-        out = cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT)
+        out = cond_flip(h, 0)
         assert np.allclose(table(out), [[SQRT1_2, 0], [0, SQRT1_2]], atol=0)
 
     def test_inside_variant_ignores_beyond_two(self):
+        # the inside-[1,2) flip is validate's reference; cond_flip acts on
+        # every cell outside [0,1)
         far = translate_int(indicator_unit(0), 2)  # support [2,3)
         h = lift(basis_state(1, 1), far)
-        assert cond_flip(h, 0, FlipVariant.INSIDE_ONE_TWO) == h
-        assert cond_flip(h, 0, FlipVariant.OUTSIDE_UNIT) == lift(basis_state(1, 0), far)
+        assert validation._flip_inside_one_two(h, 0) == h
+        assert cond_flip(h, 0) == lift(basis_state(1, 0), far)
 
-    @pytest.mark.parametrize("variant", list(FlipVariant))
-    def test_involution_exact(self, variant):
+    @pytest.mark.parametrize(
+        "flip",
+        [
+            pytest.param(cond_flip, id="outside_unit"),
+            pytest.param(validation._flip_inside_one_two, id="inside_one_two"),
+        ],
+    )
+    def test_involution_exact(self, flip):
         rng = np.random.default_rng(23)
         for _ in range(20):
             h = random_hybrid(rng, 2, int(rng.integers(0, 3)))
             q = int(rng.integers(0, 2))
-            assert cond_flip(cond_flip(h, q, variant), q, variant) == h
+            assert flip(flip(h, q), q) == h
 
     def test_variants_agree_on_zero_two_support(self):
         rng = np.random.default_rng(24)
@@ -294,9 +314,7 @@ class TestCondFlip:
             a = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
             h = HybridState.from_table(2, level, 0, a)
             q = int(rng.integers(0, 2))
-            assert cond_flip(h, q, FlipVariant.OUTSIDE_UNIT) == cond_flip(
-                h, q, FlipVariant.INSIDE_ONE_TWO
-            )
+            assert cond_flip(h, q) == validation._flip_inside_one_two(h, q)
 
 
 class TestSqueezeAll:
@@ -369,8 +387,7 @@ class TestUnfold:
         for _ in range(50):
             h = random_hybrid(rng, 3, int(rng.integers(0, 3)))
             q = int(rng.integers(0, 3))
-            variant = FlipVariant.OUTSIDE_UNIT if rng.integers(2) else FlipVariant.INSIDE_ONE_TWO
-            assert abs(unfold(h, q, variant).norm2() - h.norm2()) <= 1e-12
+            assert abs(unfold(h, q).norm2() - h.norm2()) <= 1e-12
 
     def test_variants_agree_on_unit_support(self):
         rng = np.random.default_rng(29)
@@ -378,9 +395,8 @@ class TestUnfold:
             a, b = random_pair(rng)
             w = random_unit_wave(rng, int(rng.integers(0, 4)))
             h = lift(RegisterState(1, [a, b]), w)
-            assert unfold(h, 0, FlipVariant.OUTSIDE_UNIT) == unfold(
-                h, 0, FlipVariant.INSIDE_ONE_TWO
-            )
+            inside = validation._flip_inside_one_two(cond_translate(h, 0, 1), 0)
+            assert unfold(h, 0) == cond_translate(inside, 0, -1)
 
 
 def _overlay(w1: DyadicWave, w2: DyadicWave) -> DyadicWave:
@@ -412,6 +428,30 @@ class TestErase:
         h = lift(reg, translate_int(indicator_unit(0), 1))
         with pytest.raises(ContractError, match=r"\[1,2\)"):
             erase(h, 0)
+
+    def test_hull_edges(self):
+        # the stored hull decides: a hull on either edge of [0,1) erases as
+        # the four reference gates do; one cell past an edge is refused,
+        # naming the cells outside
+        rng = np.random.default_rng(33)
+        for level in range(4):
+            unit = 1 << level
+            for offset, k in ((0, unit), (0, 1), (unit - 1, 1)):
+                a = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+                h = HybridState.from_table(2, level, offset, a)
+                for q in range(2):
+                    assert erase(h, q) == ref_erase(h, q)
+        refused = {
+            (-1, 3): "[-0.5,0)",
+            (0, 3): "[1,1.5)",
+            (2, 1): "[1,1.5)",
+            (-2, 6): "[-1,-0.5), [-0.5,0), [1,1.5), [1.5,2)",
+        }
+        for (offset, k), cells in refused.items():
+            h = HybridState.from_table(1, 1, offset, np.ones((2, k)))
+            with pytest.raises(ContractError) as exc:
+                erase(h, 0)
+            assert str(exc.value) == f"erase requires CV support inside [0,1); nonzero cells at {cells}"
 
     def test_erased_weight_exactly_zero(self):
         rng = np.random.default_rng(30)
@@ -802,6 +842,12 @@ class TestRegisterOpsOnHybrid:
         with pytest.raises(ValidationError, match="finite"):
             apply_row_phases(h, np.array([bad, 1.0])[h.rows])
 
+    def test_row_phases_overflow_rejected(self):
+        # finite phases, but the product of a near-limit amplitude overflows
+        h = HybridState(1, 0, [0], [0], [complex(1.5e308, 1.5e308)])
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            apply_row_phases(h, np.array([np.exp(0.25j * np.pi)]))
+
     def test_map_merging_two_occupied_rows_refused(self):
         # rows 1 and 2 occupied; rows 0 and 3 are free, so the map is one
         # on the whole register only if the stored rows keep apart
@@ -841,6 +887,19 @@ class TestRegisterOpsOnHybrid:
         h = HybridState(3, 2, [], [], [])
         assert apply_basis_permutation(h, []) == h
         assert apply_row_phases(h, []) == h
+
+    def test_row_phases_peak_per_entry(self, traced_peak):
+        # the CZ path: float phases, one per entry, on 2^17 entries; the
+        # output shares rows and cells, so it allocates its amplitudes, the
+        # complex phases and the checks' temporaries: 48 B per entry, where
+        # the validating constructor's copies and checks took 67
+        h = HybridState.from_table(1, 16, 0, np.full((2, 1 << 16), 2.0**-8.5))
+        phases = 1.0 - 2.0 * (h.rows & 1)
+        with traced_peak() as traced:
+            out = apply_row_phases(h, phases)
+        assert out.rows is h.rows and out.cells is h.cells
+        assert out == ref_apply_row_phases(h, np.array([1.0, -1.0]))
+        assert traced.peak <= 56 * h.amps.size
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(37)
@@ -1017,11 +1076,12 @@ class TestAdoptedOutputs:
             h, q = sparse_hybrid(rng, unit=False, zero_bit=zero_bit)
             for t in (-2, -1, 1, 3):
                 assert self.adopted(cond_translate, h, q, t) == ref_cond_translate(h, q, t)
-            for variant in FlipVariant:
-                self.adopted(cond_flip, h, q, variant)
+            self.adopted(cond_flip, h, q)
             self.adopted(squeeze_all, h)
             perm = rng.permutation(1 << h.n_qubits)
             self.adopted(apply_basis_permutation, h, perm[h.rows])
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=1 << h.n_qubits))
+            self.adopted(apply_row_phases, h, phases[h.rows])
 
     @pytest.mark.parametrize("zero_bit, seed", [(None, 80), (0, 81), (1, 82)])
     def test_erase_outputs(self, zero_bit, seed):
@@ -1159,8 +1219,8 @@ class TestDenseReference:
         for rng, h, q in self.states(100, unit, full, zero_bit):
             for t in (-2, -1, 1, 3):
                 assert cond_translate(h, q, t) == ref_cond_translate(h, q, t)
-            for variant in FlipVariant:
-                assert cond_flip(h, q, variant) == ref_cond_flip(h, q, variant)
+            assert cond_flip(h, q) == ref_cond_flip(h, q)
+            assert validation._flip_inside_one_two(h, q) == ref_cond_flip(h, q, inside_one_two=True)
             assert squeeze_all(h) == ref_squeeze_all(h)
             for u in gates + [random_unitary(rng)]:
                 assert apply_qubit_gate(h, q, u) == ref_apply_qubit_gate(h, q, u)
@@ -1175,9 +1235,9 @@ class TestDenseReference:
         # on [0,1) support one erase matches the pipeline under either flip
         for _, h, q in self.states(101, True, full, zero_bit):
             got = erase(h, q)
-            for variant in FlipVariant:
+            for inside_one_two in (False, True):
                 out = ref_cond_translate(h, q, 1)
-                out = ref_cond_flip(out, q, variant)
+                out = ref_cond_flip(out, q, inside_one_two)
                 out = ref_squeeze_all(ref_cond_translate(out, q, -1))
                 assert got == out
 
