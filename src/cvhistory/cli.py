@@ -40,6 +40,7 @@ from .dyadic import DyadicWave, check_bytes, check_level, indicator_unit
 from .dyadic import norm2 as wave_norm2
 from .erasure import (
     GridHybrid,
+    check_erase_window,
     cv_factor,
     erase_sequence,
     grid_erase,
@@ -190,7 +191,8 @@ def load_scenario(path: str, kind: str, out_dir: Optional[str] = None) -> Scenar
             raise ValidationError(f"grid.n: must be a power of two, got {n}")
         try:
             check_window(lo, (hi - lo) / n, n)
-        except ValidationError as exc:
+            check_erase_window(lo, (hi - lo) / n, n)
+        except (ValidationError, DomainError) as exc:
             raise ValidationError(f"grid.window: {exc}") from None
         cfg.grid_window = (lo, hi)
         cfg.grid_n = n

@@ -32,8 +32,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dyadic
-from .dyadic import SQRT2, DyadicWave, check_bytes, indicator_unit
-from .errors import ContractError, DomainError, ResourceLimitError, ValidationError
+from .dyadic import SQRT2, DyadicWave, check_bytes
+from .errors import ContractError, DomainError, ValidationError
 from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit, is_integer
 from .grid import SUPPORT_EPS, GridWave, check_window, translate_spectral
 from .qubits import (
@@ -346,35 +346,22 @@ def erase_sequence(h: HybridState, qubits: Sequence[int]) -> Tuple[HybridState, 
     return h, trace
 
 
-def tensor_oracle(
-    pairs: Sequence[Tuple[complex, complex]], base: Optional[DyadicWave] = None
-) -> DyadicWave:
+def tensor_oracle(pairs: Sequence[Tuple[complex, complex]]) -> DyadicWave:
     """Closed-form CV wave after erasing qubits with amplitudes (a_i, b_i)
-    into a base wave supported in [0,1).
+    into the unit indicator on [0,1).
 
-    Cell k of the level-(base.level + n) result factors as
-    2^{n/2} * base(low bits of k) * prod_i c_i(bit_{i-1} of the high bits),
-    with c_i(0) = a_i, c_i(1) = b_i: the high bits spell the erased-bit
+    Cell k of the level-n result is 2^{n/2} * prod_i c_i(bit_{i-1} of k),
+    with c_i(0) = a_i, c_i(1) = b_i: the bits of k spell the erased-bit
     history, most recent step in the most significant fractional digit.
     Independent of the gate pipeline; used as a test oracle.
     """
-    if base is None:
-        base = indicator_unit(0)
     n = len(pairs)
-    max_level = 24  # the oracle is dense: 2^24 cells at most
-    if base.level + n > max_level:
-        raise ResourceLimitError(f"oracle level {base.level + n} exceeds {max_level}")
-    unit = 1 << base.level
-    if not (0 <= base.offset and base.offset + base.n_cells <= unit):
-        raise DomainError("oracle base must be supported inside [0,1)")
-    base_vals = np.zeros(unit, dtype=np.complex128)
-    base_vals[base.offset : base.offset + base.n_cells] = base.coeffs
-    k = np.arange(1 << (base.level + n))
-    history = k >> base.level
-    vals = base_vals[k & (unit - 1)] * 2.0 ** (n / 2.0)
+    check_bytes(f"oracle: the level-{n} wave of 2^{n} cells", n, 1)
+    k = np.arange(1 << n)
+    vals = np.full(1 << n, 2.0 ** (n / 2.0), dtype=np.complex128)
     for i, (a, b) in enumerate(pairs):
-        vals = vals * np.where((history >> i) & 1 == 1, complex(b), complex(a))
-    return DyadicWave(base.level + n, 0, vals)
+        vals = vals * np.where((k >> i) & 1 == 1, complex(b), complex(a))
+    return DyadicWave(n, 0, vals)
 
 
 def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix:
@@ -556,15 +543,6 @@ class GridHybrid:
         return GridWave(self.x_min, self.h, self.amps[q])
 
 
-def grid_lift(reg: RegisterState, g: GridWave) -> GridHybrid:
-    """Product state on the grid backend."""
-    if abs(reg.norm2() - 1.0) > 1e-9:
-        raise ContractError(f"register input not normalized (norm2 = {reg.norm2()!r})")
-    if abs(g.norm2() - 1.0) > 1e-6:
-        raise ContractError(f"wave input not normalized (norm2 = {g.norm2()!r})")
-    return GridHybrid(reg.n_qubits, g.x_min, g.h, np.outer(reg.amps, g.samples))
-
-
 def grid_cond_translate(gh: GridHybrid, q: int, t: int) -> GridHybrid:
     """Translate rows with qubit q = |1> by t x-units, spectrally."""
     check_qubit(q, gh.n_qubits)
@@ -616,9 +594,19 @@ def grid_unfold(gh: GridHybrid, q: int) -> GridHybrid:
     return grid_cond_translate(out, q, -1)
 
 
+def check_erase_window(x_min: float, h: float, n: int) -> None:
+    """The window x_min + j*h, j < n, holds [0,2), where a grid erase
+    translates the |1> branch; a narrower periodic window wraps it."""
+    if x_min > 0 or x_min + n * h < 2:
+        raise DomainError(
+            f"a grid erase needs a window holding [0, 2), got [{x_min}, {x_min + n * h})"
+        )
+
+
 def grid_erase(gh: GridHybrid, q: int) -> GridHybrid:
     """Grid-backend erasure; support detection uses a relative threshold
     because spectral translation leaves O(1e-16) residue everywhere."""
+    check_erase_window(gh.x_min, gh.h, gh.n_samples)
     xs = gh.positions()
     bad = _significant(gh) & ~((xs >= 0.0) & (xs < 1.0))
     if np.any(bad):

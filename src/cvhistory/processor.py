@@ -34,6 +34,7 @@ from .revcomp import (
     TruthTable,
     as_register_permutation,
     check_fields,
+    check_pair_bits,
     named_table,
     table_from_dict,
     table_from_json,
@@ -78,7 +79,9 @@ class TableOp:
     y_qubits: Tuple[int, ...]
 
     def __post_init__(self):
-        check_fields(self.table.n_in, self.table.m_out, self.x_qubits, self.y_qubits)
+        n_in, m_out = self.table.n_in, self.table.m_out
+        check_pair_bits(n_in, m_out, lambda msg: ValidationError(msg, "table"))
+        check_fields(n_in, m_out, self.x_qubits, self.y_qubits)
 
 
 @dataclass(frozen=True)

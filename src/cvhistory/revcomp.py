@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,6 +113,18 @@ _ADDER_RE = re.compile(r"^ADDER\((\d+)\)$")
 _CONST_RE = re.compile(r"^CONST\((\d+),(\d+),(\d+)\)$")
 
 
+def check_pair_bits(
+    n_in: int, m_out: int, error: Callable[[str], Exception] = ResourceLimitError
+) -> None:
+    """Refuse, raising ``error``, a lift of n_in + m_out pair bits past
+    MAX_PAIR_BITS: build_reversible forms every one of its pairs."""
+    if n_in + m_out > MAX_PAIR_BITS:
+        raise error(
+            f"pair register of {n_in + m_out} bits exceeds the "
+            f"{MAX_PAIR_BITS}-bit exhaustive-construction limit"
+        )
+
+
 def table_name_key(name: str) -> str:
     """The spelling of a table name that named_table reads."""
     return name.strip().upper().replace(" ", "")
@@ -131,15 +143,15 @@ def named_table(name: str) -> TruthTable:
     m = _ADDER_RE.match(key)
     if m:
         k = int(m.group(1))
-        if k < 1 or 2 * k + (k + 1) > MAX_PAIR_BITS:
+        if k < 1:
             raise ValidationError(f"ADDER({k}) outside supported sizes")
+        check_pair_bits(2 * k, k + 1, ValidationError)
         x = np.arange(1 << (2 * k))
         return TruthTable(2 * k, k + 1, (x & ((1 << k) - 1)) + (x >> k))
     m = _CONST_RE.match(key)
     if m:
         n_in, m_out, value = (int(g) for g in m.groups())
-        if n_in + m_out > MAX_PAIR_BITS:
-            raise ValidationError(f"CONST({n_in},{m_out},{value}) outside supported sizes")
+        check_pair_bits(n_in, m_out, ValidationError)
         if value >= 1 << m_out:
             raise ValidationError(f"CONST value {value} does not fit in {m_out} bits")
         return TruthTable(n_in, m_out, np.full(1 << n_in, value))
@@ -196,11 +208,7 @@ class ReversiblePermutation:
 
 def build_reversible(tt: TruthTable, mode: SubtractMode) -> ReversiblePermutation:
     """Lift the table to the involution (x, y) -> (x, f(x) (-) y)."""
-    if tt.n_in + tt.m_out > MAX_PAIR_BITS:
-        raise ResourceLimitError(
-            f"pair register of {tt.n_in + tt.m_out} bits exceeds the "
-            f"{MAX_PAIR_BITS}-bit exhaustive-construction limit"
-        )
+    check_pair_bits(tt.n_in, tt.m_out)
     y = np.arange(1 << tt.m_out)
     f = tt.outputs[:, None]
     if mode is SubtractMode.XOR:
@@ -239,7 +247,7 @@ def as_register_permutation(
     x_qubits: Sequence[int],
     y_qubits: Sequence[int],
     n_total: int,
-    rows: Optional[np.ndarray] = None,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """The images of n_total-qubit basis rows under the embedded pair map.
 
@@ -247,14 +255,13 @@ def as_register_permutation(
     y.  Unlisted qubits are spectators.  ``rows`` are the basis indices
     to map, in any order and with repeats, and entry i of the result is
     the image of rows[i]; the temporaries hold n_in + m_out values per
-    row.  Without ``rows`` every index 0 .. 2^n_total - 1 is mapped,
-    which gives the whole basis permutation.
+    row.
     """
     check_fields(p.n_in, p.m_out, x_qubits, y_qubits)
     all_q = [int(q) for q in x_qubits] + [int(q) for q in y_qubits]
     if any(q < 0 or q >= n_total for q in all_q):
         raise ValidationError(f"qubit index outside [0, {n_total}) in {sorted(all_q)}")
-    idx = np.arange(1 << n_total) if rows is None else np.asarray(rows, dtype=np.int64)
+    idx = np.asarray(rows, dtype=np.int64)
     m = p.m_out
     # qubit all_q[k] is bit to[k] of the flat index x * 2^m_out + y of y_map
     at = np.array(all_q, dtype=np.int64)

@@ -573,7 +573,7 @@ def suite_revcomp_uncompute_identity(rng):
         mode = SubtractMode.XOR if rng.integers(0, 2) else SubtractMode.MOD_SUB
         n = n_in + m_out
         perm = as_register_permutation(
-            build_reversible(tt, mode), list(range(n_in)), list(range(n_in, n)), n
+            build_reversible(tt, mode), range(n_in), range(n_in, n), n, np.arange(1 << n)
         )
         state = RegisterState(n, _random_state(rng, n))
         back = apply_permutation(apply_permutation(state, perm), perm)

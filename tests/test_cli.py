@@ -444,6 +444,34 @@ class TestScenarioSchema:
         assert capsys.readouterr().err.startswith("error: grid.n:")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"window": [-1.0, 1.0], "n": 16}, "grid.window: a grid erase needs a window holding [0, 2)"),
+            ({"window": [0.5, 4.5], "n": 16}, "grid.window: a grid erase needs a window holding [0, 2)"),
+            # the earlier step and finiteness rules keep their messages
+            ({"window": [-1.0, 1.0], "n": 100}, "grid.n: must be a power of two"),
+            ({"window": [5e-324, 1e-323], "n": 16}, "grid.window: grid step must be positive"),
+        ],
+        ids=["wraps-below-zero", "starts-past-zero", "n-not-a-power-of-two", "step-underflows"],
+    )
+    def test_grid_window_must_hold_zero_two_exit_2(self, tmp_path, capsys, grid, message):
+        # on [-1,1) the |1> branch would wrap around the periodic window
+        scenario = {"backend": "grid", "grid": grid, "pairs": [[0, 1]], "out_dir": str(tmp_path / "o")}
+        assert main(["erase-demo", write_scenario(tmp_path, "s.json", scenario)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_erase_lands_on_upper_half(self, tmp_path):
+        # the |1> branch of [0,1) erases onto [0.5, 1), as on the exact backend
+        out = tmp_path / "o"
+        grid = {"window": [-2.0, 2.0], "n": 32}
+        scenario = {"backend": "grid", "grid": grid, "pairs": [[0, 1]], "out_dir": str(out)}
+        assert main(["erase-demo", write_scenario(tmp_path, "s.json", scenario)]) == 0
+        rows = [r.split(",") for r in (out / "step_01.csv").read_text().splitlines()[1:]]
+        held = [float(r[0]) for r in rows if float(r[4]) > 1e-12]
+        assert held == [0.5, 0.625, 0.75, 0.875]
+
     def test_grid_erase_demo_rejects_cv_level(self, tmp_path, capsys):
         s = write_scenario(
             tmp_path,
@@ -936,6 +964,21 @@ class TestProcessorCommand:
             assert main([kind, s]) == 2
         assert "steps[0].op.table" in capsys.readouterr().err
         assert traced.peak < 8 << 20  # CONST(24,1,0) alone would take 128 MiB
+
+    def test_inline_table_past_pair_bits_exit_2(self, tmp_path, capsys):
+        # both commands refuse a 21-bit lift at parse, with one message,
+        # before out_dir is made
+        table = {"n_in": 0, "m_out": 21, "outputs": [0]}
+        op = {"table": table, "x_qubits": [], "y_qubits": list(range(21))}
+        prog = {"data": 1, "ancilla": 20, "steps": [{"op": op}]}
+        s = write_scenario(tmp_path, "s.json", {"program": prog, "out_dir": str(tmp_path / "o")})
+        errs = []
+        for kind in ("processor", "resource"):
+            assert main([kind, s]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not (tmp_path / "o").exists()
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: steps[0].op.table: pair register of 21 bits")
 
     @pytest.mark.parametrize("kind", ["processor", "resource"])
     def test_duplicate_clean_exit_2(self, tmp_path, capsys, kind):

@@ -24,7 +24,6 @@ from cvhistory.erasure import (
     grid_cond_flip,
     grid_cond_translate,
     grid_erase,
-    grid_lift,
     grid_squeeze_all,
     hybrid_reduced_density,
     lift,
@@ -407,6 +406,17 @@ def _overlay(w1: DyadicWave, w2: DyadicWave) -> DyadicWave:
     return DyadicWave(level, lo, c1 + c2)
 
 
+def _erased_wave(w: DyadicWave, a: complex, b: complex) -> DyadicWave:
+    """The closed form of one erase of a|0> + b|1> into w on [0,1):
+    sqrt(2) (a psi(2x) + b psi(2x - 1))."""
+    sq = wave_squeeze(w)  # sqrt(2) psi(2x), level + 1
+    half = 1 << w.level  # 1/2 x-unit in level+1 cells
+    return _overlay(
+        DyadicWave(sq.level, sq.offset, a * sq.coeffs),
+        DyadicWave(sq.level, sq.offset + half, b * sq.coeffs),
+    )
+
+
 class TestErase:
     def test_balanced_pair_gives_indicator(self):
         reg = RegisterState(1, [SQRT1_2, SQRT1_2])
@@ -468,13 +478,7 @@ class TestErase:
             w = random_unit_wave(rng, int(rng.integers(0, 6)))
             h = lift(RegisterState(1, [a, b]), w)
             out = erase(h, 0)
-            sq = wave_squeeze(w)  # sqrt(2) psi(2x), level + 1
-            half = 1 << w.level  # 1/2 x-unit in level+1 cells
-            expect = _overlay(
-                DyadicWave(sq.level, sq.offset, a * sq.coeffs),
-                DyadicWave(sq.level, sq.offset + half, b * sq.coeffs),
-            )
-            assert max_abs_diff(out.row_wave(0), expect) <= 1e-15
+            assert max_abs_diff(out.row_wave(0), _erased_wave(w, a, b)) <= 1e-15
             assert abs(out.norm2() - 1.0) <= 1e-12
 
     def test_norm_drift(self):
@@ -542,16 +546,18 @@ class TestTensorOracle:
         assert w == DyadicWave(2, 2, [2.0])
 
     def test_empty_pairs(self):
-        base = DyadicWave(1, 0, [1.0, -1.0])
-        assert tensor_oracle([], base) == base
-
-    def test_base_outside_unit_rejected(self):
-        with pytest.raises(DomainError):
-            tensor_oracle([(1.0, 0.0)], translate_int(indicator_unit(0), 1))
+        assert tensor_oracle([]) == indicator_unit(0)
 
     def test_level_limit(self):
         with pytest.raises(ResourceLimitError):
             tensor_oracle([(1.0, 0.0)] * 30)
+
+    def test_past_byte_budget_refused_before_allocation(self, traced_peak):
+        # 2^24 cells fill the byte budget; one more pair is refused
+        with traced_peak() as traced:
+            with pytest.raises(ResourceLimitError, match="level-25 wave"):
+                tensor_oracle([(1.0, 0.0)] * 25)
+        assert traced.peak < 1 << 20
 
     def test_branch_orthogonality_exact(self):
         histories = [0b0101, 0b1010, 0b0000, 0b1111]
@@ -564,12 +570,17 @@ class TestTensorOracle:
                 assert inner(waves[i], waves[j]) == 0
 
     def test_general_base_matches_pipeline(self):
+        # three erases from a random base wave agree with the one-erase
+        # closed form applied step by step
         rng = np.random.default_rng(34)
         base = random_unit_wave(rng, 2)
         pairs = [random_pair(rng) for _ in range(3)]
         reg = product_register(pairs)
         final, _ = erase_sequence(lift(reg, base), [0, 1, 2])
-        assert max_abs_diff(final.row_wave(0), tensor_oracle(pairs, base)) <= 1e-12
+        expect = base
+        for a, b in pairs:
+            expect = _erased_wave(expect, a, b)
+        assert max_abs_diff(final.row_wave(0), expect) <= 1e-12
 
 
 class TestHybridReducedDensity:
@@ -920,7 +931,7 @@ class TestGridPipeline:
         w = random_unit_wave(rng, 2)
 
         gw = sample_function(lambda x: value_at(w, x), x_min, h_step, n_samples)
-        gh = grid_lift(reg, gw)
+        gh = GridHybrid(1, gw.x_min, gw.h, np.outer(reg.amps, gw.samples))
         g_out = grid_erase(gh, 0)
         d_out = erase(lift(reg, w), 0)
         err2 = 0.0
@@ -957,7 +968,7 @@ class TestGridPipeline:
     def test_spectral_and_shift_agree(self):
         reg = RegisterState(1, [0.0, 1.0])
         gw = sample_function(self.wave_indicator, -2.0, 1 / 1024, 4096)
-        gh = grid_lift(reg, gw)
+        gh = GridHybrid(1, gw.x_min, gw.h, np.outer(reg.amps, gw.samples))
         a = grid_cond_translate(gh, 0, 1)
         assert np.array_equal(a.amps[0], gh.amps[0])
         b = translate_shift(GridWave(gh.x_min, gh.h, gh.amps[1]), 1).samples
@@ -966,9 +977,23 @@ class TestGridPipeline:
     def test_support_violation(self):
         reg = RegisterState(1, [0.0, 1.0])
         gw = sample_function(lambda x: 1.0 if 1.0 <= x < 2.0 else 0.0, -2.0, 1 / 1024, 4096)
-        gh = grid_lift(reg, gw)
+        gh = GridHybrid(1, gw.x_min, gw.h, np.outer(reg.amps, gw.samples))
         with pytest.raises(ContractError):
             grid_erase(gh, 0)
+
+    @pytest.mark.parametrize("x_min, n", [(-1.0, 16), (0.125, 32)])
+    def test_window_must_hold_zero_two(self, x_min, n):
+        # on [-1,1) the +1 translate of the |1> branch would wrap around
+        # the periodic window onto [-1,0)
+        gw = sample_function(self.wave_indicator, x_min, 1 / 8, n)
+        gh = GridHybrid(1, x_min, 1 / 8, np.outer([0.0, 1.0], gw.samples))
+        with pytest.raises(DomainError, match=r"window holding \[0, 2\)"):
+            grid_erase(gh, 0)
+
+    def test_window_of_exactly_zero_two_runs(self):
+        gw = sample_function(self.wave_indicator, 0.0, 1 / 8, 16)
+        out = grid_erase(GridHybrid(1, 0.0, 1 / 8, np.outer([0.0, 1.0], gw.samples)), 0)
+        assert np.max(np.abs(out.amps[1])) <= 1e-12
 
     def test_squeeze_escape(self):
         gw = sample_function(lambda x: 1.0 if 3.0 <= x < 3.5 else 0.0, 2.0, 1 / 8, 16)

@@ -31,7 +31,7 @@ from cvhistory.processor import (
 )
 from cvhistory import revcomp
 from cvhistory.qubits import RegisterState, basis_state, purity
-from cvhistory.revcomp import SubtractMode, build_reversible, named_table
+from cvhistory.revcomp import SubtractMode, TruthTable, build_reversible, named_table
 from dense_reference import (
     ref_apply_basis_permutation,
     ref_apply_gate,
@@ -375,6 +375,13 @@ class TestHandBuiltTableRules:
         ps = init(2, 1, basis_state(2, 0))
         with pytest.raises(ValidationError, match=match):
             run_step(ps, ProgramStep(op=make(), clean=()))
+
+    def test_pair_register_past_limit_refused_when_built(self):
+        # a hand-built table whose lift build_reversible would refuse
+        wide = TruthTable(0, 21, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValidationError, match="pair register of 21 bits") as exc:
+            TableOp(wide, SubtractMode.XOR, (), tuple(range(21)))
+        assert exc.value.field == "table"
 
 
 class TestAndDemo:

@@ -61,6 +61,16 @@ class TestTruthTable:
         with pytest.raises(ValidationError):
             named_table("CONST(2,1,3)")
 
+    @pytest.mark.parametrize("name, bits", [("ADDER(7)", 22), ("CONST(20,1,0)", 21), ("CONST(0,21,0)", 21)])
+    def test_named_past_pair_bits_refused(self, name, bits):
+        with pytest.raises(ValidationError, match=f"pair register of {bits} bits"):
+            named_table(name)
+
+    def test_named_at_pair_bits_built(self):
+        adder = named_table("ADDER(6)")
+        assert adder.n_in + adder.m_out == 19
+        assert named_table("CONST(0,20,5)").m_out == 20
+
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             named_table("NAND")
@@ -215,33 +225,33 @@ class TestCheckInvolution:
 class TestRegisterEmbedding:
     def test_and_xor_maps_011_to_111(self):
         p = build_reversible(AND, SubtractMode.XOR)
-        perm = as_register_permutation(p, [0, 1], [2], 3)
+        perm = as_register_permutation(p, [0, 1], [2], 3, np.arange(8))
         assert perm[0b011] == 0b111
         assert perm[0b111] == 0b011
 
     def test_identity_table_gives_identity(self):
         p = build_reversible(named_table("CONST(2,1,0)"), SubtractMode.XOR)
-        perm = as_register_permutation(p, [0, 1], [2], 3)
+        perm = as_register_permutation(p, [0, 1], [2], 3, np.arange(8))
         assert np.array_equal(perm, np.arange(8))
 
     def test_spectator_bit_fixed(self):
         p = build_reversible(AND, SubtractMode.XOR)
-        perm = as_register_permutation(p, [0, 1], [2], 4)
+        perm = as_register_permutation(p, [0, 1], [2], 4, np.arange(16))
         for i in range(16):
             assert (perm[i] >> 3) & 1 == (i >> 3) & 1
 
     def test_validation(self):
         p = build_reversible(AND, SubtractMode.XOR)
         with pytest.raises(ValidationError):
-            as_register_permutation(p, [0, 1], [1], 3)  # overlap
+            as_register_permutation(p, [0, 1], [1], 3, np.arange(8))  # overlap
         with pytest.raises(ValidationError):
-            as_register_permutation(p, [0, 1], [3], 3)  # out of range
+            as_register_permutation(p, [0, 1], [3], 3, np.arange(8))  # out of range
         with pytest.raises(ValidationError):
-            as_register_permutation(p, [0], [2], 3)  # wrong count
+            as_register_permutation(p, [0], [2], 3, np.arange(8))  # wrong count
 
     def test_clean_evaluation_on_register(self):
         p = build_reversible(AND, SubtractMode.XOR)
-        perm = as_register_permutation(p, [0, 1], [2], 3)
+        perm = as_register_permutation(p, [0, 1], [2], 3, np.arange(8))
         for x in range(4):
             state = apply_permutation(basis_state(3, x), perm)
             expect = x | (AND(x) << 2)
@@ -263,7 +273,9 @@ class TestRegisterEmbedding:
         x_qubits, y_qubits = qs[: tt.n_in], qs[tt.n_in : tt.n_in + tt.m_out]
         p = build_reversible(tt, mode)
         whole = ref_register_permutation(p, x_qubits, y_qubits, n_total)
-        assert np.array_equal(as_register_permutation(p, x_qubits, y_qubits, n_total), whole)
+        every_row = np.arange(1 << n_total)
+        got = as_register_permutation(p, x_qubits, y_qubits, n_total, every_row)
+        assert np.array_equal(got, whole)
         rows = np.array([rnd.randrange(1 << n_total) for _ in range(rnd.randrange(6))], dtype=np.int64)
         got = as_register_permutation(p, x_qubits, y_qubits, n_total, rows)
         assert np.array_equal(got, whole[rows])
@@ -282,7 +294,7 @@ class TestRegisterEmbedding:
         p = build_reversible(tt, mode)
         n_total = tt.n_in + tt.m_out
         perm = as_register_permutation(
-            p, list(range(tt.n_in)), list(range(tt.n_in, n_total)), n_total
+            p, list(range(tt.n_in)), list(range(tt.n_in, n_total)), n_total, np.arange(1 << n_total)
         )
         rng = np.random.default_rng(0)
         amps = rng.normal(size=1 << n_total) + 1j * rng.normal(size=1 << n_total)
