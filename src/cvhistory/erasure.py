@@ -34,7 +34,7 @@ import numpy as np
 from . import dyadic
 from .dyadic import SQRT2, DyadicWave, check_bytes
 from .errors import ContractError, DomainError, ValidationError
-from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit, is_integer
+from .errors import check_basis_index, check_count, check_finite, check_integer, check_qubit, int64_vector
 from .grid import SUPPORT_EPS, GridWave, check_window, translate_spectral
 from .qubits import (
     DensityMatrix,
@@ -78,7 +78,7 @@ class HybridState:
     def __post_init__(self):
         check_count("n_qubits", self.n_qubits)
         level = check_count("level", self.level)
-        rows, cells = _int64_vector("rows", self.rows), _int64_vector("cells", self.cells)
+        rows, cells = int64_vector("rows", self.rows), int64_vector("cells", self.cells)
         amps = np.array(self.amps, dtype=np.complex128)
         if rows.ndim != 1 or rows.shape != cells.shape or rows.shape != amps.shape:
             raise ValidationError(
@@ -173,21 +173,6 @@ class HybridState:
             coeffs = np.zeros(span, dtype=np.complex128)
             coeffs[self.cells[lo:hi] - first] = self.amps[lo:hi]
         return DyadicWave(self.level, first, coeffs)
-
-
-def _int64_vector(name: str, values) -> np.ndarray:
-    """A fresh int64 array of values, the indices ``name``; refuses a
-    float or a bool rather than let numpy truncate it, and an integer past
-    the int64 range rather than let numpy overflow."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
-        values = np.array(values, dtype=object)
-        for v in values.flat:
-            if not is_integer(v):
-                raise DomainError(f"{name}: an index must be an integer, got {v!r}")
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise DomainError(f"{name}: an index leaves the int64 range") from None
 
 
 def _hull(cells: np.ndarray) -> Tuple[int, int]:
@@ -357,11 +342,19 @@ def tensor_oracle(pairs: Sequence[Tuple[complex, complex]]) -> DyadicWave:
     """
     n = len(pairs)
     check_bytes(f"oracle: the level-{n} wave of 2^{n} cells", n, 1)
-    k = np.arange(1 << n)
-    vals = np.full(1 << n, 2.0 ** (n / 2.0), dtype=np.complex128)
+    vals = np.empty(1 << n, dtype=np.complex128)
+    vals[0] = 2.0 ** (n / 2.0)
+    # after pair i the first 2m cells hold the wave of pairs 0..i, m = 2^i:
+    # cell k + m is cell k times b_i, then cell k becomes itself times a_i
     for i, (a, b) in enumerate(pairs):
-        vals = vals * np.where((k >> i) & 1 == 1, complex(b), complex(a))
-    return DyadicWave(n, 0, vals)
+        m = 1 << i
+        np.multiply(vals[:m], complex(b), out=vals[m : 2 * m])
+        np.multiply(vals[:m], complex(a), out=vals[:m])
+    check_finite("coeffs", vals)
+    # a zero end cell needs the constructor's trim
+    if vals[0] == 0 or vals[-1] == 0:
+        return DyadicWave(n, 0, vals)
+    return DyadicWave._adopt(n, 0, vals)
 
 
 def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix:
@@ -451,7 +444,7 @@ def apply_basis_permutation(h: HybridState, new_rows: Sequence[int] | np.ndarray
     Only the occupied rows are checked, in memory of a few times the entry
     count: every entry of one row must get the same image, and no two
     occupied rows may share one.  The map on the other rows is not seen."""
-    new = np.array(new_rows, dtype=np.int64)
+    new = int64_vector("new_rows", new_rows)
     if new.shape != h.rows.shape:
         raise ValidationError(
             f"new rows have shape {new.shape}, expected one per stored entry, {h.rows.shape}"

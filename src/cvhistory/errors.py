@@ -1,4 +1,6 @@
 """Exception hierarchy and the argument rules of all simulator modules."""
+from typing import Callable
+
 import numpy as np
 
 
@@ -38,6 +40,30 @@ def check_integer(name: str, v) -> int:
     if not is_integer(v):
         raise DomainError(f"{name} must be an integer, got {v!r}")
     return int(v)
+
+
+def check_integers(name: str, values, error: Callable[[str], Exception] = DomainError):
+    """values, the indices ``name``, as an array of integers; refuses,
+    raising ``error``, a float or a bool rather than let numpy truncate
+    it.  An integer array passes as it is, with no per-element loop."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values
+    values = np.array(values, dtype=object)
+    for v in values.flat:
+        if not is_integer(v):
+            raise error(f"{name}: an index must be an integer, got {v!r}")
+    return values
+
+
+def int64_vector(name: str, values) -> np.ndarray:
+    """A fresh int64 array of values, the indices ``name``: integers by
+    check_integers, and none past the int64 range, which numpy would
+    let overflow."""
+    values = check_integers(name, values)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"{name}: an index leaves the int64 range") from None
 
 
 def check_count(name: str, n) -> int:

@@ -12,7 +12,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, check_basis_index, check_count, check_finite, check_qubit
+from .errors import (
+    DomainError,
+    ValidationError,
+    check_basis_index,
+    check_count,
+    check_finite,
+    check_qubit,
+    int64_vector,
+    is_integer,
+)
 
 NORM_TOL = 1e-12
 
@@ -163,7 +172,7 @@ def _apply_permutation_kernel(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _check_permutation(perm, size: int) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.int64)
+    p = int64_vector("perm", perm)
     if p.shape != (size,):
         raise ValidationError(f"permutation has shape {p.shape}, expected ({size},)")
     if np.any(p < 0) or np.any(p >= size):
@@ -198,14 +207,17 @@ def trace_out(amps: np.ndarray, n_qubits: int, keep: Iterable[int]) -> DensityMa
     least significant bit.  The support is the kept indices that carry
     weight: the matrix product runs over those rows and columns only.
     """
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
+    kept = set(keep)
+    if not kept:
         raise DomainError("keep set must not be empty")
+    for q in kept:
+        if not is_integer(q):
+            raise DomainError(f"keep set: a qubit index must be an integer, got {q!r}")
+    keep_sorted = sorted(kept)
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n_qubits:
         raise DomainError(f"keep set {keep_sorted} out of range for {n_qubits} qubits")
     # axis n-1-q holds qubit q; the last axis gathers the trailing axes
     psi = np.asarray(amps, dtype=np.complex128).reshape((2,) * n_qubits + (-1,))
-    kept = set(keep_sorted)
     kept_axes = tuple(n_qubits - 1 - q for q in reversed(keep_sorted))
     traced = tuple(n_qubits - 1 - q for q in range(n_qubits) if q not in kept) + (n_qubits,)
     d = 1 << len(keep_sorted)

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ValidationError, is_integer
+from .errors import DomainError, ResourceLimitError, ValidationError, check_integers, int64_vector, is_integer
 from .serialize import expect_int, expect_int_list, read_json
 
 MAX_PAIR_BITS = 20
@@ -61,10 +61,11 @@ class TruthTable:
 
     def __post_init__(self):
         _check_widths(self.n_in, self.m_out)
+        outputs = check_integers("outputs", self.outputs, ValidationError)
         try:
-            arr = np.array(self.outputs, dtype=np.int64)
+            arr = np.array(outputs, dtype=np.int64)
         except OverflowError:
-            i, v = next((i, v) for i, v in enumerate(self.outputs) if not -(1 << 63) <= v < 1 << 63)
+            i, v = next((i, v) for i, v in enumerate(outputs) if not -(1 << 63) <= v < 1 << 63)
             raise ValidationError(f"outputs[{i}] = {v} outside the int64 range") from None
         if arr.ndim != 1 or arr.size != 1 << self.n_in:
             raise ValidationError(
@@ -176,7 +177,11 @@ def eval_forward(tt: TruthTable, mode: SubtractMode, x: int, y: int) -> Tuple[in
 
 @dataclass(frozen=True, eq=False)
 class ReversiblePermutation:
-    """Bijection on (x, y) pairs fixing x: y_map[x][y] gives the new y."""
+    """Bijection on (x, y) pairs fixing x: y_map[x][y] gives the new y.
+
+    The constructor copies y_map and checks that every row is a
+    bijection on y.  build_reversible, whose arithmetic makes every row
+    one, wraps its fresh map with ``_adopt`` instead."""
 
     n_in: int
     m_out: int
@@ -198,6 +203,16 @@ class ReversiblePermutation:
         arr.setflags(write=False)
         object.__setattr__(self, "y_map", arr)
 
+    @classmethod
+    def _adopt(cls, n_in: int, m_out: int, mode: SubtractMode, y_map: np.ndarray) -> "ReversiblePermutation":
+        """Wrap a fresh int64 y_map of shape (2^n_in, 2^m_out) whose rows
+        are bijections on y, without copying or checking it; it becomes
+        read-only."""
+        y_map.setflags(write=False)
+        p = object.__new__(cls)
+        vars(p).update(n_in=n_in, m_out=m_out, mode=mode, y_map=y_map)
+        return p
+
     def apply(self, x: int, y: int) -> Tuple[int, int]:
         if not 0 <= x < 1 << self.n_in:
             raise DomainError(f"x = {x} outside [0, {1 << self.n_in})")
@@ -207,17 +222,23 @@ class ReversiblePermutation:
 
 
 def build_reversible(tt: TruthTable, mode: SubtractMode) -> ReversiblePermutation:
-    """Lift the table to the involution (x, y) -> (x, f(x) (-) y)."""
+    """Lift the table to the involution (x, y) -> (x, f(x) (-) y).
+
+    The map is formed once, in place, at its own 8 * 2^(n_in + m_out)
+    bytes.  XOR with f(x), or subtraction from f(x) mod 2^m_out, is a
+    bijection on y for every x, so the map is adopted unchecked."""
     check_pair_bits(tt.n_in, tt.m_out)
     y = np.arange(1 << tt.m_out)
     f = tt.outputs[:, None]
     if mode is SubtractMode.XOR:
         y_map = f ^ y
     elif mode is SubtractMode.MOD_SUB:
-        y_map = (f - y) % (1 << tt.m_out)
+        # on int64, & (2^m_out - 1) is % 2^m_out, negative differences too
+        y_map = np.subtract(f, y)
+        y_map &= (1 << tt.m_out) - 1
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    return ReversiblePermutation(tt.n_in, tt.m_out, mode, y_map)
+    return ReversiblePermutation._adopt(tt.n_in, tt.m_out, mode, y_map)
 
 
 def check_involution(p: ReversiblePermutation) -> Tuple[bool, Optional[Tuple[int, int]]]:
@@ -258,10 +279,13 @@ def as_register_permutation(
     row.
     """
     check_fields(p.n_in, p.m_out, x_qubits, y_qubits)
-    all_q = [int(q) for q in x_qubits] + [int(q) for q in y_qubits]
+    all_q = [*x_qubits, *y_qubits]
+    for q in all_q:
+        if not is_integer(q):
+            raise ValidationError(f"qubit index must be an integer, got {q!r}")
     if any(q < 0 or q >= n_total for q in all_q):
         raise ValidationError(f"qubit index outside [0, {n_total}) in {sorted(all_q)}")
-    idx = np.asarray(rows, dtype=np.int64)
+    idx = int64_vector("rows", rows)
     m = p.m_out
     # qubit all_q[k] is bit to[k] of the flat index x * 2^m_out + y of y_map
     at = np.array(all_q, dtype=np.int64)
