@@ -17,6 +17,9 @@ which the processor's register ops on the stored rows must match bit
 for bit.  ``ref_run_step`` is a whole program step on the table: its op,
 each listed ancilla erased by the four reference gates, and the step's
 metrics read off the table, which ``processor.run_step`` must match.
+``ref_tensor_oracle`` is the history tensor built from the index of
+every cell, which ``erasure.tensor_oracle``'s per-pair doubling must
+match bit for bit.
 """
 from typing import Optional, Tuple
 
@@ -244,6 +247,17 @@ def ref_run_step(h: HybridState, step: ProgramStep, n_data: int) -> Tuple[Hybrid
     for q in sorted(step.clean):
         h = ref_erase(h, q)
     return h, ref_metrics(h, n_data)
+
+
+def ref_tensor_oracle(pairs) -> DyadicWave:
+    """Cell k is 2^{n/2} times c_i(bit i of k) for each pair in turn,
+    c_i(0) = a_i and c_i(1) = b_i, each factor read off k itself."""
+    n = len(pairs)
+    k = np.arange(1 << n)
+    vals = np.full(1 << n, 2.0 ** (n / 2.0), dtype=np.complex128)
+    for i, (a, b) in enumerate(pairs):
+        vals = vals * np.where((k >> i) & 1 == 1, complex(b), complex(a))
+    return DyadicWave(n, 0, vals)
 
 
 def ref_value_at(w: DyadicWave, x: float) -> complex:

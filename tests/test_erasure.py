@@ -35,6 +35,7 @@ from cvhistory.erasure import (
 from cvhistory import dyadic, qubits, validation
 from cvhistory.grid import GridWave, sample_function, translate_shift
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
+from cvhistory.revcomp import SubtractMode, as_register_permutation, build_reversible, named_table
 from dense_reference import (
     full_register,
     hull_wave,
@@ -48,6 +49,7 @@ from dense_reference import (
     ref_hybrid_reduced_density,
     ref_lift,
     ref_squeeze_all,
+    ref_tensor_oracle,
     ref_value_at,
     table,
 )
@@ -558,6 +560,34 @@ class TestTensorOracle:
             with pytest.raises(ResourceLimitError, match="level-25 wave"):
                 tensor_oracle([(1.0, 0.0)] * 25)
         assert traced.peak < 1 << 20
+
+    def test_matches_the_per_cell_reference_exactly(self):
+        # random pairs, and pairs with a zero amplitude, whose zero end
+        # cells the constructor trims
+        rng = np.random.default_rng(27)
+        for n in range(13):
+            for pairs in (
+                [random_pair(rng) for _ in range(n)],
+                [random_pair(rng) if i % 3 else (1.0, 0.0) for i in range(n)],
+                [random_pair(rng) if i % 2 else (0.0, 0.6 + 0.8j) for i in range(n)],
+            ):
+                got, want = tensor_oracle(pairs), ref_tensor_oracle(pairs)
+                assert (got.level, got.offset) == (want.level, want.offset)
+                assert np.array_equal(got.coeffs, want.coeffs)
+                assert not got.coeffs.flags.writeable
+
+    def test_peak_per_output_cell(self, traced_peak):
+        # the wave is doubled in place: 16 B per cell, plus the one-byte
+        # mask of the finiteness scan
+        pairs = [(0.6, 0.8j)] * 16
+        with traced_peak() as traced:
+            w = tensor_oracle(pairs)
+        assert w.n_cells == 1 << 16
+        assert traced.peak <= 26 * w.n_cells
+
+    def test_nonfinite_pair_refused(self):
+        with pytest.raises(ValidationError, match="coeffs must be finite"):
+            tensor_oracle([(0.6, 0.8), (np.nan, 0.5)])
 
     def test_branch_orthogonality_exact(self):
         histories = [0b0101, 0b1010, 0b0000, 0b1111]
@@ -1308,6 +1338,24 @@ QUBIT_OPS = {
 }
 
 
+NON_INTEGER_INDICES = [
+    [0, 1.7], [0, 1.0], [0, True], [np.float64(1.0), 0], [np.bool_(True), 0],
+    np.array([0.0, 1.0]), np.array([False, True]), [0, None], [0, "1"],
+]
+NON_INTEGER_IDS = ["1.7", "1.0", "True", "float64", "bool_", "float-array", "bool-array", "None", "str"]
+
+# Each takes a two-entry index vector, named after the colon in its key.
+INDEX_ARRAY_OPS = {
+    "apply_basis_permutation:new_rows": lambda v: apply_basis_permutation(
+        HybridState(1, 0, [0, 1], [0, 0], [0.6, 0.8]), v
+    ),
+    "apply_permutation:perm": lambda v: qubits.apply_permutation(RegisterState(1, [0.6, 0.8]), v),
+    "as_register_permutation:rows": lambda v: as_register_permutation(
+        build_reversible(named_table("AND"), SubtractMode.XOR), [0, 1], [2], 3, v
+    ),
+}
+
+
 class TestArgumentRules:
     """Indices and counts are Python or numpy integers, never bools or
     floats, and a grid window's positions are finite."""
@@ -1390,17 +1438,30 @@ class TestArgumentRules:
             HybridState(1, 0, **entry)
 
     @pytest.mark.parametrize("field", ["rows", "cells"])
-    @pytest.mark.parametrize(
-        "indices",
-        [[0, 1.7], [0, 1.0], [0, True], [np.float64(1.0), 0], [np.bool_(True), 0],
-         np.array([0.0, 1.0]), np.array([False, True]), [0, None], [0, "1"]],
-        ids=["1.7", "1.0", "True", "float64", "bool_", "float-array", "bool-array", "None", "str"],
-    )
+    @pytest.mark.parametrize("indices", NON_INTEGER_INDICES, ids=NON_INTEGER_IDS)
     def test_constructor_indices_must_be_integers(self, field, indices):
         # a float or bool index was truncated or read as 0 or 1
         entries = {"rows": [0, 1], "cells": [0, 1], "amps": [0.6, 0.8], field: indices}
         with pytest.raises(DomainError, match=f"^{field}: an index must be an integer, got "):
             HybridState(1, 0, **entries)
+
+    @pytest.mark.parametrize("op", sorted(INDEX_ARRAY_OPS))
+    @pytest.mark.parametrize("indices", NON_INTEGER_INDICES, ids=NON_INTEGER_IDS)
+    def test_index_arrays_must_be_integers(self, op, indices):
+        # each moved an entry to the truncated index, or read a bool as 0 or 1
+        name = op.split(":")[-1]
+        with pytest.raises(DomainError, match=f"^{name}: an index must be an integer, got "):
+            INDEX_ARRAY_OPS[op](indices)
+
+    @pytest.mark.parametrize("op", sorted(INDEX_ARRAY_OPS))
+    def test_integer_index_arrays_accepted(self, op):
+        INDEX_ARRAY_OPS[op](np.array([1, 0], dtype=np.int32))
+
+    @pytest.mark.parametrize("keep", [{1.0}, {True}, {0, 1.5}, {np.float64(0.0)}], ids=["1.0", "True", "1.5", "float64"])
+    def test_reduced_density_keep_must_hold_integers(self, keep):
+        # ended in a TypeError from the axis arithmetic
+        with pytest.raises(DomainError, match="^keep set: a qubit index must be an integer, got "):
+            hybrid_reduced_density(_two_qubit_state(), keep)
 
     @pytest.mark.parametrize(
         "rows, cells",

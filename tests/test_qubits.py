@@ -195,6 +195,14 @@ class TestReducedDensity:
             with pytest.raises(DomainError):
                 trace_out(basis_state(2, 0).amps, 2, keep)
 
+    @pytest.mark.parametrize(
+        "keep", [[0.0], {True}, {0, 1.5}, {np.float64(1.0)}, ["0"]], ids=["0.0", "True", "1.5", "float64", "str"]
+    )
+    def test_keep_must_hold_integers(self, keep):
+        # a float keep set ended in a TypeError from the axis arithmetic
+        with pytest.raises(DomainError, match="^keep set: a qubit index must be an integer, got "):
+            trace_out(basis_state(2, 0).amps, 2, keep)
+
     def test_keep_all_is_projector(self):
         rng = np.random.default_rng(3)
         state = random_state(rng, 3)

@@ -107,6 +107,17 @@ class TestTruthTable:
         with pytest.raises(ValidationError, match=f"^outputs must have length 2\\^{MAX_TABLE_BITS} = "):
             TruthTable(MAX_TABLE_BITS, MAX_TABLE_BITS, [0])
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [[0.5, 0, 0, 1], [0, 0, 0, 1.0], [False, False, False, True], np.array([0.0, 0.0, 0.0, 1.0]),
+         np.array([False, False, False, True]), [0, 0, 0, np.bool_(True)], [0, 0, 0, None]],
+        ids=["0.5", "1.0", "bools", "float-array", "bool-array", "bool_", "None"],
+    )
+    def test_outputs_must_be_integers(self, outputs):
+        # a float output was truncated, and a bool read as 0 or 1
+        with pytest.raises(ValidationError, match="^outputs: an index must be an integer, got "):
+            TruthTable(2, 1, outputs)
+
     @pytest.mark.parametrize("bad", [1 << 63, -(1 << 63) - 1, 10**30])
     def test_output_past_int64_refused(self, bad):
         with pytest.raises(ValidationError, match=f"^outputs\\[1\\] = {bad} outside the int64 range$"):
@@ -189,6 +200,31 @@ class TestBuildReversible:
         with pytest.raises(ResourceLimitError):
             build_reversible(tt, SubtractMode.XOR)
 
+    @pytest.mark.parametrize("mode", list(SubtractMode))
+    def test_adopted_lift_passes_the_validating_constructor(self, mode):
+        # build_reversible checks neither the range nor the bijection of
+        # its map; the constructor checks both on a copy
+        rng = np.random.default_rng(27)
+        names = ["AND", "OR", "XOR", "ADDER(1)", "ADDER(3)", "ADDER(6)", "CONST(0,1,1)", "CONST(3,4,9)", "CONST(0,20,5)"]
+        tables = [named_table(name) for name in names]
+        for bits in range(1, 21):
+            m_out = int(rng.integers(1, bits + 1))
+            tables.append(TruthTable(bits - m_out, m_out, rng.integers(0, 1 << m_out, size=1 << (bits - m_out))))
+        for tt in tables:
+            p = build_reversible(tt, mode)
+            checked = ReversiblePermutation(tt.n_in, tt.m_out, mode, p.y_map)
+            assert (p.n_in, p.m_out, p.mode) == (checked.n_in, checked.m_out, checked.mode)
+            assert p.y_map.dtype == np.int64 and np.array_equal(p.y_map, checked.y_map)
+            assert not p.y_map.flags.writeable
+
+    @pytest.mark.parametrize("mode", list(SubtractMode))
+    def test_peak_is_the_lift_itself(self, mode, traced_peak):
+        # the 8 * 2^(n_in + m_out) bytes the budget counts for a lift
+        tt = named_table("CONST(19,1,0)")
+        with traced_peak() as traced:
+            p = build_reversible(tt, mode)
+        assert traced.peak <= 1.1 * p.y_map.nbytes
+
     @given(truth_tables(), st.sampled_from(list(SubtractMode)))
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_eval_forward(self, tt, mode):
@@ -248,6 +284,16 @@ class TestRegisterEmbedding:
             as_register_permutation(p, [0, 1], [3], 3, np.arange(8))  # out of range
         with pytest.raises(ValidationError):
             as_register_permutation(p, [0], [2], 3, np.arange(8))  # wrong count
+
+    @pytest.mark.parametrize(
+        "x_qubits, y_qubits", [([0, 1.0], [2]), ([0, True], [2]), ([0, 1], [np.float64(2.0)])],
+        ids=["1.0", "True", "float64"],
+    )
+    def test_qubits_must_be_integers(self, x_qubits, y_qubits):
+        # a float qubit was truncated by int()
+        p = build_reversible(AND, SubtractMode.XOR)
+        with pytest.raises(ValidationError, match="^qubit index must be an integer, got "):
+            as_register_permutation(p, x_qubits, y_qubits, 3, np.arange(8))
 
     def test_clean_evaluation_on_register(self):
         p = build_reversible(AND, SubtractMode.XOR)
