@@ -22,7 +22,7 @@ MAX_LEVEL = 53
 
 # Every complex128 array the size rules cover holds at most this many bytes:
 # one 2^24-cell wave, the densest output erase-demo writes.  A program's
-# tables and lifts, int64 values all, share one such budget.
+# tables, int64 values all, share one such budget.
 MAX_BYTES = 1 << 28
 
 SQRT2 = float(np.sqrt(2.0))

@@ -345,11 +345,14 @@ def tensor_oracle(pairs: Sequence[Tuple[complex, complex]]) -> DyadicWave:
     vals = np.empty(1 << n, dtype=np.complex128)
     vals[0] = 2.0 ** (n / 2.0)
     # after pair i the first 2m cells hold the wave of pairs 0..i, m = 2^i:
-    # cell k + m is cell k times b_i, then cell k becomes itself times a_i
-    for i, (a, b) in enumerate(pairs):
-        m = 1 << i
-        np.multiply(vals[:m], complex(b), out=vals[m : 2 * m])
-        np.multiply(vals[:m], complex(a), out=vals[:m])
+    # cell k + m is cell k times b_i, then cell k becomes itself times a_i;
+    # a non-finite pair or an overflowing product leaves a non-finite cell,
+    # which the scan below refuses in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (a, b) in enumerate(pairs):
+            m = 1 << i
+            np.multiply(vals[:m], complex(b), out=vals[m : 2 * m])
+            np.multiply(vals[:m], complex(a), out=vals[:m])
     check_finite("coeffs", vals)
     # a zero end cell needs the constructor's trim
     if vals[0] == 0 or vals[-1] == 0:

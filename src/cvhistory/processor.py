@@ -33,6 +33,7 @@ from .revcomp import (
     SubtractMode,
     TruthTable,
     as_register_permutation,
+    build_reversible,
     check_fields,
     check_pair_bits,
     named_table,
@@ -221,7 +222,7 @@ def _apply_gate(h: HybridState, op: GateOp) -> HybridState:
 
 def _apply_table(h: HybridState, op: TableOp) -> HybridState:
     new_rows = as_register_permutation(
-        op.table.reversible(op.mode), op.x_qubits, op.y_qubits, h.n_qubits, h.rows
+        build_reversible(op.table, op.mode), op.x_qubits, op.y_qubits, h.n_qubits, h.rows
     )
     return apply_basis_permutation(h, new_rows)
 
@@ -320,7 +321,7 @@ def _at(path: str, exc: ValidationError) -> ValidationError:
 def _parse_table_ref(value, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) -> TruthTable:
     """The table a step refers to.  ``tables`` holds one TruthTable per
     distinct reference, a name however spelled, a file path or an inline
-    object, so the steps that share a reference share its table and lifts."""
+    object, so the steps that share a reference share its table."""
     if isinstance(value, str):
         key = ("name", table_name_key(value))
     elif isinstance(value, dict) and "file" in value:
@@ -341,18 +342,6 @@ def _parse_table_ref(value, path: str, base_dir: str, tables: Dict[tuple, TruthT
         else:
             tables[key] = table_from_dict(value)
     return tables[key]
-
-
-def _held_values(op: TableOp, held: set) -> int:
-    """The int64 values that op's table and its lift in op's mode add to
-    those already in ``held``: each table once, each lift once per mode."""
-    added = 0
-    lift_values = 1 << (op.table.n_in + op.table.m_out)
-    for key, values in ((op.table, op.table.outputs.size), ((op.table, op.mode), lift_values)):
-        if key not in held:
-            held.add(key)
-            added += values
-    return added
 
 
 def _parse_op(obj, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) -> Union[GateOp, TableOp]:
@@ -391,8 +380,8 @@ def _parse_op(obj, path: str, base_dir: str, tables: Dict[tuple, TruthTable]) ->
 def parse_program(obj: dict, base_dir: str = ".") -> Program:
     """Validate and build a Program from its JSON object form: the JSON
     types here, each program rule where the op and step are built and in
-    _check_step_qubits.  The tables, and the lifts their steps will build,
-    must fit the byte budget together; the first step past it is named."""
+    _check_step_qubits.  The distinct tables must fit the byte budget
+    together; the first step past it is named."""
     if not isinstance(obj, dict):
         raise ValidationError(f"program: expected an object, got {type(obj).__name__}")
     data = expect_int(obj.get("data"), "data", minimum=1)
@@ -416,9 +405,10 @@ def parse_program(obj: dict, base_dir: str = ".") -> Program:
             _check_step_qubits(step, data, ancilla)
         except ValidationError as exc:
             raise _at(path, exc) from exc
-        if isinstance(op, TableOp):
-            held_values += _held_values(op, held)
-            what = f"{path}.op.table: holding {8 * held_values} bytes of tables and lifts"
+        if isinstance(op, TableOp) and op.table not in held:
+            held.add(op.table)
+            held_values += op.table.outputs.size
+            what = f"{path}.op.table: holding {8 * held_values} bytes of tables"
             check_bytes(what, 0, held_values, itemsize=8)
         steps.append(step)
     return Program(data, ancilla, cv_level, tuple(steps))

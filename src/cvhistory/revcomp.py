@@ -9,19 +9,20 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ValidationError, check_integers, int64_vector, is_integer
+from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import check_integer, check_integers, int64_vector, is_integer
 from .serialize import expect_int, expect_int_list, read_json
 
 MAX_PAIR_BITS = 20
 # The widest n_in or m_out a TruthTable takes.  No table near it can be
 # held or lifted (the byte budget and MAX_PAIR_BITS refuse far narrower
-# ones); the bound keeps 2^n_in, 2^m_out and a lift's 2^(n_in + m_out)
-# small enough to form, and to print in a message.
+# ones); the bound keeps 2^n_in and 2^m_out small enough to form, and to
+# print in a message.
 MAX_TABLE_BITS = 4096
 
 
@@ -47,17 +48,11 @@ class SubtractMode(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TruthTable:
-    """f: [0, 2^n_in) -> [0, 2^m_out) as an output vector indexed by x.
-
-    The table keeps its lift per mode once ``reversible`` has built it, so
-    every step that shares the table shares the lift."""
+    """f: [0, 2^n_in) -> [0, 2^m_out) as an output vector indexed by x."""
 
     n_in: int
     m_out: int
     outputs: np.ndarray
-    _lifts: Dict[SubtractMode, ReversiblePermutation] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self):
         _check_widths(self.n_in, self.m_out)
@@ -81,16 +76,10 @@ class TruthTable:
         object.__setattr__(self, "outputs", arr)
 
     def __call__(self, x: int) -> int:
+        x = check_integer("x", x)
         if not 0 <= x < 1 << self.n_in:
             raise DomainError(f"input {x} outside [0, {1 << self.n_in})")
         return int(self.outputs[x])
-
-    def reversible(self, mode: SubtractMode) -> ReversiblePermutation:
-        """The lift under mode, built by build_reversible on first use."""
-        p = self._lifts.get(mode)
-        if p is None:
-            p = self._lifts[mode] = build_reversible(self, mode)
-        return p
 
 
 def table_from_dict(d: dict) -> TruthTable:
@@ -118,7 +107,7 @@ def check_pair_bits(
     n_in: int, m_out: int, error: Callable[[str], Exception] = ResourceLimitError
 ) -> None:
     """Refuse, raising ``error``, a lift of n_in + m_out pair bits past
-    MAX_PAIR_BITS: build_reversible forms every one of its pairs."""
+    MAX_PAIR_BITS: check_involution forms every one of its pairs."""
     if n_in + m_out > MAX_PAIR_BITS:
         raise error(
             f"pair register of {n_in + m_out} bits exceeds the "
@@ -163,6 +152,7 @@ def named_table(name: str) -> TruthTable:
 
 def eval_forward(tt: TruthTable, mode: SubtractMode, x: int, y: int) -> Tuple[int, int]:
     """(x, y) -> (x, f(x) (-) y) by direct arithmetic."""
+    x, y = check_integer("x", x), check_integer("y", y)
     if not 0 <= x < 1 << tt.n_in:
         raise DomainError(f"x = {x} outside [0, {1 << tt.n_in})")
     if not 0 <= y < 1 << tt.m_out:
@@ -177,77 +167,65 @@ def eval_forward(tt: TruthTable, mode: SubtractMode, x: int, y: int) -> Tuple[in
 
 @dataclass(frozen=True, eq=False)
 class ReversiblePermutation:
-    """Bijection on (x, y) pairs fixing x: y_map[x][y] gives the new y.
+    """The involution (x, y) -> (x, f(x) (-) y) of a table f under a mode.
 
-    The constructor copies y_map and checks that every row is a
-    bijection on y.  build_reversible, whose arithmetic makes every row
-    one, wraps its fresh map with ``_adopt`` instead."""
+    It holds the table and the mode only; ``images`` computes new y
+    values from the table's outputs when they are asked for."""
 
-    n_in: int
-    m_out: int
+    table: TruthTable
     mode: SubtractMode
-    y_map: np.ndarray
 
     def __post_init__(self):
-        _check_widths(self.n_in, self.m_out)
-        arr = np.array(self.y_map, dtype=np.int64)
-        shape = (1 << self.n_in, 1 << self.m_out)
-        if arr.shape != shape:
-            raise ValidationError(f"y_map shape {arr.shape} does not match {shape}")
-        m = 1 << self.m_out
-        if np.any(arr < 0) or np.any(arr >= m):
-            raise ValidationError("y_map contains out-of-range values")
-        if not np.all(np.sort(arr, axis=1) == np.arange(m)):
-            x_bad = int(np.flatnonzero(np.any(np.sort(arr, axis=1) != np.arange(m), axis=1))[0])
-            raise ValidationError(f"y_map row x = {x_bad} is not a bijection on y")
-        arr.setflags(write=False)
-        object.__setattr__(self, "y_map", arr)
+        if not isinstance(self.table, TruthTable):
+            raise ValidationError(f"table must be a TruthTable, got {type(self.table).__name__}")
+        if not isinstance(self.mode, SubtractMode):
+            raise ValidationError(f"mode must be a SubtractMode, got {self.mode!r}")
 
-    @classmethod
-    def _adopt(cls, n_in: int, m_out: int, mode: SubtractMode, y_map: np.ndarray) -> "ReversiblePermutation":
-        """Wrap a fresh int64 y_map of shape (2^n_in, 2^m_out) whose rows
-        are bijections on y, without copying or checking it; it becomes
-        read-only."""
-        y_map.setflags(write=False)
-        p = object.__new__(cls)
-        vars(p).update(n_in=n_in, m_out=m_out, mode=mode, y_map=y_map)
-        return p
+    @property
+    def n_in(self) -> int:
+        return self.table.n_in
+
+    @property
+    def m_out(self) -> int:
+        return self.table.m_out
+
+    def images(self, x, y):
+        """The new y of the pairs (x, y), int64 arrays of in-range values
+        that broadcast together: f(x) XOR y, or f(x) - y mod 2^m_out."""
+        f = self.table.outputs[x]
+        if self.mode is SubtractMode.XOR:
+            return f ^ y
+        # on int64, & (2^m_out - 1) is % 2^m_out, negative differences too
+        return (f - y) & ((1 << self.m_out) - 1)
 
     def apply(self, x: int, y: int) -> Tuple[int, int]:
+        x, y = check_integer("x", x), check_integer("y", y)
         if not 0 <= x < 1 << self.n_in:
             raise DomainError(f"x = {x} outside [0, {1 << self.n_in})")
         if not 0 <= y < 1 << self.m_out:
             raise DomainError(f"y = {y} outside [0, {1 << self.m_out})")
-        return x, int(self.y_map[x, y])
+        return x, int(self.images(x, y))
 
 
 def build_reversible(tt: TruthTable, mode: SubtractMode) -> ReversiblePermutation:
-    """Lift the table to the involution (x, y) -> (x, f(x) (-) y).
-
-    The map is formed once, in place, at its own 8 * 2^(n_in + m_out)
-    bytes.  XOR with f(x), or subtraction from f(x) mod 2^m_out, is a
-    bijection on y for every x, so the map is adopted unchecked."""
+    """Lift the table to the involution (x, y) -> (x, f(x) (-) y).  XOR
+    with f(x), or subtraction from f(x) mod 2^m_out, is a bijection on y
+    for every x, so the pair is the whole lift: nothing is formed."""
     check_pair_bits(tt.n_in, tt.m_out)
-    y = np.arange(1 << tt.m_out)
-    f = tt.outputs[:, None]
-    if mode is SubtractMode.XOR:
-        y_map = f ^ y
-    elif mode is SubtractMode.MOD_SUB:
-        # on int64, & (2^m_out - 1) is % 2^m_out, negative differences too
-        y_map = np.subtract(f, y)
-        y_map &= (1 << tt.m_out) - 1
-    else:
+    if not isinstance(mode, SubtractMode):
         raise DomainError(f"unknown mode {mode!r}")
-    return ReversiblePermutation._adopt(tt.n_in, tt.m_out, mode, y_map)
+    return ReversiblePermutation(tt, mode)
 
 
 def check_involution(p: ReversiblePermutation) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """Exhaustively verify p(p(x, y)) = (x, y); report a counterexample."""
-    twice = np.take_along_axis(p.y_map, p.y_map, axis=1)
-    bad = np.argwhere(twice != np.arange(1 << p.m_out))
+    """Exhaustively verify p(p(x, y)) = (x, y) on every pair; report a
+    counterexample."""
+    check_pair_bits(p.n_in, p.m_out)
+    x = np.arange(1 << p.n_in)[:, None]
+    y = np.arange(1 << p.m_out)
+    bad = np.argwhere(p.images(x, p.images(x, y)) != y)
     if bad.size:
-        x, y = int(bad[0][0]), int(bad[0][1])
-        return False, (x, y)
+        return False, (int(bad[0][0]), int(bad[0][1]))
     return True, None
 
 
@@ -287,15 +265,16 @@ def as_register_permutation(
         raise ValidationError(f"qubit index outside [0, {n_total}) in {sorted(all_q)}")
     idx = int64_vector("rows", rows)
     m = p.m_out
-    # qubit all_q[k] is bit to[k] of the flat index x * 2^m_out + y of y_map
+    # qubit all_q[k] is bit to[k] of x * 2^m_out + y
     at = np.array(all_q, dtype=np.int64)
     to = np.array([m + j for j in range(p.n_in)] + list(range(m)), dtype=np.int64)
     bits = idx[:, None] >> at
     bits &= 1
     bits <<= to
-    flat = bits.sum(axis=1)
-    # the low m_out bits of flat are y; y ^ y2 marks the y bits that flip
-    flips = (flat ^ p.y_map.ravel()[flat]) & ((1 << m) - 1)
+    xy = bits.sum(axis=1)
+    y = xy & ((1 << m) - 1)
+    # y ^ y2 marks the y bits that flip
+    flips = y ^ p.images(xy >> m, y)
     bits = flips[:, None] >> to[p.n_in :]
     bits &= 1
     bits <<= at[p.n_in :]

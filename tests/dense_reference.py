@@ -12,10 +12,12 @@ lookup, in exact integer cell arithmetic, that ``value_at`` must match.
 eigendecomposition of the dilation generator, which the matrix-free
 Chebyshev series of ``grid.dilation_generator`` must match to rounding.
 ``ref_gate_vector`` and ``ref_register_permutation`` are the two-qubit
-gates and the table lift as whole vectors over all 2^n basis indices,
-which the processor's register ops on the stored rows must match bit
-for bit.  ``ref_run_step`` is a whole program step on the table: its op,
-each listed ancilla erased by the four reference gates, and the step's
+gates and the table lift as whole vectors over all 2^n basis indices
+(the lift also on given rows, for a register too wide to spell), which
+the processor's register ops on the stored rows must match bit for bit;
+the lift reads each new y from ``eval_forward`` on Python ints.
+``ref_run_step`` is a whole program step on the table: its op, each
+listed ancilla erased by the four reference gates, and the step's
 metrics read off the table, which ``processor.run_step`` must match.
 ``ref_tensor_oracle`` is the history tensor built from the index of
 every cell, which ``erasure.tensor_oracle``'s per-pair doubling must
@@ -35,7 +37,7 @@ from cvhistory.qubits import (
     _apply_single_qubit_kernel,
     _check_permutation,
 )
-from cvhistory.revcomp import ReversiblePermutation, build_reversible
+from cvhistory.revcomp import ReversiblePermutation, build_reversible, eval_forward
 
 
 def table(h: HybridState) -> np.ndarray:
@@ -140,21 +142,21 @@ def ref_apply_gate(h: HybridState, name: str, a: int, b: int) -> HybridState:
     return ref_apply_basis_permutation(h, vec)
 
 
-def ref_register_permutation(p: ReversiblePermutation, x_qubits, y_qubits, n_total: int) -> np.ndarray:
-    """The pair map embedded as a permutation of all 2^n_total basis
-    indices, one qubit at a time."""
-    idx = np.arange(1 << n_total)
-    x = np.zeros_like(idx)
-    for j, q in enumerate(x_qubits):
-        x |= ((idx >> q) & 1) << j
-    y = np.zeros_like(idx)
-    for j, q in enumerate(y_qubits):
-        y |= ((idx >> q) & 1) << j
-    y2 = p.y_map[x, y]
-    out = idx
-    for j, q in enumerate(y_qubits):
-        out = (out & ~(1 << q)) | (((y2 >> j) & 1) << q)
-    return out
+def ref_register_permutation(
+    p: ReversiblePermutation, x_qubits, y_qubits, n_total: int, rows=None
+) -> np.ndarray:
+    """The images of ``rows`` (all 2^n_total basis indices by default)
+    under the embedded pair map, one Python int and one qubit at a time."""
+    out = []
+    for i in range(1 << n_total) if rows is None else rows:
+        i = int(i)
+        x = sum(((i >> q) & 1) << j for j, q in enumerate(x_qubits))
+        y = sum(((i >> q) & 1) << j for j, q in enumerate(y_qubits))
+        _, y2 = eval_forward(p.table, p.mode, x, y)
+        for j, q in enumerate(y_qubits):
+            i = (i & ~(1 << q)) | (((y2 >> j) & 1) << q)
+        out.append(i)
+    return np.array(out, dtype=np.int64)
 
 
 def ref_trace_out(amps: np.ndarray, n_qubits: int, keep) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cvhistory
-from cvhistory import dyadic, revcomp, validation
+from cvhistory import dyadic, processor, validation
 from cvhistory.cli import SCENARIO_KEYS, UsageError, main, read_argv
 from cvhistory.erasure import tensor_oracle
 from cvhistory.processor import parse_program
@@ -1188,23 +1188,34 @@ class TestResourceCommand:
                 assert err[-1] == f"error: {field}: {reason}"
 
     def test_table_budget_refusal_names_its_step(self, tmp_path, monkeypatch, capsys):
-        # a 4096-byte budget holds 512 int64 values; each ADDER(2) step
-        # (16 outputs, a lift of 2^7 values) and the inline 4 -> 3 table
-        # count once per table and once per mode, so steps[1] adds nothing
-        # and steps[4] is the first past the budget on both commands.  The
-        # three spellings of ADDER(2) name one table, counted once
+        # a 4096-byte budget holds 512 int64 values, and each distinct
+        # table counts its outputs once, whatever its steps' modes: the
+        # three spellings of ADDER(2) name one table of 16 outputs, the
+        # file one of 128 however often it is named, and each inline
+        # object a table of its own, so the tables of steps[0-6] hold 400
+        # values and steps[7] is the first past the budget on both commands
         monkeypatch.setattr(dyadic, "MAX_BYTES", 1 << 12)
-        inline = {"n_in": 4, "m_out": 3, "outputs": list(range(8)) * 2}
+        inline = {"n_in": 7, "m_out": 1, "outputs": [0, 1] * 64}
         (tmp_path / "t.json").write_text(json.dumps(inline))
-        qs = {"x_qubits": [0, 1, 2, 3], "y_qubits": [4, 5, 6]}
-        tables = [("ADDER(2)", "xor"), ("adder(2)", "xor"), ("ADDER( 2 )", "mod_sub"), (inline, "xor")]
-        steps = [{"op": {"table": t, "mode": m, **qs}} for t, m in tables]
-        fits = {"data": 4, "ancilla": 3, "steps": steps}
-        adders = [step.op.table for step in parse_program(fits).steps[:3]]
-        assert adders[0] is adders[1] is adders[2]
-        over = dict(fits, steps=steps + [{"op": {"table": {"file": "t.json"}, **qs}}])
+        adder_qs = {"x_qubits": [0, 1, 2, 3], "y_qubits": [4, 5, 6]}
+        wide_qs = {"x_qubits": [0, 1, 2, 3, 4, 5, 6], "y_qubits": [7]}
+        tables = [
+            ("ADDER(2)", "xor", adder_qs),
+            ("adder(2)", "xor", adder_qs),
+            ("ADDER( 2 )", "mod_sub", adder_qs),
+            ("CONST(7,1,1)", "xor", wide_qs),
+            (inline, "mod_sub", wide_qs),
+            ({"file": "t.json"}, "xor", wide_qs),
+            ({"file": "t.json"}, "mod_sub", wide_qs),
+        ]
+        steps = [{"op": {"table": t, "mode": m, **qs}} for t, m, qs in tables]
+        fits = {"data": 4, "ancilla": 4, "steps": steps}
+        parsed = [step.op.table for step in parse_program(fits, base_dir=str(tmp_path)).steps]
+        assert parsed[0] is parsed[1] is parsed[2] and parsed[5] is parsed[6]
+        assert sum(t.outputs.size for t in set(parsed)) == 400
+        over = dict(fits, steps=steps + [{"op": {"table": inline, **wide_qs}}])
         refused = (
-            "error: steps[4].op.table: holding 4480 bytes of tables and lifts "
+            "error: steps[7].op.table: holding 4224 bytes of tables "
             "exceeds the 4096-byte budget\n"
         )
         for prog, code, err in ((fits, 0, ""), (over, 3, refused)):
@@ -1217,7 +1228,7 @@ class TestResourceCommand:
 
     def test_resource_builds_no_lift(self, tmp_path, monkeypatch):
         built = []
-        monkeypatch.setattr(revcomp, "build_reversible", lambda *args: built.append(args))
+        monkeypatch.setattr(processor, "build_reversible", lambda *args: built.append(args))
         s = write_scenario(tmp_path, "s.json", {"program": and_program(10), "out_dir": str(tmp_path / "o")})
         assert main(["resource", s]) == 0
         assert built == []

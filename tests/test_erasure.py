@@ -589,6 +589,17 @@ class TestTensorOracle:
         with pytest.raises(ValidationError, match="coeffs must be finite"):
             tensor_oracle([(0.6, 0.8), (np.nan, 0.5)])
 
+    @pytest.mark.parametrize(
+        "pairs", [[(0.6, 0.8), (np.inf, 0.0)], [(1e308, 1e308)] * 3], ids=["inf-times-zero", "overflow"]
+    )
+    def test_refused_without_a_warning(self, pairs):
+        # inf x 0 in a complex product warned "invalid value", and the
+        # product of 1e308s "overflow", before the finiteness scan refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="coeffs must be finite"):
+                tensor_oracle(pairs)
+
     def test_branch_orthogonality_exact(self):
         histories = [0b0101, 0b1010, 0b0000, 0b1111]
         waves = []

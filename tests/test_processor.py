@@ -29,9 +29,16 @@ from cvhistory.processor import (
     _apply_gate,
     _apply_table,
 )
-from cvhistory import revcomp
+from cvhistory import processor
 from cvhistory.qubits import RegisterState, basis_state, purity
-from cvhistory.revcomp import SubtractMode, TruthTable, build_reversible, named_table
+from cvhistory.revcomp import (
+    MAX_PAIR_BITS,
+    SubtractMode,
+    TruthTable,
+    as_register_permutation,
+    build_reversible,
+    named_table,
+)
 from dense_reference import (
     ref_apply_basis_permutation,
     ref_apply_gate,
@@ -210,10 +217,40 @@ class TestRegisterOpsOnStoredRows:
                 for h in sparse_states(rng, n):
                     assert _apply_table(h, op) == ref_apply_basis_permutation(h, perm)
 
+    @pytest.mark.parametrize("mode", list(SubtractMode))
+    def test_lifts_to_the_pair_bit_limit_match_the_reference(self, mode):
+        # seeded tables of every pair width up to the limit, one output bit,
+        # all output bits and a split between, placed among two spectator
+        # qubits; each state holds its rows in three cells, and the row
+        # list repeats rows
+        rng = np.random.default_rng([33, list(SubtractMode).index(mode)])
+        widths = [(bits, m_out) for bits in range(1, MAX_PAIR_BITS + 1)
+                  for m_out in sorted({1, bits, int(rng.integers(1, bits + 1))})]
+        for bits, m_out in widths:
+            outputs = rng.integers(0, 1 << m_out, size=1 << (bits - m_out))
+            tt = TruthTable(bits - m_out, m_out, outputs)
+            n = bits + 2
+            qs = [int(q) for q in rng.permutation(n)[:bits]]
+            op = TableOp(tt, mode, tuple(qs[: tt.n_in]), tuple(qs[tt.n_in :]))
+            p = build_reversible(tt, mode)
+            rows = rng.integers(0, 1 << n, size=24)
+            rows = np.concatenate([rows, rows[::3]])
+            got = as_register_permutation(p, op.x_qubits, op.y_qubits, n, rows)
+            assert np.array_equal(got, ref_register_permutation(p, op.x_qubits, op.y_qubits, n, rows))
+            occupied = np.unique(rng.integers(0, 1 << n, size=16))
+            amps = rng.normal(size=3 * occupied.size) + 1j * rng.normal(size=3 * occupied.size)
+            h = HybridState(n, 2, np.repeat(occupied, 3), np.tile([-1, 0, 2], occupied.size), amps)
+            images = ref_register_permutation(p, op.x_qubits, op.y_qubits, n, h.rows)
+            assert _apply_table(h, op) == HybridState(n, 2, images, h.cells, h.amps)
+            if n <= 12:
+                perm = ref_register_permutation(p, op.x_qubits, op.y_qubits, n)
+                assert _apply_table(h, op) == ref_apply_basis_permutation(h, perm)
+
     @staticmethod
     def wide_state() -> HybridState:
         # two entries on 22 qubits: every whole-register vector would
-        # hold 2^22 values, 32 MiB as int64
+        # hold 2^22 values, 32 MiB as int64, and a map of a 20-pair-bit
+        # lift's pairs 2^20, 8 MiB
         rows = [0b1011, (1 << 21) | (1 << 12) | 0b0110]
         return HybridState(22, 0, rows, [0, 0], [0.6, 0.8])
 
@@ -224,13 +261,13 @@ class TestRegisterOpsOnStoredRows:
             GateOp("SWAP", (0, 20)),
             GateOp("CZ", (2, 21)),
             TableOp(named_table("ADDER(3)"), SubtractMode.MOD_SUB, (0, 1, 2, 12, 13, 21), (3, 4, 5, 20)),
+            TableOp(named_table("CONST(19,1,1)"), SubtractMode.XOR, tuple(range(19)), (21,)),
+            TableOp(named_table("CONST(19,1,1)"), SubtractMode.MOD_SUB, tuple(range(19)), (21,)),
         ],
-        ids=["CNOT", "SWAP", "CZ", "ADDER3"],
+        ids=["CNOT", "SWAP", "CZ", "ADDER3", "CONST19-xor", "CONST19-mod_sub"],
     )
     def test_wide_register_op_allocates_per_entry(self, op, traced_peak):
         h = self.wide_state()
-        if isinstance(op, TableOp):
-            op.table.reversible(op.mode)  # the lift is the table's, not the step's
         apply = _apply_table if isinstance(op, TableOp) else _apply_gate
         with traced_peak() as traced:
             out = apply(h, op)
@@ -239,8 +276,9 @@ class TestRegisterOpsOnStoredRows:
 
 
 class TestLiftOnce:
-    """Steps that share a table reference share one TruthTable, and it
-    builds its lift once per mode, at the first step that applies it."""
+    """Steps that share a table reference share one TruthTable, built once
+    while the program is parsed; each table step builds its lift, the
+    table and the step's mode, when it runs."""
 
     @staticmethod
     def count_builds(monkeypatch) -> list:
@@ -250,10 +288,10 @@ class TestLiftOnce:
             built.append((tt, mode))
             return build_reversible(tt, mode)
 
-        monkeypatch.setattr(revcomp, "build_reversible", counting)
+        monkeypatch.setattr(processor, "build_reversible", counting)
         return built
 
-    def test_one_table_per_name_and_one_lift_per_mode(self, monkeypatch):
+    def test_one_table_per_name_and_one_lift_per_step(self, monkeypatch):
         built = self.count_builds(monkeypatch)
         step = {"x_qubits": [0, 1, 2, 3, 4, 5], "y_qubits": [6, 7, 8, 9]}
         steps = [
@@ -264,14 +302,14 @@ class TestLiftOnce:
         assert len({id(st.op.table) for st in prog.steps}) == 1
         assert built == []  # parsing builds no lift
         ps, _ = run_program(init_from_program(prog, data_basis=300), prog.steps)
-        assert [mode for _, mode in built] == [SubtractMode.XOR, SubtractMode.MOD_SUB]
+        assert built == [(st.op.table, st.op.mode) for st in prog.steps]
         # the same 32 steps, each on a table of its own
         fresh = [
             ProgramStep(TableOp(named_table("ADDER(3)"), st.op.mode, st.op.x_qubits, st.op.y_qubits), ())
             for st in prog.steps
         ]
         assert run_program(init_from_program(prog, data_basis=300), fresh)[0].hybrid == ps.hybrid
-        assert len(built) == 2 + 32
+        assert len(built) == 32 + 32
 
     def test_files_share_and_inline_objects_do_not(self, tmp_path):
         (tmp_path / "t.json").write_text(json.dumps({"n_in": 2, "m_out": 1, "outputs": [0, 1, 1, 1]}))

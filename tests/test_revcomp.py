@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvhistory.errors import DomainError, ResourceLimitError, ValidationError
+from cvhistory.errors import DomainError, ResourceLimitError, ValidationError, is_integer
 from cvhistory.qubits import apply_permutation, basis_state
 from cvhistory.revcomp import (
+    MAX_PAIR_BITS,
     MAX_TABLE_BITS,
     ReversiblePermutation,
     SubtractMode,
@@ -22,8 +23,21 @@ from cvhistory.revcomp import (
     table_from_json,
 )
 from dense_reference import ref_register_permutation
+from test_erasure import NON_INTEGER_IDS, NON_INTEGER_INDICES
 
 AND = named_table("AND")
+
+# the first non-integer entry of each shared index case, as a scalar
+NON_INTEGER_SCALARS = [next(v for v in case if not is_integer(v)) for case in NON_INTEGER_INDICES]
+
+# Each takes one scalar argument, named after the colon in its key.
+SCALAR_ARGUMENT_OPS = {
+    "TruthTable:x": lambda v: AND(v),
+    "eval_forward:x": lambda v: eval_forward(AND, SubtractMode.XOR, v, 0),
+    "eval_forward:y": lambda v: eval_forward(AND, SubtractMode.XOR, 1, v),
+    "apply:x": lambda v: build_reversible(AND, SubtractMode.XOR).apply(v, 0),
+    "apply:y": lambda v: build_reversible(AND, SubtractMode.XOR).apply(1, v),
+}
 
 
 @st.composite
@@ -100,8 +114,6 @@ class TestTruthTable:
     def test_widths_must_be_integers(self, n_in, m_out, field):
         with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
             TruthTable(n_in, m_out, [0, 1])
-        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
-            ReversiblePermutation(n_in, m_out, SubtractMode.XOR, [[0, 1], [1, 0]])
 
     def test_widest_table_keeps_its_length_rule(self):
         with pytest.raises(ValidationError, match=f"^outputs must have length 2\\^{MAX_TABLE_BITS} = "):
@@ -188,6 +200,22 @@ class TestEvalForward:
             eval_forward(AND, SubtractMode.XOR, 0, 2)
 
 
+class TestScalarArguments:
+    @pytest.mark.parametrize("op", sorted(SCALAR_ARGUMENT_OPS))
+    @pytest.mark.parametrize("v", NON_INTEGER_SCALARS, ids=NON_INTEGER_IDS)
+    def test_must_be_integers(self, op, v):
+        # a float ended in an IndexError, a bool in a TypeError
+        name = op.split(":")[-1]
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            SCALAR_ARGUMENT_OPS[op](v)
+
+    def test_numpy_integers_accepted(self):
+        p = build_reversible(AND, SubtractMode.XOR)
+        assert AND(np.int64(3)) == 1
+        assert eval_forward(AND, SubtractMode.XOR, np.int32(3), np.uint8(0)) == (3, 1)
+        assert p.apply(np.int64(3), np.int16(1)) == (3, 0)
+
+
 class TestBuildReversible:
     def test_and_xor_pairs(self):
         p = build_reversible(AND, SubtractMode.XOR)
@@ -201,29 +229,39 @@ class TestBuildReversible:
             build_reversible(tt, SubtractMode.XOR)
 
     @pytest.mark.parametrize("mode", list(SubtractMode))
-    def test_adopted_lift_passes_the_validating_constructor(self, mode):
-        # build_reversible checks neither the range nor the bijection of
-        # its map; the constructor checks both on a copy
-        rng = np.random.default_rng(27)
-        names = ["AND", "OR", "XOR", "ADDER(1)", "ADDER(3)", "ADDER(6)", "CONST(0,1,1)", "CONST(3,4,9)", "CONST(0,20,5)"]
-        tables = [named_table(name) for name in names]
-        for bits in range(1, 21):
-            m_out = int(rng.integers(1, bits + 1))
-            tables.append(TruthTable(bits - m_out, m_out, rng.integers(0, 1 << m_out, size=1 << (bits - m_out))))
-        for tt in tables:
+    def test_lift_is_its_table_and_mode(self, mode):
+        for name in ["AND", "ADDER(6)", "CONST(0,20,5)", "CONST(19,1,1)"]:
+            tt = named_table(name)
             p = build_reversible(tt, mode)
-            checked = ReversiblePermutation(tt.n_in, tt.m_out, mode, p.y_map)
-            assert (p.n_in, p.m_out, p.mode) == (checked.n_in, checked.m_out, checked.mode)
-            assert p.y_map.dtype == np.int64 and np.array_equal(p.y_map, checked.y_map)
-            assert not p.y_map.flags.writeable
+            assert vars(p) == {"table": tt, "mode": mode}
+            assert (p.n_in, p.m_out) == (tt.n_in, tt.m_out)
 
     @pytest.mark.parametrize("mode", list(SubtractMode))
     def test_peak_is_the_lift_itself(self, mode, traced_peak):
-        # the 8 * 2^(n_in + m_out) bytes the budget counts for a lift
+        # a 20-pair-bit lift is the table and the mode: no array of its
+        # 2^20 pairs (8 MiB as int64) is formed
         tt = named_table("CONST(19,1,0)")
         with traced_peak() as traced:
-            p = build_reversible(tt, mode)
-        assert traced.peak <= 1.1 * p.y_map.nbytes
+            build_reversible(tt, mode)
+        assert traced.peak < 1 << 10
+
+    @pytest.mark.parametrize(
+        "table, mode, reason",
+        [
+            (AND.outputs, SubtractMode.XOR, "^table must be a TruthTable, got ndarray$"),
+            ((2, 1, [0, 0, 0, 1]), SubtractMode.XOR, "^table must be a TruthTable, got tuple$"),
+            (AND, "xor", "^mode must be a SubtractMode, got 'xor'$"),
+            (AND, None, "^mode must be a SubtractMode, got None$"),
+        ],
+        ids=["outputs", "tuple", "mode-string", "mode-None"],
+    )
+    def test_direct_lift_refuses_a_non_table_or_a_non_mode(self, table, mode, reason):
+        with pytest.raises(ValidationError, match=reason):
+            ReversiblePermutation(table, mode)
+
+    def test_unknown_mode_refused_when_built(self):
+        with pytest.raises(DomainError, match="^unknown mode 'xor'$"):
+            build_reversible(AND, "xor")
 
     @given(truth_tables(), st.sampled_from(list(SubtractMode)))
     @settings(max_examples=40, deadline=None)
@@ -243,19 +281,22 @@ class TestBuildReversible:
 
 
 class TestCheckInvolution:
-    def test_non_involutive_counterexample(self):
-        # y' = y + 1 mod 4 is a bijection on y but not an involution.
-        y_map = np.tile((np.arange(4) + 1) % 4, (2, 1))
-        p = ReversiblePermutation(1, 2, SubtractMode.XOR, y_map)
+    def test_non_involutive_counterexample(self, monkeypatch):
+        # y' = y + 1 mod 4 is a bijection on y but not an involution; the
+        # 0 * x keeps the broadcast shape of the pairs
+        monkeypatch.setattr(ReversiblePermutation, "images", lambda self, x, y: (0 * x + y + 1) % 4)
+        p = build_reversible(TruthTable(1, 2, [0, 0]), SubtractMode.XOR)
         ok, counter = check_involution(p)
         assert not ok
-        assert counter is not None
+        assert counter == (0, 0)
         x, y = counter
         assert p.apply(*p.apply(x, y)) != (x, y)
 
-    def test_non_bijective_rejected(self):
-        with pytest.raises(ValidationError, match="x = 0"):
-            ReversiblePermutation(0, 1, SubtractMode.XOR, np.array([[0, 0]]))
+    def test_pair_bits_bound_the_exhaustive_check(self):
+        # a direct lift past MAX_PAIR_BITS is refused before its pairs are formed
+        p = ReversiblePermutation(TruthTable(0, MAX_PAIR_BITS + 1, [0]), SubtractMode.XOR)
+        with pytest.raises(ResourceLimitError, match=f"pair register of {MAX_PAIR_BITS + 1} bits"):
+            check_involution(p)
 
 
 class TestRegisterEmbedding:
@@ -325,14 +366,6 @@ class TestRegisterEmbedding:
         rows = np.array([rnd.randrange(1 << n_total) for _ in range(rnd.randrange(6))], dtype=np.int64)
         got = as_register_permutation(p, x_qubits, y_qubits, n_total, rows)
         assert np.array_equal(got, whole[rows])
-
-    def test_lift_built_once_per_mode(self):
-        tt = named_table("ADDER(2)")
-        for mode in SubtractMode:
-            p = tt.reversible(mode)
-            assert tt.reversible(mode) is p
-            assert np.array_equal(p.y_map, build_reversible(tt, mode).y_map)
-        assert tt.reversible(SubtractMode.XOR) is not tt.reversible(SubtractMode.MOD_SUB)
 
     @given(truth_tables(max_pair_bits=6), st.sampled_from(list(SubtractMode)))
     @settings(max_examples=30, deadline=None)
