@@ -374,14 +374,50 @@ def hybrid_reduced_density(h: HybridState, keep: Iterable[int]) -> DensityMatrix
     return DensityMatrix._adopt(rho.dim, rho.support, rho.block * h.width)
 
 
+def _minor_proves_entangled(h: HybridState, starts: np.ndarray, row_weight: np.ndarray) -> bool:
+    """Whether a 2x2 minor of the table proves that cv_factor's SVD finds
+    s[1] > FACTOR_TOL * s[0].  ``starts`` are the first entries of the
+    occupied rows and ``row_weight`` their weights.
+
+    The minors all pass through the heaviest row p and its largest entry
+    b, one per stored entry (i, e): M_pb M_ie - M_pe M_ib, an absent entry
+    reading 0.  A minor's smaller singular value, at least |det| / its
+    Frobenius norm, bounds the table's s[1] from below, and the table's
+    Frobenius norm bounds s[0] from above; the factor 2 covers the
+    rounding on both sides.  O(entries) memory, no block."""
+    a, rows, cells = h.amps, h.rows, h.cells
+    k = int(np.argmax(row_weight))
+    lo = int(starts[k])
+    hi = int(starts[k + 1]) if k + 1 < starts.size else a.size
+    j = lo + int(np.argmax(np.abs(a[lo:hi])))
+    pb = a[j]
+    # M_pe from row p's sorted cells, M_ib from the entries at cell b,
+    # whose rows come sorted
+    row_cells = cells[lo:hi]
+    at = np.minimum(row_cells.searchsorted(cells), row_cells.size - 1)
+    pe = np.where(row_cells[at] == cells, a[lo + at], 0)
+    col = np.flatnonzero(cells == cells[j])
+    col_rows = rows[col]
+    at = np.minimum(col_rows.searchsorted(rows), col.size - 1)
+    ib = np.where(col_rows[at] == rows, a[col[at]], 0)
+    det = np.abs(pb * a - pe * ib)
+    norm2 = abs(pb) ** 2 + a.real**2 + a.imag**2
+    norm2 += pe.real**2 + pe.imag**2
+    norm2 += ib.real**2 + ib.imag**2
+    return bool(np.any(det > 2 * FACTOR_TOL * np.sqrt(np.sum(row_weight) * norm2)))
+
+
 def cv_factor(h: HybridState) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Split a product state into (rows, register, cells, values): the
     register is register[i] on basis state rows[i], the wave values[i] on
     cell cells[i] at h.level, both on the occupied rows and cells only,
     increasing, so nothing 2^n_qubits or hull wide is built; None if entangled.
 
-    The register phase is fixed by making its first nonzero component
-    real positive.  The wave carries the overall norm.
+    Entanglement is first sought in the 2x2 minors of the stored entries;
+    the block of occupied rows x occupied cells is built, and its SVD run,
+    only when no minor proves it.  The register phase is fixed by making
+    its first nonzero component real positive.  The wave carries the
+    overall norm.
     """
     a = h.amps
     if not a.size:
@@ -398,6 +434,8 @@ def cv_factor(h: HybridState) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarr
         q = int(nz_rows[0])
         lo, hi = h.rows.searchsorted((q, q + 1))
         return nz_rows, np.ones(1, dtype=np.complex128), h.cells[lo:hi], a[lo:hi]
+    if _minor_proves_entangled(h, starts, row_weight):
+        return None
     # Only the block of occupied rows x occupied cells has a singular value.
     rows, row_slot = np.unique(h.rows, return_inverse=True)
     cols, col_slot = np.unique(h.cells, return_inverse=True)

@@ -180,6 +180,9 @@ class ReversiblePermutation:
             raise ValidationError(f"table must be a TruthTable, got {type(self.table).__name__}")
         if not isinstance(self.mode, SubtractMode):
             raise ValidationError(f"mode must be a SubtractMode, got {self.mode!r}")
+        # y and the mask 2^m_out - 1 must fit the int64 arithmetic of images
+        if self.table.m_out > 63:
+            raise ValidationError(f"m_out must be at most 63 for a lift, got {self.table.m_out}")
 
     @property
     def n_in(self) -> int:

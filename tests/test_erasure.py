@@ -32,7 +32,7 @@ from cvhistory.erasure import (
     tensor_oracle,
     unfold,
 )
-from cvhistory import dyadic, qubits, validation
+from cvhistory import dyadic, erasure, qubits, validation
 from cvhistory.grid import GridWave, sample_function, translate_shift
 from cvhistory.qubits import RegisterState, basis_state, purity, trace_out
 from cvhistory.revcomp import SubtractMode, as_register_permutation, build_reversible, named_table
@@ -799,14 +799,110 @@ class TestCvFactor:
                 assert np.array_equal(hull_wave(h, got[2], got[3]), want[1])
 
     def test_block_refused_before_allocating(self, traced_peak):
-        # 2^15 occupied rows by 2^14 occupied cells exceed the 2^28-byte
-        # budget, although the state stores only 2^15 entries
+        # two proportional heavy rows sharing cells 0 and 1, and 2^15 light
+        # rows of one entry each, 1e-11 of the heavy amplitudes, on cells of
+        # their own: every minor through row 0 and cell 0 stays below the
+        # proof's threshold, and 2^15 + 2 occupied rows by as many occupied
+        # cells exceed the 2^28-byte budget, although the state stores only
+        # 2^15 + 4 entries
         n = 1 << 15
-        h = HybridState(15, 14, np.arange(n), np.arange(n) >> 1, np.full(n, 1 / 2**0.5))
+        rows = np.concatenate([[0, 0, 1, 1], np.arange(2, n + 2)])
+        cells = np.concatenate([[0, 1, 0, 1], np.arange(2, n + 2)])
+        amps = np.concatenate([[1.0, 0.5, 0.5, 0.25], np.full(n, 1e-11)])
+        h = HybridState(16, 16, rows, cells, amps)
         with traced_peak() as traced:
             with pytest.raises(ResourceLimitError, match="cv_factor"):
                 cv_factor(h)
-        assert traced.peak < 8 << 20  # the refused block would take 8 GiB
+        assert traced.peak < 8 << 20  # the refused block would take 16 GiB
+
+    def test_entangled_block_proved_without_allocating(self, traced_peak):
+        # 2^15 occupied rows by 2^14 occupied cells, rows 2k and 2k + 1 on
+        # cell k: a minor proves the entanglement, where the block would
+        # take 8 GiB
+        n = 1 << 15
+        h = HybridState(15, 14, np.arange(n), np.arange(n) >> 1, np.full(n, 1 / 2**0.5))
+        with traced_peak() as traced:
+            assert cv_factor(h) is None
+        assert traced.peak < 8 << 20
+
+    def test_data_register_history_proved_without_svd(self, monkeypatch, traced_peak):
+        # H on each of 10 data qubits, then 10 CNOT(q_i, q10) cleans of the
+        # ancilla q10: each data row holds its own cell, so the block would
+        # be 1024 x 1024 (16 MiB)
+        d = 10
+        reg = np.zeros(1 << (d + 1))
+        reg[: 1 << d] = 2 ** (-d / 2)
+        h = lift(RegisterState(d + 1, reg), indicator_unit(0))
+        for i in range(d):
+            h = erase(apply_basis_permutation(h, h.rows ^ (((h.rows >> i) & 1) << d)), d)
+        assert h.amps.size == np.unique(h.cells).size == 1 << d
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with traced_peak() as traced:
+            assert cv_factor(h) is None
+        assert traced.peak < 1 << 20
+
+    @staticmethod
+    def certificate_tables(rng, kind):
+        """A random table of 2-16 rows and 1-12 cells: an exact product
+        with zero rows and columns, one perturbed by 1e-13 to 1e-7, a
+        rank-2 one, or a dense random one."""
+        rows, cols = 1 << int(rng.integers(1, 5)), int(rng.integers(1, 13))
+
+        def gauss(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        if kind == "rank-2":
+            return gauss(rows, 2) @ gauss(2, cols)
+        if kind == "dense":
+            return gauss(rows, cols)
+        a = np.outer(gauss(rows) * (rng.random(rows) < 0.7), gauss(cols) * (rng.random(cols) < 0.7))
+        if kind == "perturbed":
+            a += 10.0 ** rng.uniform(-13, -7) * gauss(rows, cols) * (rng.random((rows, cols)) < 0.5)
+        return a
+
+    @pytest.mark.parametrize("kind", ["product", "perturbed", "rank-2", "dense"])
+    def test_minor_proof_agrees_with_the_svd(self, kind, monkeypatch):
+        # cv_factor is None exactly when the block SVD of the reference says
+        # so, and the minors prove entanglement only where the SVD finds it
+        proved = []
+        minors = erasure._minor_proves_entangled
+
+        def recorded(*args):
+            proved.append(minors(*args))
+            return proved[-1]
+
+        monkeypatch.setattr(erasure, "_minor_proves_entangled", recorded)
+        rng = np.random.default_rng(["product", "perturbed", "rank-2", "dense"].index(kind))
+        outcomes = {"product": 0, "entangled": 0, "proved": 0}
+        for _ in range(300):
+            a = self.certificate_tables(rng, kind)
+            if not a.any():
+                continue
+            n = int(a.shape[0]).bit_length() - 1
+            h = HybridState.from_table(n, 2, int(rng.integers(-4, 4)), a)
+            proved.clear()
+            got, want = cv_factor(h), ref_cv_factor(h)
+            assert (got is None) == (want is None)
+            outcomes["product" if want is not None else "entangled"] += 1
+            if proved and proved[0]:
+                assert want is None
+                outcomes["proved"] += 1
+            if got is not None:
+                assert np.array_equal(full_register(h, got[0], got[1]), want[0])
+                assert np.array_equal(hull_wave(h, got[2], got[3]), want[1])
+        if kind == "product":
+            assert outcomes["entangled"] == 0 and outcomes["product"] > 200
+        elif kind == "perturbed":
+            # near the threshold the minors decide nothing and the SVD does
+            assert outcomes["product"] > 30 and outcomes["entangled"] > outcomes["proved"] > 30
+        else:
+            # these tables store every entry, so every minor through the
+            # pivot is checked and every entangled table is proved
+            assert outcomes["proved"] == outcomes["entangled"] > 200
 
     @staticmethod
     def full_table_factor(h, tol=1e-10):

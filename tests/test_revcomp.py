@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvhistory import validation
 from cvhistory.errors import DomainError, ResourceLimitError, ValidationError, is_integer
 from cvhistory.qubits import apply_permutation, basis_state
 from cvhistory.revcomp import (
@@ -259,6 +260,26 @@ class TestBuildReversible:
         with pytest.raises(ValidationError, match=reason):
             ReversiblePermutation(table, mode)
 
+    @pytest.mark.parametrize("mode", list(SubtractMode))
+    def test_direct_lift_refuses_m_out_past_int64(self, mode):
+        # 63 output bits keep y and the mask 2^m_out - 1 in int64
+        p = ReversiblePermutation(TruthTable(0, 63, [1]), mode)
+        top = (1 << 63) - 1
+        assert p.apply(0, 1) == eval_forward(p.table, mode, 0, 1)
+        assert p.apply(0, top) == eval_forward(p.table, mode, 0, top)
+        want = [eval_forward(p.table, mode, 0, y)[1] for y in (0, 1 << 62)]
+        assert as_register_permutation(p, [], range(63), 63, [0, 1 << 62]).tolist() == want
+        # 64 are refused when built, before apply or as_register_permutation
+        # can overflow on the mask
+        refused = "^m_out must be at most 63 for a lift, got 64$"
+        with pytest.raises(ValidationError, match=refused):
+            ReversiblePermutation(TruthTable(0, 64, [1]), mode).apply(0, 1)
+        with pytest.raises(ValidationError, match=refused):
+            as_register_permutation(ReversiblePermutation(TruthTable(0, 64, [1]), mode), [], range(64), 64, [0])
+        # build_reversible keeps refusing it by the pair-bit limit first
+        with pytest.raises(ResourceLimitError, match="pair register of 64 bits"):
+            build_reversible(TruthTable(0, 64, [1]), mode)
+
     def test_unknown_mode_refused_when_built(self):
         with pytest.raises(DomainError, match="^unknown mode 'xor'$"):
             build_reversible(AND, "xor")
@@ -382,3 +403,71 @@ class TestRegisterEmbedding:
         state = RegisterState(n_total, amps / np.linalg.norm(amps))
         back = apply_permutation(apply_permutation(state, perm), perm)
         assert np.array_equal(back.amps, state.amps)
+
+
+def loop_involution_suite(rng):
+    """revcomp_involution with its spot check one apply per pair."""
+    bad = trials = 0
+    for _ in range(10):
+        n_in = int(rng.integers(1, 7))
+        m_out = int(rng.integers(1, min(7, 13 - n_in)))
+        tt = validation._random_table(rng, n_in, m_out)
+        for mode in SubtractMode:
+            ok, _ = check_involution(build_reversible(tt, mode))
+            trials += 1
+            bad += not ok
+    tt = validation._random_table(rng, 8, 8)
+    for mode in SubtractMode:
+        p = build_reversible(tt, mode)
+        xs = rng.integers(0, 1 << 8, size=1000)
+        ys = rng.integers(0, 1 << 8, size=1000)
+        for x, y in zip(xs, ys):
+            x1, y1 = p.apply(int(x), int(y))
+            bad += p.apply(x1, y1) != (int(x), int(y))
+        trials += 1
+    return trials, float(bad)
+
+
+def loop_forward_agreement_suite(rng):
+    """revcomp_forward_agreement with one apply per pair."""
+    bad = trials = 0
+    for _ in range(10):
+        n_in = int(rng.integers(1, 6))
+        m_out = int(rng.integers(1, 6))
+        tt = validation._random_table(rng, n_in, m_out)
+        for mode in SubtractMode:
+            p = build_reversible(tt, mode)
+            for x in range(1 << n_in):
+                for y in range(1 << m_out):
+                    bad += p.apply(x, y) != eval_forward(tt, mode, x, y)
+            trials += 1
+    return trials, float(bad)
+
+
+class TestRevcompSuites:
+    @pytest.mark.parametrize("broken", [False, True], ids=["lift", "broken-lift"])
+    @pytest.mark.parametrize(
+        "name, reference",
+        [
+            ("revcomp_involution", loop_involution_suite),
+            ("revcomp_forward_agreement", loop_forward_agreement_suite),
+        ],
+    )
+    def test_whole_grid_matches_the_per_pair_loop(self, name, reference, broken, monkeypatch):
+        # the suites compare images over whole arrays; their trials and
+        # counts equal those of one apply per pair, also for a lift whose
+        # images are wrong
+        if broken:
+            images = ReversiblePermutation.images
+            # one too high on odd x: neither an involution nor f(x) (-) y
+            monkeypatch.setattr(
+                ReversiblePermutation,
+                "images",
+                lambda p, x, y: (images(p, x, y) + (np.asarray(x) & 1)) & ((1 << p.m_out) - 1),
+            )
+        suite = {n: fn for n, fn, _ in validation.SUITES}[name]
+        for seed in (1234, 2718):
+            key = [seed, validation.SUITE_NAMES.index(name)]
+            got = suite(np.random.default_rng(key))
+            assert got == reference(np.random.default_rng(key))
+            assert (got[1] > 0) == broken
